@@ -6,21 +6,22 @@
 
 One workload runs in one process, one query at a time (a closed loop with
 one client): the next query is sent only when the previous one finished.
-The run sets up the workload several times and reports the median set-up,
-then passes over the workload's fixed query list several times: as many
-passes as its nominal pass time fits into `--seconds`, at least two. Every
-answer is checked against the expectation computed by the workload
-generator.
+The run passes over the workload's fixed query list several times: as many
+passes as its nominal pass time fits into `--seconds`, at least two. It sets
+the workload up before the first pass and again after every pass, and
+reports the median set-up time. Every answer is checked against the
+expectation computed by the workload generator.
 
 With `--trace 0` the last line of output is the end-to-end result; with
-`--trace 1` each query is run once untraced and once traced, and the last
-line holds the per-layer metrics and the tracing overhead. See README.md.
+`--trace 1` each query is run untraced and then traced, over a fixed number
+of passes, the spans are written to `.bench_out/`, and the last line holds
+the per-layer metrics and the tracing overhead. Metric names and units come
+from BENCHMARK.json. See README.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -37,22 +38,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
+SPEC = ROOT / "BENCHMARK.json"
+SPANS_DIR = ROOT / ".bench_out"
 WORKLOAD_NAMES = ("site_crawl", "deep_resolution", "secured_syscalls")
 # cli.main reads these; a developer's setting could switch the benchmark
 # onto another registry or onto the store path
 LW_ENV = ("LW_REGISTRY", "LW_KEYSTORE", "LW_FIXTURE_ROOT", "LW_STORE_DIR")
-SETUP_REPEATS = 5
 MIN_PASSES = 2
 SMOKE_QUERIES = 8
-
-END_TO_END = {
-    "setup_s": "s",
-    "queries_per_s": "1/s",
-    "query_p50_ms": "ms",
-    "query_tail_ms": "ms",
-    "peak_rss_mb": "MB",
-    "open_query_p50_ms": "ms",
-}
+# the one failure expected today: deep down/1 overflows the Python stack
+KNOWN_FAILURE = "deep:error:RecursionError"
 
 SHARED_NOTE = ("shared sandbox: other tenants load the machine, so compare "
                "only figures measured in the same session")
@@ -73,6 +68,17 @@ def load_program():
         raise SetupError(f"imported logicweb from {logicweb.__file__}")
     import workloads
     return workloads
+
+
+def declared_units(trace: bool) -> dict[str, str]:
+    """Metric name -> unit, in BENCHMARK.json's order: the end-to-end
+    metrics, or with `trace` the per-layer ones."""
+    try:
+        spec = json.loads(SPEC.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SetupError(f"cannot read {SPEC.name}: {exc}") from exc
+    return {m["name"]: m["unit"]
+            for m in spec["per_layer" if trace else "end_to_end"]}
 
 
 def run_record(seed: int) -> dict:
@@ -130,8 +136,8 @@ def judge(run, query, expected) -> tuple[str, float]:
 
 
 class Tally:
-    """Executions, failures by query class and verdict, and whether any
-    finished query was wrong."""
+    """Executions, and failures by query class and verdict. The run is
+    correct when its only failures are the known one."""
 
     def __init__(self):
         self.attempted = 0
@@ -148,52 +154,66 @@ class Tally:
 
     @property
     def correct(self) -> bool:
-        return not any(r.endswith(":wrong") for r in self.reasons)
+        return all(r == KNOWN_FAILURE for r in self.reasons)
 
     @property
     def failed_frac(self) -> float:
         return self.failed / self.attempted
 
 
-def measure(wl, queries: list, passes: int) -> tuple[Tally, dict, dict]:
-    """The untraced run: `passes` passes over the fixed query list. Each
-    query's time is its fastest pass, which keeps bursts of load from other
-    tenants out of the figures; the number of passes is fixed so that the
-    fastest of them means the same in every run. A query that fails in any
-    pass counts as failed."""
+def run_passes(queries: list, passes: int, execute,
+               after_pass=None) -> tuple[Tally, dict, set]:
+    """`passes` passes over the fixed query list. `execute(query)` runs one
+    query in one or more ways and returns {way: (verdict, seconds)};
+    `after_pass()`, if given, runs after each pass. Returns the tally, each
+    way's fastest time per query, and the indexes of the queries that failed
+    in any pass."""
     tally = Tally()
-    inf = float("inf")
-    best, best_open = [inf] * len(queries), {}
+    best: dict[str, list[float]] = {}
     failed: set[int] = set()
-    rss = None
     for _ in range(passes):
         for i, query in enumerate(queries):
-            verdict, took = judge(wl.run, query, query.expected)
-            verdicts = [verdict]
-            if wl.has_twin:
-                open_verdict, open_took = judge(wl.run_open, query,
-                                                query.expected_open or query.expected)
-                verdicts.append(open_verdict)
-                best_open[i] = min(best_open.get(i, inf), open_took)
-            best[i] = min(best[i], took)
-            if not tally.add(query.kind, verdicts):
+            ways = execute(query)
+            for way, (_verdict, took) in ways.items():
+                times = best.setdefault(way, [float("inf")] * len(queries))
+                times[i] = min(times[i], took)
+            if not tally.add(query.kind, [v for v, _took in ways.values()]):
                 failed.add(i)
-        if rss is None:
-            rss = peak_rss_mb()
-    good = [best[i] for i in range(len(queries)) if i not in failed]
-    good_open = [best_open[i] for i in best_open if i not in failed]
-    if not good:
+        if after_pass is not None:
+            after_pass()
+    if len(failed) == len(queries):
         raise SetupError("no query completed correctly")
+    return tally, best, failed
+
+
+def measure(wl, queries: list, passes: int,
+            after_pass=None) -> tuple[Tally, dict, dict]:
+    """The untraced run. Each query's time is its fastest pass, which keeps
+    bursts of load from other tenants out of the figures; the number of
+    passes is fixed so that the fastest of them means the same in every run.
+    A query that fails in any pass counts as failed."""
+    def execute(query):
+        ways = {"secured": judge(wl.run, query, query.expected)}
+        if wl.has_twin:
+            ways["open"] = judge(wl.run_open, query,
+                                 query.expected_open or query.expected)
+        return ways
+
+    tally, best, failed = run_passes(queries, passes, execute, after_pass)
+    good = [t for i, t in enumerate(best["secured"]) if i not in failed]
     pct = tail_percentile(len(queries))
     p50 = statistics.median(good) * 1000
     # deep_resolution runs with security off already: its open figure is
     # the same measurement
-    open_p50 = statistics.median(good_open) * 1000 if good_open else p50
+    open_p50 = p50
+    if wl.has_twin:
+        open_p50 = statistics.median(
+            t for i, t in enumerate(best["open"]) if i not in failed) * 1000
     metrics = {
-        "queries_per_s": len(good) / sum(best),
+        "queries_per_s": len(good) / sum(best["secured"]),
         "query_p50_ms": p50,
         "query_tail_ms": nearest_rank(good, pct) * 1000,
-        "peak_rss_mb": rss,
+        "peak_rss_mb": peak_rss_mb(),
         "open_query_p50_ms": open_p50,
     }
     extra = {
@@ -207,43 +227,53 @@ def measure(wl, queries: list, passes: int) -> tuple[Tally, dict, dict]:
     return tally, metrics, extra
 
 
-def measure_traced(wl, queries: list, seconds: float, once: bool,
-                   spans_path: str | None) -> tuple[Tally, dict, dict]:
-    """The traced run: each query untraced, then traced, until `seconds`
-    have gone by; per-layer metrics come from the traced executions."""
+def measure_traced(wl, queries: list, passes: int,
+                   spans_path: Path) -> tuple[Tally, dict, dict]:
+    """The traced run: `passes` passes, each query untraced and then traced.
+    Per-layer metrics come from the traced executions, per execution, so
+    their counts depend on the seed alone. The overhead compares the
+    queries' fastest traced and untraced times. The spans are written to
+    `spans_path` at the end."""
     import tracer as tracing
     tracer = tracing.Tracer()
-    tally = Tally()
-    plain_times, traced_times = [], []
-    started = time.perf_counter()
-    for query in itertools.cycle(queries):
-        if tally.attempted and (tally.attempted == len(queries) if once else
-                                time.perf_counter() - started >= seconds):
-            break
-        verdict, took = judge(wl.run, query, query.expected)
-        tracer.begin_query(tally.attempted)
+    executions = 0
+
+    def execute(query):
+        nonlocal executions
+        ways = {"untraced": judge(wl.run, query, query.expected)}
+        tracer.begin_query(executions)
+        executions += 1
         tracer.install()
         try:
-            traced_verdict, traced_took = judge(wl.run, query, query.expected)
+            ways["traced"] = judge(wl.run, query, query.expected)
         finally:
             tracer.remove()
-        if tally.add(query.kind, [verdict, traced_verdict]):
-            plain_times.append(took)
-            traced_times.append(traced_took)
-    if not traced_times:
-        raise SetupError("no query completed correctly")
+        return ways
+
+    tally, best, failed = run_passes(queries, passes, execute)
     metrics = tracer.metrics(tally.attempted)
-    untraced = statistics.median(plain_times) * 1000
-    traced = statistics.median(traced_times) * 1000
+    untraced, traced = (statistics.median(t for i, t in enumerate(best[way])
+                                          if i not in failed) * 1000
+                        for way in ("untraced", "traced"))
     metrics["trace.overhead"] = traced / untraced
     metrics["trace.traced_p50_ms"] = traced
     metrics["trace.untraced_p50_ms"] = untraced
-    extra = {"queries": tally.attempted, "spans": len(tracer.spans),
-             "failures": dict(tally.reasons)}
-    if spans_path:
-        tracer.write_spans(spans_path)
-        extra["spans_file"] = spans_path
+    tracer.write_spans(spans_path)
+    extra = {"queries": f"{len(queries)} fixed", "passes": passes,
+             "spans": len(tracer.spans), "failures": dict(tally.reasons)}
     return tally, metrics, extra
+
+
+def set_up(cls, seed: int, workdir: Path) -> tuple[object, float]:
+    """One set-up in `workdir`: the interpreter imported in a fresh
+    interpreter process, then the workload generated and warmed up. Returns
+    the workload and the seconds all of it took."""
+    workdir.mkdir()
+    imported = import_seconds()
+    start = time.perf_counter()
+    wl = cls(seed, workdir)
+    wl.warm_up()
+    return wl, imported + time.perf_counter() - start
 
 
 def import_seconds() -> float:
@@ -262,38 +292,36 @@ def run_one(args) -> int:
     for name in LW_ENV:
         os.environ.pop(name, None)
     record = run_record(args.seed)
+    units = declared_units(args.trace)
     workloads = load_program()
-    if args.trace:
-        import tracer as tracing
-        units = {name: unit for name, (unit, _better) in tracing.PER_LAYER.items()}
-    else:
-        units = END_TO_END
     cls = workloads.WORKLOADS[args.workload]
 
     scratch = ROOT / ".bench_tmp"
     scratch.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=scratch))
     try:
-        setups = []
-        wl = None
-        # only the untraced run reports set-up time
-        for i in range(1 if args.smoke or args.trace else SETUP_REPEATS):
-            wl = None               # the previous set-up is freed, not measured
-            setup_dir = workdir / f"setup{i}"
-            setup_dir.mkdir()
-            imported = import_seconds()
-            start = time.perf_counter()
-            wl = cls(args.seed, setup_dir)
-            wl.warm_up()
-            setups.append(imported + time.perf_counter() - start)
+        wl, took = set_up(cls, args.seed, workdir / "setup0")
+        setups = [took]
         queries = wl.queries[:SMOKE_QUERIES] if args.smoke else wl.queries
         if args.trace:
-            tally, metrics, extra = measure_traced(wl, queries, args.seconds,
-                                                   args.smoke, args.spans)
+            passes = 1 if args.smoke else max(
+                1, round(args.seconds / wl.traced_pass_seconds))
+            SPANS_DIR.mkdir(exist_ok=True)
+            spans = SPANS_DIR / f"spans-{args.workload}.tsv.gz"
+            tally, metrics, extra = measure_traced(wl, queries, passes, spans)
+            extra["spans_file"] = spans.relative_to(ROOT).as_posix()
         else:
             passes = 1 if args.smoke else max(
                 MIN_PASSES, round(args.seconds / wl.pass_seconds))
-            tally, metrics, extra = measure(wl, queries, passes)
+
+            def set_up_again():
+                # measured like the first set-up, then dropped, so that the
+                # set-up times sample the whole run, not its first seconds
+                again = workdir / f"setup{len(setups)}"
+                setups.append(set_up(cls, args.seed, again)[1])
+                shutil.rmtree(again, ignore_errors=True)
+
+            tally, metrics, extra = measure(wl, queries, passes, set_up_again)
             metrics["setup_s"] = statistics.median(setups)
             extra["setup_runs_s"] = [round(s, 4) for s in setups]
     finally:
@@ -341,8 +369,6 @@ def main(argv=None) -> int:
     p.add_argument("--smoke", action="store_true",
                    help=f"one set-up and one pass over {SMOKE_QUERIES} queries, "
                         "for the self-tests")
-    p.add_argument("--spans", metavar="FILE",
-                   help="with --trace 1, write every span to FILE")
     args = p.parse_args(argv)
     if args.workload == "all":
         return run_all(args)

@@ -1,11 +1,13 @@
-"""Self-tests of the benchmark: seeded generation, repeatable trace counts,
-and a smoke run of every workload.
+"""Self-tests of the benchmark: seeded generation, the correctness verdict,
+repeatable trace counts, and a smoke run of every workload. Runs of
+`run.py` happen in a copy of the checkout, so they leave nothing behind.
 
     python3 -m pytest bench -q
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import shutil
 import subprocess
@@ -33,9 +35,20 @@ def queries_of(name: str, seed: int, tmp_path: Path) -> list:
     return workloads.WORKLOADS[name](seed, workdir).queries
 
 
-def bench(*args: str) -> tuple[int, list[str]]:
-    proc = subprocess.run([sys.executable, str(HERE / "run.py"), *args],
-                          capture_output=True, text=True, cwd=ROOT, timeout=300)
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory) -> Path:
+    """The benchmark, the interpreter's sources and BENCHMARK.json."""
+    root = tmp_path_factory.mktemp("checkout")
+    for part in ("bench", "src"):
+        shutil.copytree(ROOT / part, root / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    return root
+
+
+def bench(root: Path, *args: str) -> tuple[int, list[str]]:
+    proc = subprocess.run([sys.executable, "bench/run.py", *args],
+                          capture_output=True, text=True, cwd=root, timeout=300)
     return proc.returncode, proc.stdout.splitlines()
 
 
@@ -89,18 +102,52 @@ def test_self_time_excludes_child_spans():
     assert own["outer"] == incl["outer"] - incl["inner"]
 
 
+class FakeWorkload:
+    """Queries whose outcome is set by their goal: `ok`, `raise` or `deep`
+    (a RecursionError, as deep down/1 ends today)."""
+    has_twin = False
+
+    def run(self, query):
+        if query.goal == "raise":
+            raise ValueError("boom")
+        if query.goal == "deep":
+            raise RecursionError("maximum recursion depth exceeded")
+        return query.expected
+
+
+def fake_queries(*goals: str) -> list:
+    ok = workloads.Outcome(workloads.EXIT_OK, ())
+    return [workloads.Query("deep" if g == "deep" else "len", "", g, ok)
+            for g in goals]
+
+
+def test_only_the_known_recursion_error_keeps_a_run_correct():
+    tally, _metrics, _extra = run.measure(FakeWorkload(),
+                                          fake_queries("ok", "deep", "ok"), 2)
+    assert tally.correct and tally.failed == 2 and tally.attempted == 6
+    tally, _metrics, _extra = run.measure(FakeWorkload(),
+                                          fake_queries("ok", "raise", "deep"), 1)
+    assert not tally.correct
+    assert tally.reasons == {"len:error:ValueError": 1,
+                             "deep:error:RecursionError": 1}
+    for verdict in ("wrong", "stopped"):
+        tally = run.Tally()
+        tally.add("len", ["ok", verdict])
+        assert not tally.correct
+
+
 def last_json(lines: list[str]) -> dict:
     return json.loads(lines[-1])
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_smoke_answers_and_metric_names(name, tmp_path):
+def test_smoke_answers_and_metric_names(name, tmp_path, checkout):
     deep = sum(q.kind == "deep"
                for q in queries_of(name, 3, tmp_path)[:run.SMOKE_QUERIES])
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-        code, lines = bench("--workload", name, "--seed", "3", "--smoke",
-                            "--trace", str(trace))
+        code, lines = bench(checkout, "--workload", name, "--seed", "3",
+                            "--smoke", "--trace", str(trace))
         assert code == 0, lines
         result = last_json(lines)
         assert result["correct"] is True
@@ -116,15 +163,44 @@ def test_smoke_answers_and_metric_names(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_traced_counts_repeat_exactly(name):
+def test_traced_counts_repeat_exactly(name, checkout):
     results = []
     for _ in range(2):
-        code, lines = bench("--workload", name, "--seed", "4", "--smoke",
-                            "--trace", "1")
+        code, lines = bench(checkout, "--workload", name, "--seed", "4",
+                            "--smoke", "--trace", "1")
         assert code == 0, lines
         metrics = last_json(lines)["metrics"]
         results.append({k: metrics[k]["value"] for k in COUNTS})
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_traced_counts_do_not_depend_on_the_number_of_passes(name, tmp_path):
+    wl = workloads.WORKLOADS[name](4, tmp_path)
+    wl.warm_up()
+    queries = wl.queries[:4]
+    counts = []
+    for passes in (1, 2):
+        _tally, metrics, _extra = run.measure_traced(
+            wl, queries, passes, tmp_path / "spans.tsv.gz")
+        counts.append({k: metrics[k] for k in COUNTS})
+    assert counts[0] == counts[1]
+
+
+def test_traced_run_writes_its_spans(checkout):
+    code, lines = bench(checkout, "--workload", "secured_syscalls", "--seed", "2",
+                        "--smoke", "--trace", "1")
+    assert code == 0, lines
+    named = [line.split(": ", 1)[1] for line in lines
+             if line.strip().startswith("spans_file:")]
+    assert named == [".bench_out/spans-secured_syscalls.tsv.gz"]
+    count = next(int(line.split(": ", 1)[1]) for line in lines
+                 if line.strip().startswith("spans:"))
+    with gzip.open(checkout / named[0], "rt", encoding="utf-8") as spans:
+        rows = [line.rstrip("\n").split("\t") for line in spans]
+    assert len(rows) == count > 0
+    assert all(len(row) == 6 for row in rows)
+    assert {row[0] for row in rows} >= {"engine.select", "engine.vet"}
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

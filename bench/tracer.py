@@ -6,7 +6,7 @@ where the name is looked up (for example `logicweb.engine.unify`, not only
 Nothing under `src/` is edited.
 
 Spans are kept in memory as [name, start_ns, end_ns, parent, query id,
-child_ns] and can be written out when the run ends. A generator is timed
+child_ns] and written out when the run ends. A generator is timed
 by the intervals in which it runs: every resumption is one span. Self time
 is a span's duration minus what its child spans cover.
 
@@ -20,53 +20,12 @@ clause selection's self time includes renaming and head unification.
 from __future__ import annotations
 
 import functools
+import gzip
 from collections import Counter
 from time import perf_counter_ns
 
 from logicweb import (builtins, cli, engine, fetching, guards, pages,
                       security, signatures, terms)
-
-# metric name -> (unit, better); the order is the report order
-PER_LAYER = {
-    "cli.main_self_ms": ("ms", "lower"),
-    "syntax.parse_ms": ("ms", "lower"),
-    "syntax.clauses_parsed": ("count", "lower"),
-    "pages.translate_self_ms": ("ms", "lower"),
-    "pages.links_ms": ("ms", "lower"),
-    "pages.bytes": ("bytes", "lower"),
-    "signatures.verify_ms": ("ms", "lower"),
-    "signatures.verified": ("count", "lower"),
-    "fetching.fetch_ms": ("ms", "lower"),
-    "fetching.downloads": ("count", "lower"),
-    "fetching.store_hit_ratio": ("ratio", "higher"),
-    "security.assign_policy_ms": ("ms", "lower"),
-    "security.is_policy_calls": ("count", "lower"),
-    "audit.events": ("count", "lower"),
-    "audit.emit_ms": ("ms", "lower"),
-    "engine.select_self_ms": ("ms", "lower"),
-    "engine.clause_tries": ("count", "lower"),
-    "engine.head_match_ratio": ("ratio", "higher"),
-    "engine.switches": ("count", "lower"),
-    "engine.switch_self_ms": ("ms", "lower"),
-    "engine.vet_ms": ("ms", "lower"),
-    "engine.vet_calls": ("count", "lower"),
-    "engine.vet_allow_ratio": ("ratio", "higher"),
-    "engine.syscall_self_ms": ("ms", "lower"),
-    "terms.unify_calls": ("count", "lower"),
-    "terms.unify_ms": ("ms", "lower"),
-    "terms.compose_calls": ("count", "lower"),
-    "terms.compose_ms": ("ms", "lower"),
-    "terms.apply_calls": ("count", "lower"),
-    "guards.enter_goal_ms": ("ms", "lower"),
-    "guards.variant_calls": ("count", "lower"),
-    "guards.max_depth": ("count", "lower"),
-    "builtins.calls": ("count", "lower"),
-    "builtins.self_ms": ("ms", "lower"),
-    "builtins.store_mutations": ("count", "lower"),
-    "trace.overhead": ("ratio", "lower"),
-    "trace.traced_p50_ms": ("ms", "lower"),
-    "trace.untraced_p50_ms": ("ms", "lower"),
-}
 
 NAME, START, END, PARENT, QID, CHILD = range(6)
 
@@ -291,7 +250,7 @@ class Tracer:
         return incl, own
 
     def metrics(self, queries: int) -> dict[str, float]:
-        """Per-query figures, except ratios and the maximum depth."""
+        """Per-execution figures, except ratios and the maximum depth."""
         incl, own = self.totals()
         c = self.counts
         n = max(queries, 1)
@@ -348,7 +307,8 @@ class Tracer:
         }
 
     def write_spans(self, path) -> None:
-        """Tab-separated: name, start, end, parent index, query id, child ns."""
-        with open(path, "w", encoding="utf-8") as out:
+        """Gzipped, one span a line, tab-separated: name, start, end, parent
+        index, query id, child ns."""
+        with gzip.open(path, "wt", encoding="utf-8") as out:
             for span in self.spans:
                 out.write("\t".join(map(str, span)) + "\n")

@@ -9,10 +9,11 @@ Queries are issued one at a time through the public entry points:
 `logicweb.cli.main` called in-process for `site_crawl`, and `Session` with
 `guarded_solve` for the other two.
 
-Each workload has a fixed list of `query_count` queries, and a nominal
-`pass_seconds`: how long one pass over the list took at the commit that
-defined the benchmark, on a shared 2-core x86-64 machine with CPython 3.11.
-The runner turns `--seconds` into a number of passes with it. The list is built
+Each workload has a fixed list of `query_count` queries, and nominal
+`pass_seconds` and `traced_pass_seconds`: how long one untraced or traced
+pass over the list took at the commit that defined the benchmark, on a
+shared 2-core x86-64 machine with CPython 3.11. The runner turns `--seconds`
+into a number of passes with them. The list is built
 from blocks that hold one query of each class in a seeded order, and sizes
 are drawn stratified over their range, so every seed gives nearly the same
 mix of work.
@@ -167,39 +168,55 @@ class SitePage:
 N_PAGES = 60
 
 
-def graph_shape(npages: int) -> list[list[Optional[int]]]:
-    """next/1 targets per page: 0, 1 or 2 each, about one in seven off-site
-    (None). The shape is drawn once from a fixed generator, and a seed only
-    relabels its pages, so every seed asks for the same resolution work."""
+@dataclass(frozen=True)
+class NodeShape:
+    """What decides a page's cost: its next/1 targets (None is off-site),
+    its size, anchor count and topic count, and whether it is signed."""
+    targets: tuple
+    size: int
+    anchors: int
+    topics: int
+    signed: bool
+
+
+def site_shape(npages: int) -> list[NodeShape]:
+    """The site's shape, drawn once from a fixed generator: 0, 1 or 2
+    next/1 targets per page, about one in seven off-site; sizes of 2-30 KB
+    and 10-200 anchors, drawn stratified; one page in five signed. A seed
+    only relabels the pages and draws their text, so every seed asks for
+    the same work."""
     rng = random.Random("site_crawl:graph")
     degrees = [i % 3 for i in range(npages)]
     rng.shuffle(degrees)
-    return [[None if rng.random() < 0.15 else rng.randrange(npages)
-             for _ in range(degree)] for degree in degrees]
+    targets = [tuple(None if rng.random() < 0.15 else rng.randrange(npages)
+                     for _ in range(degree)) for degree in degrees]
+    sizes = stratified(rng, 2_000, 30_000, npages)
+    anchors = stratified(rng, 10, 200, npages)
+    signed = set(rng.sample(range(npages), npages // 5))
+    return [NodeShape(targets[k], sizes[k], anchors[k], 1 + rng.randrange(3),
+                      k in signed) for k in range(npages)]
 
 
 def generate_site(rng: random.Random, npages: int = N_PAGES) -> dict[str, SitePage]:
-    """`npages` pages of 2-30 KB with 10-200 anchors each; one page in five
-    has a signed URL. Sizes and anchor counts are drawn stratified."""
-    signed = set(rng.sample(range(npages), npages // 5))
-    urls = [f"{SITE}p{i:02d}" + (".lwpgp.html" if i in signed else ".html")
-            for i in range(npages)]
+    """`npages` pages laid out on `site_shape`: the seed picks which URL
+    holds which node, the topics, the anchors' targets and the words."""
+    shape = site_shape(npages)
     label = list(range(npages))        # shape node -> page
     rng.shuffle(label)
     node_of = {page: node for node, page in enumerate(label)}
-    shape = graph_shape(npages)
-    sizes = stratified(rng, 2_000, 30_000, npages)
-    anchors = stratified(rng, 10, 200, npages)
+    urls = [f"{SITE}p{i:02d}" + (".lwpgp.html" if shape[node_of[i]].signed
+                                 else ".html") for i in range(npages)]
     site = {}
     for i, url in enumerate(urls):
-        topics = [f"t{rng.randrange(40)}" for _ in range(1 + rng.randrange(3))]
+        node = shape[node_of[i]]
+        topics = [f"t{rng.randrange(40)}" for _ in range(node.topics)]
         nexts = [f"{OFFSITE}x{rng.randrange(100)}.html" if target is None
-                 else urls[label[target]] for target in shape[node_of[i]]]
+                 else urls[label[target]] for target in node.targets]
         code = "".join(f'topic("{t}").\n' for t in topics)
         code += "".join(f'next("{u}").\n' for u in nexts)
         code += REACH_CLAUSES
         body = []
-        for _ in range(anchors[i]):
+        for _ in range(node.anchors):
             roll = rng.random()
             if roll < 0.7:
                 href = rng.choice(urls)[len(SITE):]
@@ -209,7 +226,7 @@ def generate_site(rng: random.Random, npages: int = N_PAGES) -> dict[str, SitePa
                 href = f"{OFFSITE}{rng.choice(WORDS)}/{rng.randrange(1000)}.html"
             body.append(f'{words(rng, 3)} <A HREF="{href}">{words(rng, 1 + rng.randrange(3))}</A>')
         text = "\n".join(body)
-        while len(text) < sizes[i] - 400:
+        while len(text) < node.size - 400:
             text += "\n<P>" + words(rng, 12) + "</P>"
         html = (f"<HTML><HEAD><TITLE>Page {i}</TITLE></HEAD><BODY>\n<H1>Page {i}</H1>\n"
                 f"{text}\n<!--\n<LW_CODE>\n{code}</LW_CODE>\n-->\n</BODY></HTML>\n")
@@ -239,6 +256,7 @@ class SiteCrawl:
     name = "site_crawl"
     query_count = N_PAGES              # every page once
     pass_seconds = 3.0                 # the twin included
+    traced_pass_seconds = 3.4
     has_twin = True
 
     def __init__(self, seed: int, workdir: Path):
@@ -354,6 +372,7 @@ class DeepResolution:
     name = "deep_resolution"
     query_count = 2 * (5 * DEEP_EVERY + 1)
     pass_seconds = 5.0
+    traced_pass_seconds = 13.0
     has_twin = False
 
     def __init__(self, seed: int, workdir: Path):
@@ -509,6 +528,7 @@ class SecuredSyscalls:
     name = "secured_syscalls"
     query_count = 13 * len(BLOCK)
     pass_seconds = 6.5                 # the twin included
+    traced_pass_seconds = 14.0
     has_twin = True
 
     def __init__(self, seed: int, workdir: Path):
