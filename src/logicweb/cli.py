@@ -14,13 +14,12 @@ import sys
 from pathlib import Path
 
 from . import syntax
-from .engine import (EMPTY_CONTEXT, EngineConfig, EngineError, Session)
+from .engine import EngineConfig, EngineError, Session, policy_intersection
 from .fetching import (FetchConfig, FetchError, download, fetch_response,
                        load_store, save_store)
 from .guards import Guard, GuardConfig, guarded_solve
-from .model import (Encapsulation, ExpressionError, Id, ProgramId,
-                    ProgramStore, ReduceOp, clause_text, parse_goal,
-                    goal_from_term)
+from .model import (ExpressionError, ProgramId, ProgramStore, clause_text,
+                    parse_goal)
 from .security import PolicyRegistry, RegistryError
 from .signatures import (SIGNED_SUFFIX, KeyStore, SignatureError,
                          generate_keypair, load_private_key,
@@ -204,12 +203,7 @@ def cmd_policy_check(args) -> int:
         target = ProgramId.from_term(id_term)
         check = Struct("valid_program", (target.method_term(), Str(target.url)))
 
-    composed = ReduceOp("*", tuple(Encapsulation(Id(p)) for p in pids))
-    allowed = False
-    for _ in session.engine.context_switch((), EMPTY_CONTEXT, composed,
-                                           goal_from_term(check)):
-        allowed = True
-        break
+    allowed = session.engine._prove_isolated(policy_intersection(pids), check)
     print("allow" if allowed else "deny")
     return EXIT_OK if allowed else EXIT_NO
 
@@ -221,7 +215,7 @@ def cmd_store_list(args) -> int:
     store = ProgramStore()
     registry = PolicyRegistry({"unknown": ProgramId.get("lw:no-policy")})
     load_store(store_dir, store, registry)
-    for program in sorted(store.programs(), key=lambda p: p.id.sort_key()):
+    for program in sorted(store.programs(), key=lambda p: p.id.serialize()):
         pol = registry.program_to_policy.get(program.id)
         suffix = f"  policy={pol.url}" if pol else ""
         print(f"{program.id.serialize()}  clauses={len(program.clauses)}{suffix}")

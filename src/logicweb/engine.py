@@ -14,23 +14,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import reduce
+from typing import Iterable, Iterator, Optional
 
 from . import builtins as bi
+from . import syntax
 from .fetching import FetchConfig, add_programs
 from .guards import EngineHooks
-from .model import (Call, Clause, Conj, ContextSwitch, CurrentContext,
-                    EmptyProgram, Encapsulation, ExpressionError, Goal, Id,
-                    Intersection, LWProgram, ProgramExpression, ProgramId,
-                    ProgramStore, ReduceOp, ReduceRestrict, Restriction,
-                    TRUE, TrueGoal, Union, expids, expr_from_term, expr_text,
-                    goal_from_term, insert_current_context, parse_goal,
-                    rename_clause)
+from .model import (EMPTY_PROGRAM, CurrentContext, EmptyProgram,
+                    Encapsulation, ExpressionError, Id, Intersection,
+                    LWProgram, ProgramExpression, ProgramId, ProgramStore,
+                    Restriction, Union, expids, expr_from_term,
+                    insert_current_context, parse_goal, rename_clause)
 from .security import AuditLog, PolicyRegistry
-from .terms import (Atom, EMPTY_SUBST, Str, Struct, Substitution, Term, Var,
-                    functor_of, unify)
-
-EMPTY_CONTEXT = EmptyProgram()
+from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
+                    Term, Var, functor_of, unify)
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -51,6 +49,12 @@ class EngineConfig:
 class Solution:
     subst: Substitution
     store: ProgramStore
+
+
+def policy_intersection(pids: Iterable[ProgramId]) -> ProgramExpression:
+    """The composition in which every given policy must agree: the
+    encapsulated policies, intersected left to right."""
+    return reduce(Intersection, (Encapsulation(Id(p)) for p in pids))
 
 
 class Barrier:
@@ -94,12 +98,11 @@ class Session:
         self.registry.program_to_policy.setdefault(
             program.id, policy or self.registry.default_policy)
 
-    def run_query(self, main: ProgramId, goal: Goal) -> Iterator[Solution]:
+    def run_query(self, main: ProgramId, goal: Term) -> Iterator[Solution]:
         """Evaluate `goal` against the program at `main`, the way a browser
         session would: no policies yet, empty starting context."""
-        wrapped = ContextSwitch(main.to_term(), goal)
         count = 0
-        for s in self.engine.solve((), EMPTY_CONTEXT, wrapped):
+        for s in self.engine.context_switch((), EMPTY_PROGRAM, Id(main), goal):
             yield Solution(s, self.store)
             count += 1
             if self.config.max_solutions is not None and count >= self.config.max_solutions:
@@ -129,33 +132,13 @@ class Engine:
 
     # ------------------------------------------------------------- solve
 
-    def solve(self, sigma: PolicySet, ctx: ProgramExpression, goal: Goal,
+    def solve(self, sigma: PolicySet, ctx: ProgramExpression, goal: Term,
               s: Substitution = EMPTY_SUBST,
-              chain: tuple[ProgramExpression, ...] | None = None,
+              chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,),
               barrier: Barrier | None = None) -> Iterator[Substitution]:
-        if chain is None:
-            chain = (EMPTY_CONTEXT,)
         if barrier is None:
             barrier = Barrier()
-        if isinstance(goal, TrueGoal):
-            yield s
-        elif isinstance(goal, Conj):
-            for s1 in self.solve(sigma, ctx, goal.left, s, chain, barrier):
-                yield from self.solve(sigma, ctx, goal.right, s1, chain, barrier)
-                if barrier.cut:
-                    return
-        elif isinstance(goal, ContextSwitch):
-            yield from self._switch_term(sigma, ctx, goal.expr, goal.goal, s,
-                                         chain, barrier)
-        elif isinstance(goal, Call):
-            yield from self._call(sigma, ctx, goal.term, s, chain, barrier)
-        else:
-            raise EngineError(f"unknown goal node: {goal!r}")
-
-    # ------------------------------------------------------------- calls
-
-    def _call(self, sigma, ctx, term: Term, s, chain, barrier):
-        t = s.walk(term)
+        t = s.walk(goal)
         if isinstance(t, Var):
             raise EngineError("goal is an unbound variable")
         if isinstance(t, Atom):
@@ -170,9 +153,10 @@ class Engine:
                 return
         if isinstance(t, Struct):
             if t.functor == "," and len(t.args) == 2:
-                yield from self.solve(sigma, ctx,
-                                      Conj(Call(t.args[0]), Call(t.args[1])),
-                                      s, chain, barrier)
+                for s1 in self.solve(sigma, ctx, t.args[0], s, chain, barrier):
+                    yield from self.solve(sigma, ctx, t.args[1], s1, chain, barrier)
+                    if barrier.cut:
+                        return
                 return
             if t.functor == ";" and len(t.args) == 2:
                 yield from self._disjunction(sigma, ctx, t, s, chain, barrier)
@@ -182,9 +166,8 @@ class Engine:
                                               None, s, chain, barrier)
                 return
             if t.functor == "#>" and len(t.args) == 2:
-                yield from self._switch_term(sigma, ctx, t.args[0],
-                                             goal_from_term(t.args[1]), s,
-                                             chain, barrier)
+                yield from self._switch_term(sigma, ctx, t.args[0], t.args[1],
+                                             s, chain, barrier)
                 return
             if (t.functor == ":" and len(t.args) == 2
                     and isinstance(t.args[0], Atom)
@@ -205,21 +188,20 @@ class Engine:
             yield from self._if_then_else(sigma, ctx, lhs_w.args[0], lhs_w.args[1],
                                           rhs, s, chain, barrier)
             return
-        yield from self.solve(sigma, ctx, goal_from_term(lhs), s, chain, barrier)
+        yield from self.solve(sigma, ctx, lhs, s, chain, barrier)
         if barrier.cut:
             return
-        yield from self.solve(sigma, ctx, goal_from_term(rhs), s, chain, barrier)
+        yield from self.solve(sigma, ctx, rhs, s, chain, barrier)
 
     def _if_then_else(self, sigma, ctx, cond, then, els, s, chain, barrier):
         committed = None
-        for s1 in self.solve(sigma, ctx, goal_from_term(cond), s, chain, Barrier()):
+        for s1 in self.solve(sigma, ctx, cond, s, chain, Barrier()):
             committed = s1
             break
         if committed is not None:
-            yield from self.solve(sigma, ctx, goal_from_term(then), committed,
-                                  chain, barrier)
+            yield from self.solve(sigma, ctx, then, committed, chain, barrier)
         elif els is not None:
-            yield from self.solve(sigma, ctx, goal_from_term(els), s, chain, barrier)
+            yield from self.solve(sigma, ctx, els, s, chain, barrier)
 
     def _user_call(self, sigma, ctx, t, s, chain):
         # The ancestor stack must mirror the live call path, so the goal is
@@ -243,8 +225,8 @@ class Engine:
 
     def select_clause(self, sigma, e: ProgramExpression, goal: Term,
                       s: Substitution = EMPTY_SUBST,
-                      chain: tuple[ProgramExpression, ...] = (EMPTY_CONTEXT,)
-                      ) -> Iterator[tuple[Substitution, Term, Goal]]:
+                      chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,)
+                      ) -> Iterator[tuple[Substitution, Term, Term]]:
         """Clauses of the composition `e` whose head unifies with `goal`,
         as (extended substitution, renamed head, body) triples."""
         if isinstance(e, EmptyProgram):
@@ -267,26 +249,15 @@ class Engine:
         elif isinstance(e, Intersection):
             for s1, h1, b1 in self.select_clause(sigma, e.left, goal, s, chain):
                 for s2, _h2, b2 in self.select_clause(sigma, e.right, goal, s1, chain):
-                    yield s2, h1, Conj(b1, b2)
+                    yield s2, h1, Struct(",", (b1, b2))
         elif isinstance(e, Restriction):
             assert isinstance(e.prog, Id)
             for s1, h1, b1 in self.select_clause(sigma, e.expr, goal, s, chain):
                 if not self._defined_in(h1, e.prog.pid):
                     yield s1, h1, b1
         elif isinstance(e, Encapsulation):
-            for s1 in self.solve(sigma, e.expr, Call(goal), s, chain, Barrier()):
-                yield s1, s1.apply(goal), TRUE
-        elif isinstance(e, ReduceRestrict):
-            folded = e.expr
-            for p in e.progs:
-                folded = Restriction(folded, p)
-            yield from self.select_clause(sigma, folded, goal, s, chain)
-        elif isinstance(e, ReduceOp):
-            folded = e.exprs[0]
-            for nxt in e.exprs[1:]:
-                folded = (Union(folded, nxt) if e.op == "+"
-                          else Intersection(folded, nxt))
-            yield from self.select_clause(sigma, folded, goal, s, chain)
+            for s1 in self.solve(sigma, e.expr, goal, s, chain, Barrier()):
+                yield s1, s1.apply(goal), TRUE_ATOM
         elif isinstance(e, CurrentContext):
             raise EngineError("context marker survived into clause selection")
         else:
@@ -301,7 +272,7 @@ class Engine:
 
     # ------------------------------------------------------------- switching
 
-    def _switch_term(self, sigma, ctx, expr_term: Term, goal: Goal, s, chain,
+    def _switch_term(self, sigma, ctx, expr_term: Term, goal: Term, s, chain,
                      barrier):
         resolved = s.apply(expr_term)
         try:
@@ -311,9 +282,9 @@ class Engine:
         yield from self.context_switch(sigma, ctx, f_expr, goal, s, chain, barrier)
 
     def context_switch(self, sigma: PolicySet, ctx: ProgramExpression,
-                       f: ProgramExpression, goal: Goal,
+                       f: ProgramExpression, goal: Term,
                        s: Substitution = EMPTY_SUBST,
-                       chain: tuple[ProgramExpression, ...] = (EMPTY_CONTEXT,),
+                       chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,),
                        barrier: Barrier | None = None) -> Iterator[Substitution]:
         """Move the derivation into the composition `f` (with the context
         marker already standing for `ctx`), after vetting and downloading
@@ -322,7 +293,7 @@ class Engine:
             barrier = Barrier()
         f_prime = insert_current_context(f, ctx)
         ids = expids(f_prime)
-        ordered = sorted(ids, key=ProgramId.sort_key)
+        ordered = sorted(ids, key=ProgramId.serialize)
         new_ids = [p for p in ordered if not self.registry.is_policy(p)]
 
         if self.config.security_enabled and sigma and new_ids:
@@ -350,20 +321,16 @@ class Engine:
         """Every active policy must accept every new program id. Evaluated
         as one conjunction inside the intersection of the encapsulated
         policies; any bindings it makes are discarded."""
-        goal: Goal = TRUE
-        for pid in reversed(pids):
-            check = Call(Struct("valid_program", (pid.method_term(), Str(pid.url))))
-            goal = check if isinstance(goal, TrueGoal) else Conj(check, goal)
-        return self._prove_isolated(self._policy_intersection(sigma), goal)
+        checks = [Struct("valid_program", (pid.method_term(), Str(pid.url)))
+                  for pid in pids]
+        goal = reduce(lambda rest, check: Struct(",", (check, rest)),
+                      reversed(checks))
+        return self._prove_isolated(policy_intersection(sigma), goal)
 
-    def _policy_intersection(self, sigma: PolicySet) -> ProgramExpression:
-        return ReduceOp("*", tuple(Encapsulation(Id(p)) for p in sigma))
-
-    def _prove_isolated(self, expr: ProgramExpression, goal: Goal) -> bool:
+    def _prove_isolated(self, expr: ProgramExpression, goal: Term) -> bool:
         """One solution of `expr #> goal` from a pristine derivation state
         (no policies, empty context, fresh chain)."""
-        for _ in self.context_switch((), EMPTY_CONTEXT, expr, goal,
-                                     EMPTY_SUBST, (EMPTY_CONTEXT,)):
+        for _ in self.context_switch((), EMPTY_PROGRAM, expr, goal):
             return True
         return False
 
@@ -372,17 +339,16 @@ class Engine:
     def _system_call(self, sigma, ctx, t: Term, s, chain):
         g = s.apply(t)
         if sigma:
-            check = Call(Struct("valid_systemCall", (g,)))
-            if not self._prove_isolated(self._policy_intersection(sigma), check):
+            check = Struct("valid_systemCall", (g,))
+            if not self._prove_isolated(policy_intersection(sigma), check):
                 return
-            self.session.audit.emit("syscall", syntax_text(g), chain, sigma)
-            main_policy = sigma[-1]
-            run = Call(Struct("call_system", (g,)))
-            for s_inner in self.context_switch((), EMPTY_CONTEXT, Id(main_policy),
-                                               run, EMPTY_SUBST, (EMPTY_CONTEXT,)):
+            self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
+            run = Struct("call_system", (g,))
+            for s_inner in self.context_switch((), EMPTY_PROGRAM, Id(sigma[-1]),
+                                               run):
                 yield s.compose(s_inner)
         else:
-            self.session.audit.emit("syscall", syntax_text(g), chain, sigma)
+            self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
             rt = bi.BuiltinCall(self.session, ctx)
             for delta in bi.call_builtin(g, rt):
                 yield s.compose(delta)
@@ -402,15 +368,10 @@ class Engine:
             if bi.lookup(g.args[0]) is not None:
                 yield s
             return
-        self.session.audit.emit("syscall", syntax_text(target), chain, sigma)
+        self.session.audit.emit("syscall", syntax.to_text(target), chain, sigma)
         rt = bi.BuiltinCall(self.session, ctx)
         for delta in bi.call_builtin(target, rt):
             yield s.compose(delta)
-
-
-def syntax_text(t: Term) -> str:
-    from . import syntax
-    return syntax.to_text(t)
 
 
 def solutions(session: Session, main_url: str, goal_text: str,

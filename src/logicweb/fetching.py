@@ -67,7 +67,10 @@ def _default_headers(body: str) -> list[tuple[str, str]]:
 def _file_response(url: str, path: Path) -> HttpResponse:
     if not path.is_file():
         raise FetchError("status", f"no such fixture file: {path}")
-    body = path.read_text(encoding="utf-8")
+    try:
+        body = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FetchError("status", f"cannot read fixture file {path}: {exc}") from exc
     return HttpResponse(url, url, 200, _default_headers(body), body)
 
 
@@ -152,7 +155,7 @@ def download(pid: ProgramId, session, chain=(), sigma=()) -> FetchOutcome:
 def add_programs(session, pids, chain=(), sigma=()) -> bool:
     """Bring every named program into the store; True only if all present.
     Ids are handled in serialized order so fetch traffic is deterministic."""
-    for pid in sorted(set(pids), key=ProgramId.sort_key):
+    for pid in sorted(set(pids), key=ProgramId.serialize):
         download(pid, session, chain, sigma)
     return all(pid in session.store for pid in pids)
 

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .model import leaves
 from .terms import Term, rename_apart, variant
 
 LOOP_FOUND = "loop_found"
@@ -73,19 +74,7 @@ class GuardConfig:
 
 def context_size(ctx) -> int:
     """Number of leaves (program ids and markers) in a context expression."""
-    from .model import (Encapsulation, Intersection, ReduceOp, ReduceRestrict,
-                        Restriction, Union)
-    if isinstance(ctx, (Union, Intersection)):
-        return context_size(ctx.left) + context_size(ctx.right)
-    if isinstance(ctx, Restriction):
-        return context_size(ctx.expr) + context_size(ctx.prog)
-    if isinstance(ctx, Encapsulation):
-        return context_size(ctx.expr)
-    if isinstance(ctx, ReduceRestrict):
-        return context_size(ctx.expr) + sum(context_size(p) for p in ctx.progs)
-    if isinstance(ctx, ReduceOp):
-        return sum(context_size(e) for e in ctx.exprs)
-    return 1
+    return sum(1 for _ in leaves(ctx))
 
 
 class Guard(EngineHooks):

@@ -1,20 +1,22 @@
-"""Program identifiers, clauses, goals, composition expressions, the store.
+"""Program identifiers, clauses, composition expressions, the store.
 
 A LogicWeb program is a set of clauses obtained by translating a web page;
 it is named by how it was retrieved (`lw(head, URL)`, `lw(get, URL)`,
 `lw(post(Fields), URL)`). Goals run against a *composition expression* over
-such programs; the expression in a clause body may still contain logic
-variables, so goals carry it as a plain term until evaluation time.
+such programs. Clause bodies and goals stay plain terms: the expression of
+a context switch may still contain logic variables, so it is only read as
+an expression at evaluation time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from . import syntax
-from .terms import (Atom, Str, Struct, Term, Var, make_list, list_items,
-                    rename_apart)
+from .terms import (TRUE_ATOM, Atom, Str, Struct, Term, Var, make_list,
+                    list_items, rename_apart)
 
 
 class ExpressionError(Exception):
@@ -87,50 +89,16 @@ class ProgramId:
     def serialize(self) -> str:
         return syntax.to_text(self.to_term())
 
-    def sort_key(self) -> str:
-        return self.serialize()
-
     def __repr__(self) -> str:
         return f"<{self.serialize()}>"
 
 
-# ---------------------------------------------------------------- goals
-
-class Goal:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class TrueGoal(Goal):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Call(Goal):
-    term: Term
-
-
-@dataclass(frozen=True, slots=True)
-class Conj(Goal):
-    left: Goal
-    right: Goal
-
-
-@dataclass(frozen=True, slots=True)
-class ContextSwitch(Goal):
-    """Run `goal` against the composition denoted by `expr` (a term; it may
-    contain variables that only get bound at run time)."""
-    expr: Term
-    goal: Goal
-
-
-TRUE = TrueGoal()
-
+# ---------------------------------------------------------------- clauses
 
 @dataclass(frozen=True, slots=True)
 class Clause:
     head: Term
-    body: Goal
+    body: Term = TRUE_ATOM
 
 
 # ---------------------------------------------------------------- expressions
@@ -182,60 +150,27 @@ class Encapsulation(ProgramExpression):
     expr: ProgramExpression
 
 
-@dataclass(frozen=True, slots=True)
-class ReduceRestrict(ProgramExpression):
-    expr: ProgramExpression
-    progs: tuple[ProgramExpression, ...]   # each Id or CurrentContext
-
-    def __post_init__(self):
-        for p in self.progs:
-            if not isinstance(p, (Id, CurrentContext)):
-                raise ExpressionError(
-                    "restriction reduce takes a list of program identifiers")
-
-
-@dataclass(frozen=True, slots=True)
-class ReduceOp(ProgramExpression):
-    op: str                                 # '+' or '*'
-    exprs: tuple[ProgramExpression, ...]
-
-    def __post_init__(self):
-        if self.op not in ("+", "*"):
-            raise ExpressionError(f"bad reduce operator {self.op!r}")
-        if not self.exprs:
-            raise ExpressionError("reduce over an empty expression list")
-
-
 CC = CurrentContext()
 EMPTY_PROGRAM = EmptyProgram()
 
 
+def leaves(e: ProgramExpression) -> Iterator[ProgramExpression]:
+    """The identifiers and markers of an expression, left to right."""
+    if isinstance(e, (Union, Intersection)):
+        yield from leaves(e.left)
+        yield from leaves(e.right)
+    elif isinstance(e, Restriction):
+        yield from leaves(e.expr)
+        yield e.prog
+    elif isinstance(e, Encapsulation):
+        yield from leaves(e.expr)
+    else:
+        yield e
+
+
 def expids(e: ProgramExpression) -> frozenset[ProgramId]:
     """All program identifiers mentioned anywhere in the expression."""
-    out: set[ProgramId] = set()
-
-    def go(x: ProgramExpression):
-        if isinstance(x, Id):
-            out.add(x.pid)
-        elif isinstance(x, (Union, Intersection)):
-            go(x.left)
-            go(x.right)
-        elif isinstance(x, Restriction):
-            go(x.expr)
-            go(x.prog)
-        elif isinstance(x, Encapsulation):
-            go(x.expr)
-        elif isinstance(x, ReduceRestrict):
-            go(x.expr)
-            for p in x.progs:
-                go(p)
-        elif isinstance(x, ReduceOp):
-            for sub in x.exprs:
-                go(sub)
-        # CurrentContext and EmptyProgram contribute nothing
-
-    go(e)
-    return frozenset(out)
+    return frozenset(x.pid for x in leaves(e) if isinstance(x, Id))
 
 
 def insert_current_context(e: ProgramExpression,
@@ -265,17 +200,24 @@ def insert_current_context(e: ProgramExpression,
             return Restriction(go(x.expr), as_prog(x.prog))
         if isinstance(x, Encapsulation):
             return Encapsulation(go(x.expr))
-        if isinstance(x, ReduceRestrict):
-            return ReduceRestrict(go(x.expr), tuple(as_prog(p) for p in x.progs))
-        if isinstance(x, ReduceOp):
-            return ReduceOp(x.op, tuple(go(sub) for sub in x.exprs))
         return x
 
     return go(e)
 
 
+def _expr_list(t: Term) -> list[ProgramExpression]:
+    items, tail = list_items(t)
+    if not (isinstance(tail, Atom) and tail.name == "[]"):
+        raise ExpressionError("expression list must be a proper list")
+    return [expr_from_term(i) for i in items]
+
+
 def expr_from_term(t: Term) -> ProgramExpression:
-    """Interpret a (fully dereferenced) term as a composition expression."""
+    """Interpret a (fully dereferenced) term as a composition expression.
+
+    The reduce forms are sugar, folded left into the binary operators:
+    `(+)<>[P, Q, R]` is `P + Q + R`, `(*)<>[...]` likewise with `*`, and
+    `(/)<>(E, [P, Q])` is `E / P / Q`."""
     if isinstance(t, Var):
         raise ExpressionError("context expression is not instantiated")
     if isinstance(t, Atom):
@@ -307,15 +249,12 @@ def expr_from_term(t: Term) -> ProgramExpression:
                     raise ExpressionError(
                         "restriction reduce needs (Expression, IdentifierList)")
                 base = expr_from_term(rhs.args[0])
-                items, tail = list_items(rhs.args[1])
-                if not (isinstance(tail, Atom) and tail.name == "[]"):
-                    raise ExpressionError("identifier list must be a proper list")
-                return ReduceRestrict(base, tuple(expr_from_term(i) for i in items))
+                return reduce(Restriction, _expr_list(rhs.args[1]), base)
             if marker in ("+", "*"):
-                items, tail = list_items(rhs)
-                if not (isinstance(tail, Atom) and tail.name == "[]"):
-                    raise ExpressionError("expression list must be a proper list")
-                return ReduceOp(marker, tuple(expr_from_term(i) for i in items))
+                exprs = _expr_list(rhs)
+                if not exprs:
+                    raise ExpressionError("reduce over an empty expression list")
+                return reduce(Union if marker == "+" else Intersection, exprs)
     raise ExpressionError(f"not a composition expression: {syntax.to_text(t)}")
 
 
@@ -334,11 +273,6 @@ def expr_to_term(e: ProgramExpression) -> Term:
         return Struct("/", (expr_to_term(e.expr), expr_to_term(e.prog)))
     if isinstance(e, Encapsulation):
         return Struct("@", (expr_to_term(e.expr),))
-    if isinstance(e, ReduceRestrict):
-        ids = make_list([expr_to_term(p) for p in e.progs])
-        return Struct("<>", (Atom("/"), Struct(",", (expr_to_term(e.expr), ids))))
-    if isinstance(e, ReduceOp):
-        return Struct("<>", (Atom(e.op), make_list([expr_to_term(x) for x in e.exprs])))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -375,27 +309,15 @@ def validate_expression_term(t: Term) -> None:
 RESERVED_HEADS = {",", ";", "->", ":-", "#>", ":", "!", "true", "fail", "false"}
 
 
-def goal_from_term(t: Term) -> Goal:
-    if isinstance(t, Atom) and t.name == "true":
-        return TRUE
-    if isinstance(t, Struct) and t.functor == "," and len(t.args) == 2:
-        return Conj(goal_from_term(t.args[0]), goal_from_term(t.args[1]))
-    if isinstance(t, Struct) and t.functor == "#>" and len(t.args) == 2:
-        validate_expression_term(t.args[0])
-        return ContextSwitch(t.args[0], goal_from_term(t.args[1]))
-    return Call(t)
-
-
-def goal_to_term(g: Goal) -> Term:
-    if isinstance(g, TrueGoal):
-        return Atom("true")
-    if isinstance(g, Call):
-        return g.term
-    if isinstance(g, Conj):
-        return Struct(",", (goal_to_term(g.left), goal_to_term(g.right)))
-    if isinstance(g, ContextSwitch):
-        return Struct("#>", (g.expr, goal_to_term(g.goal)))
-    raise TypeError(f"not a goal: {g!r}")
+def check_body(t: Term) -> None:
+    """Parse-time check of a clause body or goal: every context switch on
+    its `,`/`#>` spine must name a well-formed composition."""
+    while isinstance(t, Struct) and t.functor in (",", "#>") and len(t.args) == 2:
+        if t.functor == ",":
+            check_body(t.args[0])
+        else:
+            validate_expression_term(t.args[0])
+        t = t.args[1]
 
 
 def clause_from_term(t: Term) -> Clause:
@@ -410,13 +332,14 @@ def clause_from_term(t: Term) -> Clause:
         key = head.functor
     if key is None or key in RESERVED_HEADS:
         raise ExpressionError(f"illegal clause head: {syntax.to_text(head)}")
-    return Clause(head, goal_from_term(body))
+    check_body(body)
+    return Clause(head, body)
 
 
 def clause_to_term(c: Clause) -> Term:
-    if isinstance(c.body, TrueGoal):
+    if c.body == TRUE_ATOM:
         return c.head
-    return Struct(":-", (c.head, goal_to_term(c.body)))
+    return Struct(":-", (c.head, c.body))
 
 
 def clause_text(c: Clause) -> str:
@@ -428,28 +351,16 @@ def parse_program(text: str) -> list[Clause]:
     return [clause_from_term(t) for t in syntax.parse_clause_terms(text)]
 
 
-def parse_goal(text: str) -> tuple[Goal, dict[str, Var]]:
+def parse_goal(text: str) -> tuple[Term, dict[str, Var]]:
     t, varmap = syntax.parse_term_text(text)
-    return goal_from_term(t), varmap
+    check_body(t)
+    return t, varmap
 
 
 def rename_clause(c: Clause) -> Clause:
     """Fresh-variable copy; head and body keep their shared variables."""
     mapping: dict[int, Var] = {}
-    head = rename_apart(c.head, mapping)
-
-    def go(g: Goal) -> Goal:
-        if isinstance(g, TrueGoal):
-            return g
-        if isinstance(g, Call):
-            return Call(rename_apart(g.term, mapping))
-        if isinstance(g, Conj):
-            return Conj(go(g.left), go(g.right))
-        if isinstance(g, ContextSwitch):
-            return ContextSwitch(rename_apart(g.expr, mapping), go(g.goal))
-        raise TypeError(f"not a goal: {g!r}")
-
-    return Clause(head, go(c.body))
+    return Clause(rename_apart(c.head, mapping), rename_apart(c.body, mapping))
 
 
 # ---------------------------------------------------------------- the store

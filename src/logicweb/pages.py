@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from urllib.parse import urljoin
 
-from .model import Clause, LWProgram, ProgramId, TRUE, parse_program
+from .model import Clause, LWProgram, ProgramId, parse_program
 from .terms import Str, Struct
 
 log = logging.getLogger(__name__)
@@ -121,13 +121,13 @@ def extract_links(html: str) -> list[tuple[str, str]]:
 
 
 def _about_clauses(resp: HttpResponse) -> list[Clause]:
-    return [Clause(Struct("about", (Str(name.lower()), Str(value))), TRUE)
+    return [Clause(Struct("about", (Str(name.lower()), Str(value))))
             for name, value in resp.headers]
 
 
 def translate_head(resp: HttpResponse) -> LWProgram:
     clauses = _about_clauses(resp)
-    clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),)), TRUE))
+    clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),))))
     pid = ProgramId.head(resp.requested_url)
     return LWProgram(pid, clauses, meta={"status": resp.status})
 
@@ -143,13 +143,13 @@ def translate_page(resp: HttpResponse, method: str = "get",
     clause_text, page_text = extract_lw_code(resp.body)
 
     clauses = _about_clauses(resp)
-    clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),)), TRUE))
+    clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),))))
     clauses.append(Clause(
-        Struct("my_id", (pid.method_term(), Str(resp.requested_url))), TRUE))
-    clauses.append(Clause(Struct("h_text", (Str(page_text),)), TRUE))
+        Struct("my_id", (pid.method_term(), Str(resp.requested_url)))))
+    clauses.append(Clause(Struct("h_text", (Str(page_text),))))
     for label, href in extract_links(page_text):
         absolute = urljoin(resp.final_url, href)
-        clauses.append(Clause(Struct("link", (Str(label), Str(absolute))), TRUE))
+        clauses.append(Clause(Struct("link", (Str(label), Str(absolute)))))
 
     embedded: list[Clause] = []
     if clause_text.strip():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import signatures
 from .model import ProgramExpression, ProgramId, expr_text
@@ -71,9 +71,6 @@ class PolicyRegistry:
         if got is None:
             raise RegistryError(f"{pid.serialize()} has never been assigned a policy")
         return got
-
-    def pols(self, pids: Iterable[ProgramId]) -> frozenset[ProgramId]:
-        return frozenset(self.pol(p) for p in pids)
 
     # -- assignment pipeline, run once per installed program
 

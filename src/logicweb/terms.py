@@ -152,17 +152,12 @@ class Substitution:
         return t
 
     def compose(self, other: "Substitution") -> "Substitution":
-        """s1.compose(s2): applying the result equals apply s1, then s2."""
-        b: dict[int, Term] = {}
-        for vid, t in self._b.items():
-            resolved = other.apply(t)
-            if isinstance(resolved, Var) and resolved.id == vid:
-                continue
-            b[vid] = resolved
-        for vid, t in other._b.items():
-            if vid not in self._b:
-                b[vid] = t
-        return Substitution(b)
+        """s1.compose(s2): applying the result equals apply s1, then s2.
+
+        Precondition: `other` binds only variables `self` leaves unbound, as
+        any delta computed on `self.apply(t)` does. Since bindings are
+        triangular, the union of the two maps is then the composition."""
+        return Substitution({**other._b, **self._b})
 
     def project(self, variables) -> dict[str, Term]:
         """Answer bindings for the given Vars, keyed by display name."""

@@ -18,13 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from logicweb.engine import EMPTY_CONTEXT, EngineConfig, Session
+from logicweb.engine import EngineConfig, Session, policy_intersection
 from logicweb.fetching import FetchConfig, PageEntry
 from logicweb.guards import Guard, GuardConfig
-from logicweb.model import (Call, Encapsulation, Id, Intersection, LWProgram,
-                            ProgramExpression, ProgramId, ReduceOp,
-                            ReduceRestrict, Restriction, Union, parse_goal,
-                            parse_program)
+from logicweb.model import (Encapsulation, Id, Intersection, LWProgram,
+                            ProgramExpression, ProgramId, Restriction, Union,
+                            parse_goal, parse_program)
 from logicweb.security import PolicyRegistry
 from logicweb.syntax import parse_term_text
 from logicweb.terms import Str, Struct, Term
@@ -167,11 +166,8 @@ def policy_session(policy_pages: dict[str, str]) -> tuple[Session, dict[str, Pro
 def allows(session: Session, policy_pids: list[ProgramId], call_text: str) -> bool:
     """Whether the composed policies admit the system call."""
     term, _ = parse_term_text(call_text)
-    expr = ReduceOp("*", tuple(Encapsulation(Id(p)) for p in policy_pids))
-    goal = Call(Struct("valid_systemCall", (term,)))
-    for _ in session.engine.context_switch((), EMPTY_CONTEXT, expr, goal):
-        return True
-    return False
+    return session.engine._prove_isolated(
+        policy_intersection(policy_pids), Struct("valid_systemCall", (term,)))
 
 
 # ================================================================ worlds
@@ -273,16 +269,6 @@ def walk_expr_ids(e: ProgramExpression) -> set[ProgramId]:
         return walk_expr_ids(e.expr) | walk_expr_ids(e.prog)
     if isinstance(e, Encapsulation):
         return walk_expr_ids(e.expr)
-    if isinstance(e, ReduceRestrict):
-        out = walk_expr_ids(e.expr)
-        for p in e.progs:
-            out |= walk_expr_ids(p)
-        return out
-    if isinstance(e, ReduceOp):
-        out: set[ProgramId] = set()
-        for sub in e.exprs:
-            out |= walk_expr_ids(sub)
-        return out
     return set()
 
 

@@ -24,8 +24,7 @@ from conftest import (DANGEROUS_URL, DEPT_PAGE, DEPT_URL, DOMAIN_URL, F1_URL,
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry, download
 from logicweb.guards import Guard, GuardConfig, guarded_solve
-from logicweb.model import (Call, ProgramId, clause_text, parse_goal,
-                            parse_program)
+from logicweb.model import ProgramId, clause_text, parse_goal, parse_program
 from logicweb.security import PolicyRegistry
 from logicweb.signatures import (UNKNOWN_SIGNER, KeyStore, authenticate,
                                  generate_keypair, sign_page)
@@ -329,7 +328,7 @@ def test_descriptor_budget_policy_caps_open_files_at_ten(tmp_path):
 
     # Closing any held stream frees a slot. The handle term from the first
     # answer is fed back in as a ready-made goal.
-    close_goal = Call(Struct("close", (streams[0],)))
+    close_goal = Struct("close", (streams[0],))
     assert len(list(sess.run_query(ProgramId.get(HOME_URL), close_goal))) == 1
     assert len(solutions(sess, HOME_URL,
                          f'open("{tmp_path}/after.txt", write, S)')) == 1

@@ -177,6 +177,17 @@ def test_fetch_failure(site, capsys):
     assert err.startswith("fetch failed")
 
 
+def test_undecodable_page_fails_cleanly(site, capsys):
+    d, _ = site
+    (d / "bad.html").write_bytes(b"<html>\xff</html>")
+    code, out, err = run_cli(capsys, "query", SITE + "bad.html", "p(X)",
+                             "--no-security", *base(site))
+    assert (code, out) == (1, "")
+    code, _, err = run_cli(capsys, "fetch", SITE + "bad.html", *base(site))
+    assert code == 1
+    assert err.startswith("fetch failed (status)")
+
+
 # ---------------------------------------------------------------- policy-check
 
 def test_policy_check_composes_policies(site, capsys):

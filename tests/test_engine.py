@@ -306,3 +306,29 @@ def test_uninstantiated_switch_expression_is_an_error():
 def test_partially_bound_goals_run():
     s = sess({MAIN: "p(1).\n"})
     assert q(s, "G = p(X), G") == ["1"]
+
+
+# ---------------------------------------------------------------- goals as data
+
+CONNECTIVES = f"""\
+run(G) :- G.
+written(X, Y) :- member(X, [1, 2, 3]), X > 1, !, "{A}" #> q(Y).
+via(X, Y) :- run((member(X, [1, 2, 3]), X > 1, !, "{A}" #> q(Y))).
+switch_via(E, Y) :- run(E #> q(Y)).
+"""
+
+
+@pytest.mark.parametrize("security", [False, True])
+def test_goal_reached_through_a_variable_runs_like_the_written_body(security):
+    s = sess({MAIN: CONNECTIVES, A: "q(5).\nq(6).\n"}, security=security)
+
+    def pairs(goal):
+        return [(to_text(b["X"]), to_text(b["Y"]))
+                for b in solutions(s, MAIN, goal)]
+
+    expected = [("2", "5"), ("2", "6")]
+    assert pairs("written(X, Y)") == expected
+    assert pairs("via(X, Y)") == expected
+    assert pairs(f'G = (member(X, [1, 2, 3]), X > 1, !, "{A}" #> q(Y)), G') \
+        == expected
+    assert q(s, f'switch_via("{A}", X)') == ["5", "6"]

@@ -152,3 +152,15 @@ def test_save_store_prunes_removed_programs(tmp_path, pages):
     session.store.remove(pid)
     save_store(tmp_path, session.store, session.registry)
     assert not list(tmp_path.glob("*.lwp"))
+
+
+def test_undecodable_fixture_page_fails_the_download(tmp_path, pages):
+    (tmp_path / "bad.html").write_bytes(b"<html>\xff p(1).</html>")
+    session = make_session(pages, security=False)
+    session.fetch_config.mounts.append(("http://mounted.example/", tmp_path))
+    pid = ProgramId.get("http://mounted.example/bad.html")
+    out = download(pid, session)
+    assert (out.program, out.reason) == (None, "status")
+    assert pid not in session.store
+    stream, _ = session.query_text(pid.url, "p(X)")
+    assert list(stream) == []

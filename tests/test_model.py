@@ -2,14 +2,13 @@
 
 import pytest
 
-from logicweb.model import (CC, EMPTY_PROGRAM, Call, Clause, Conj,
-                            ContextSwitch, Encapsulation, ExpressionError, Id,
-                            Intersection, LWProgram, ProgramId, ProgramStore,
-                            ReduceOp, ReduceRestrict, Restriction, TRUE,
-                            Union, clause_from_term, clause_text, expids,
+from logicweb.model import (CC, EMPTY_PROGRAM, Encapsulation, ExpressionError,
+                            Id, Intersection, LWProgram, ProgramId,
+                            ProgramStore, Restriction, Union,
+                            clause_from_term, clause_text, expids,
                             expr_from_term, expr_text, expr_to_term,
-                            goal_from_term, insert_current_context,
-                            parse_goal, parse_program, rename_clause)
+                            insert_current_context, parse_goal,
+                            parse_program, rename_clause)
 from logicweb.syntax import parse_term_text
 from logicweb.terms import Atom, Str, Struct
 
@@ -69,14 +68,21 @@ def test_bare_url_string_abbreviates_get_program():
 
 
 def test_reduce_forms():
-    e = expr('(+)<>[lw(get, "http://a/"), lw(get, "http://b/")]')
-    assert isinstance(e, ReduceOp)
-    assert e.op == "+"
-    assert len(e.exprs) == 2
+    a, b, c = '"http://a/"', '"http://b/"', '"http://c/"'
+    assert expr(f"(+)<>[{a}, {b}, {c}]") == expr(f"{a} + {b} + {c}")
+    assert expr(f"(*)<>[{a}, {b}, {c}]") == expr(f"{a} * {b} * {c}")
+    assert expr(f"(+)<>[{a}]") == expr(a)
+    assert expr(f"(/)<>({a} + {b}, [{b}, {c}])") == expr(f"({a} + {b}) / {b} / {c}")
+    assert expr(f"(/)<>({a} + {b}, [])") == expr(f"{a} + {b}")
 
-    e = expr('(/)<>(lw(get, "http://a/") + lw(get, "http://b/"), [lw(get, "http://b/")])')
-    assert isinstance(e, ReduceRestrict)
-    assert len(e.progs) == 1
+
+def test_reduce_forms_reject_bad_lists():
+    with pytest.raises(ExpressionError):
+        expr("(+)<>[]")
+    with pytest.raises(ExpressionError):
+        expr('(/)<>("http://a/", ["http://b/" + "http://c/"])')
+    with pytest.raises(ExpressionError):
+        expr('(*)<>["http://a/" | T]')
 
 
 def test_restriction_requires_identifier_rhs():
@@ -120,29 +126,32 @@ def test_insert_current_context_rejects_compound_ctx_in_restriction():
 
 # ---------------------------------------------------------------- goals
 
-def test_goal_from_term_shapes():
+def test_goals_stay_terms():
     g, _ = parse_goal("a, b")
-    assert isinstance(g, Conj)
+    assert g == Struct(",", (Atom("a"), Atom("b")))
     g, _ = parse_goal('lw(get, "http://a/") #> b')
-    assert isinstance(g, ContextSwitch)
+    assert g == Struct("#>", (ProgramId.get("http://a/").to_term(), Atom("b")))
     g, _ = parse_goal("true")
-    assert g is TRUE
-    g, _ = parse_goal("p(X)")
-    assert isinstance(g, Call)
+    assert g == Atom("true")
 
 
 def test_goal_rejects_malformed_switch_expression():
     with pytest.raises(ExpressionError):
         parse_goal("f(a) #> b")
+    with pytest.raises(ExpressionError):
+        parse_goal('a, "http://a/" #> (b, f(a) #> c)')
+    # only the `,`/`#>` spine is checked; goals passed as data are not
+    parse_goal("run(f(a) #> b)")
 
 
 def test_clause_from_term():
     t, _ = parse_term_text("p(X) :- q(X), r(X)")
     c = clause_from_term(t)
-    assert isinstance(c.body, Conj)
+    x = c.head.args[0]
+    assert c.body == Struct(",", (Struct("q", (x,)), Struct("r", (x,))))
     t, _ = parse_term_text("p(a)")
     c = clause_from_term(t)
-    assert c.body is TRUE
+    assert c.body == Atom("true")
 
 
 def test_clause_rejects_reserved_heads():
@@ -161,7 +170,7 @@ def test_clause_text_round_trip():
 def test_rename_clause_keeps_head_body_sharing():
     c = parse_program("p(X) :- q(X).")[0]
     r = rename_clause(c)
-    assert r.head.args[0] == r.body.term.args[0]
+    assert r.head.args[0] == r.body.args[0]
     assert r.head.args[0] != c.head.args[0]
 
 

@@ -40,14 +40,6 @@ def test_pol_errors():
         reg.pol(ProgramId.get("http://nobody/"))
 
 
-def test_pols_dedupes():
-    reg = registry()
-    a, b = ProgramId.get("http://a/"), ProgramId.get("http://b/")
-    reg.program_to_policy[a] = DEFAULT
-    reg.program_to_policy[b] = DEFAULT
-    assert reg.pols([a, b]) == frozenset({DEFAULT})
-
-
 def test_unsigned_page_gets_default():
     reg = registry()
     assert reg.determine_policy_id("http://a.example/x.html", "<html>") == DEFAULT
