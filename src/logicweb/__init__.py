@@ -12,13 +12,12 @@ from .fetching import (FetchConfig, FetchError, FetchOutcome, PageEntry,
                        save_store)
 from .guards import (EngineHooks, Guard, GuardConfig, GuardOutcome,
                      GuardTermination, check_loop, guarded_solve)
-from .model import (CC, Clause, CurrentContext, EMPTY_PROGRAM, EmptyProgram,
-                    Encapsulation, ExpressionError, Id, Intersection,
-                    LWProgram, ProgramExpression, ProgramId, ProgramStore,
-                    Restriction, Union, clause_from_term, clause_text,
-                    clause_to_term, expids, expr_from_term, expr_text,
-                    expr_to_term, insert_current_context, parse_goal,
-                    parse_program)
+from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
+                    ExpressionError, Id, Intersection, LWProgram,
+                    ProgramExpression, ProgramId, ProgramStore, Restriction,
+                    Union, clause_from_term, clause_text, clause_to_term,
+                    expids, expr_from_term, expr_text, expr_to_term,
+                    parse_goal, parse_program)
 from .pages import (HttpResponse, LWCodeError, extract_links, extract_lw_code,
                     translate_head, translate_page)
 from .security import (AuditEvent, AuditLog, PolicyRegistry, RegistryError)

@@ -342,7 +342,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RegistryError, SignatureError, ParseError, EngineError,
-            ExpressionError, FetchError, OSError) as exc:
+            ExpressionError, FetchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

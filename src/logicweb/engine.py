@@ -15,17 +15,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import builtins as bi
 from . import syntax
 from .fetching import FetchConfig, add_programs
 from .guards import EngineHooks
-from .model import (EMPTY_PROGRAM, CurrentContext, EmptyProgram,
-                    Encapsulation, ExpressionError, Id, Intersection,
-                    LWProgram, ProgramExpression, ProgramId, ProgramStore,
-                    Restriction, Union, expids, expr_from_term,
-                    insert_current_context, parse_goal, rename_clause)
+from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
+                    ExpressionError, Id, Intersection, LWProgram,
+                    ProgramExpression, ProgramId, ProgramStore, Restriction,
+                    Union, expids, expr_from_term, parse_goal, rename_clause)
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify)
@@ -42,7 +41,6 @@ class EngineError(Exception):
 class EngineConfig:
     security_enabled: bool = True
     occurs_check: bool = True
-    max_solutions: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -88,25 +86,17 @@ class Session:
         self.streams[n] = handle
         return n
 
-    def install_local(self, program: LWProgram,
-                      policy: ProgramId | None = None) -> None:
+    def install_local(self, program: LWProgram) -> None:
         """Place a program in the store without fetching, assigning it a
         policy the way a download would."""
         self.store.install(program)
-        if self.registry.is_policy(program.id):
-            return
-        self.registry.program_to_policy.setdefault(
-            program.id, policy or self.registry.default_policy)
+        self.registry.assign_policy(program.id, "")
 
     def run_query(self, main: ProgramId, goal: Term) -> Iterator[Solution]:
         """Evaluate `goal` against the program at `main`, the way a browser
         session would: no policies yet, empty starting context."""
-        count = 0
-        for s in self.engine.context_switch((), EMPTY_PROGRAM, Id(main), goal):
+        for s in self.engine.context_switch((), Id(main), goal):
             yield Solution(s, self.store)
-            count += 1
-            if self.config.max_solutions is not None and count >= self.config.max_solutions:
-                return
 
     def query_text(self, main_url: str, goal_text: str):
         """(solutions iterator, query variable map) for a textual goal."""
@@ -258,8 +248,6 @@ class Engine:
         elif isinstance(e, Encapsulation):
             for s1 in self.solve(sigma, e.expr, goal, s, chain, Barrier()):
                 yield s1, s1.apply(goal), TRUE_ATOM
-        elif isinstance(e, CurrentContext):
-            raise EngineError("context marker survived into clause selection")
         else:
             raise EngineError(f"unknown expression node: {e!r}")
 
@@ -274,25 +262,21 @@ class Engine:
 
     def _switch_term(self, sigma, ctx, expr_term: Term, goal: Term, s, chain,
                      barrier):
-        resolved = s.apply(expr_term)
         try:
-            f_expr = expr_from_term(resolved)
+            f = expr_from_term(s.apply(expr_term), ctx)
         except ExpressionError as exc:
             raise EngineError(str(exc)) from exc
-        yield from self.context_switch(sigma, ctx, f_expr, goal, s, chain, barrier)
+        yield from self.context_switch(sigma, f, goal, s, chain, barrier)
 
-    def context_switch(self, sigma: PolicySet, ctx: ProgramExpression,
-                       f: ProgramExpression, goal: Term,
+    def context_switch(self, sigma: PolicySet, f: ProgramExpression, goal: Term,
                        s: Substitution = EMPTY_SUBST,
                        chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,),
                        barrier: Barrier | None = None) -> Iterator[Substitution]:
-        """Move the derivation into the composition `f` (with the context
-        marker already standing for `ctx`), after vetting and downloading
-        the programs involved."""
+        """Move the derivation into the composition `f`, after vetting and
+        downloading the programs involved."""
         if barrier is None:
             barrier = Barrier()
-        f_prime = insert_current_context(f, ctx)
-        ids = expids(f_prime)
+        ids = expids(f)
         ordered = sorted(ids, key=ProgramId.serialize)
         new_ids = [p for p in ordered if not self.registry.is_policy(p)]
 
@@ -313,9 +297,9 @@ class Engine:
         else:
             new_sigma = ()
 
-        new_chain = chain + (f_prime,)
+        new_chain = chain + (f,)
         self.session.audit.emit("switch", "context switch", new_chain, new_sigma)
-        yield from self.solve(new_sigma, f_prime, goal, s, new_chain, barrier)
+        yield from self.solve(new_sigma, f, goal, s, new_chain, barrier)
 
     def _programs_allowed(self, sigma: PolicySet, pids: list[ProgramId]) -> bool:
         """Every active policy must accept every new program id. Evaluated
@@ -330,7 +314,7 @@ class Engine:
     def _prove_isolated(self, expr: ProgramExpression, goal: Term) -> bool:
         """One solution of `expr #> goal` from a pristine derivation state
         (no policies, empty context, fresh chain)."""
-        for _ in self.context_switch((), EMPTY_PROGRAM, expr, goal):
+        for _ in self.context_switch((), expr, goal):
             return True
         return False
 
@@ -344,8 +328,7 @@ class Engine:
                 return
             self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
             run = Struct("call_system", (g,))
-            for s_inner in self.context_switch((), EMPTY_PROGRAM, Id(sigma[-1]),
-                                               run):
+            for s_inner in self.context_switch((), Id(sigma[-1]), run):
                 yield s.compose(s_inner)
         else:
             self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)

@@ -211,4 +211,4 @@ def load_store(dirpath: str | Path, store, registry) -> None:
             left, _, right = line.partition("\t")
             pid = ProgramId.from_term(parse_term_text(left)[0])
             pol = ProgramId.from_term(parse_term_text(right)[0])
-            registry.program_to_policy.setdefault(pid, pol)
+            registry.assign(pid, pol)

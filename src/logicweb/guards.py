@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .model import leaves
-from .terms import Term, rename_apart, variant
+from .terms import Term, variant
 
 LOOP_FOUND = "loop_found"
 DEPTH_EXCEEDED = "depth_exceeded"
@@ -73,7 +73,7 @@ class GuardConfig:
 
 
 def context_size(ctx) -> int:
-    """Number of leaves (program ids and markers) in a context expression."""
+    """Number of leaves (program ids and empty programs) in a context expression."""
     return sum(1 for _ in leaves(ctx))
 
 
@@ -112,7 +112,7 @@ class Guard(EngineHooks):
                 and context_size(ctx) > self.config.max_context_size):
             self._stop(LOOP_FOUND)
         token = len(self.ancestors)
-        self.ancestors.append((ctx, rename_apart(goal)))
+        self.ancestors.append((ctx, goal))
         if (self.config.max_depth is not None
                 and len(self.ancestors) > self.config.max_depth):
             self._stop(DEPTH_EXCEEDED)

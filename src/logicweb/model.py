@@ -113,11 +113,6 @@ class Id(ProgramExpression):
 
 
 @dataclass(frozen=True, slots=True)
-class CurrentContext(ProgramExpression):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class EmptyProgram(ProgramExpression):
     pass
 
@@ -137,10 +132,10 @@ class Intersection(ProgramExpression):
 @dataclass(frozen=True, slots=True)
 class Restriction(ProgramExpression):
     expr: ProgramExpression
-    prog: ProgramExpression    # Id, or CurrentContext before insertion
+    prog: Id
 
     def __post_init__(self):
-        if not isinstance(self.prog, (Id, CurrentContext)):
+        if not isinstance(self.prog, Id):
             raise ExpressionError(
                 "the right-hand side of a restriction must be a program identifier")
 
@@ -150,12 +145,11 @@ class Encapsulation(ProgramExpression):
     expr: ProgramExpression
 
 
-CC = CurrentContext()
 EMPTY_PROGRAM = EmptyProgram()
 
 
 def leaves(e: ProgramExpression) -> Iterator[ProgramExpression]:
-    """The identifiers and markers of an expression, left to right."""
+    """The identifiers and empty programs of an expression, left to right."""
     if isinstance(e, (Union, Intersection)):
         yield from leaves(e.left)
         yield from leaves(e.right)
@@ -173,47 +167,16 @@ def expids(e: ProgramExpression) -> frozenset[ProgramId]:
     return frozenset(x.pid for x in leaves(e) if isinstance(x, Id))
 
 
-def insert_current_context(e: ProgramExpression,
-                           ctx: ProgramExpression) -> ProgramExpression:
-    """Replace every context marker in `e` by `ctx`.
-
-    Raises ExpressionError when the replacement would put a non-identifier
-    on the right of a restriction."""
-
-    def as_prog(x: ProgramExpression) -> ProgramExpression:
-        if isinstance(x, CurrentContext):
-            if not isinstance(ctx, Id):
-                raise ExpressionError(
-                    "current context is not a single program identifier, "
-                    "cannot restrict by it")
-            return ctx
-        return x
-
-    def go(x: ProgramExpression) -> ProgramExpression:
-        if isinstance(x, CurrentContext):
-            return ctx
-        if isinstance(x, Union):
-            return Union(go(x.left), go(x.right))
-        if isinstance(x, Intersection):
-            return Intersection(go(x.left), go(x.right))
-        if isinstance(x, Restriction):
-            return Restriction(go(x.expr), as_prog(x.prog))
-        if isinstance(x, Encapsulation):
-            return Encapsulation(go(x.expr))
-        return x
-
-    return go(e)
-
-
-def _expr_list(t: Term) -> list[ProgramExpression]:
+def _expr_list(t: Term, ctx: ProgramExpression) -> list[ProgramExpression]:
     items, tail = list_items(t)
     if not (isinstance(tail, Atom) and tail.name == "[]"):
         raise ExpressionError("expression list must be a proper list")
-    return [expr_from_term(i) for i in items]
+    return [expr_from_term(i, ctx) for i in items]
 
 
-def expr_from_term(t: Term) -> ProgramExpression:
-    """Interpret a (fully dereferenced) term as a composition expression.
+def expr_from_term(t: Term, ctx: ProgramExpression) -> ProgramExpression:
+    """Interpret a (fully dereferenced) term as a composition expression
+    evaluated from context `ctx`, which stands wherever the term has `(#)`.
 
     The reduce forms are sugar, folded left into the binary operators:
     `(+)<>[P, Q, R]` is `P + Q + R`, `(*)<>[...]` likewise with `*`, and
@@ -224,7 +187,7 @@ def expr_from_term(t: Term) -> ProgramExpression:
         if t.name == "empty":
             return EMPTY_PROGRAM
         if t.name == syntax.CURRENT_CONTEXT_NAME:
-            return CC
+            return ctx
         raise ExpressionError(f"not a composition expression: {syntax.to_text(t)}")
     if isinstance(t, Str):
         # a bare URL abbreviates the program fetched from it with GET
@@ -233,13 +196,16 @@ def expr_from_term(t: Term) -> ProgramExpression:
         if t.functor == "lw" and len(t.args) == 2:
             return Id(ProgramId.from_term(t))
         if t.functor == "+" and len(t.args) == 2:
-            return Union(expr_from_term(t.args[0]), expr_from_term(t.args[1]))
+            return Union(expr_from_term(t.args[0], ctx),
+                         expr_from_term(t.args[1], ctx))
         if t.functor == "*" and len(t.args) == 2:
-            return Intersection(expr_from_term(t.args[0]), expr_from_term(t.args[1]))
+            return Intersection(expr_from_term(t.args[0], ctx),
+                                expr_from_term(t.args[1], ctx))
         if t.functor == "/" and len(t.args) == 2:
-            return Restriction(expr_from_term(t.args[0]), expr_from_term(t.args[1]))
+            return Restriction(expr_from_term(t.args[0], ctx),
+                               expr_from_term(t.args[1], ctx))
         if t.functor == "@" and len(t.args) == 1:
-            return Encapsulation(expr_from_term(t.args[0]))
+            return Encapsulation(expr_from_term(t.args[0], ctx))
         if t.functor == "<>" and len(t.args) == 2 and isinstance(t.args[0], Atom):
             marker = t.args[0].name
             rhs = t.args[1]
@@ -248,10 +214,10 @@ def expr_from_term(t: Term) -> ProgramExpression:
                         and len(rhs.args) == 2):
                     raise ExpressionError(
                         "restriction reduce needs (Expression, IdentifierList)")
-                base = expr_from_term(rhs.args[0])
-                return reduce(Restriction, _expr_list(rhs.args[1]), base)
+                base = expr_from_term(rhs.args[0], ctx)
+                return reduce(Restriction, _expr_list(rhs.args[1], ctx), base)
             if marker in ("+", "*"):
-                exprs = _expr_list(rhs)
+                exprs = _expr_list(rhs, ctx)
                 if not exprs:
                     raise ExpressionError("reduce over an empty expression list")
                 return reduce(Union if marker == "+" else Intersection, exprs)
@@ -261,8 +227,6 @@ def expr_from_term(t: Term) -> ProgramExpression:
 def expr_to_term(e: ProgramExpression) -> Term:
     if isinstance(e, Id):
         return e.pid.to_term()
-    if isinstance(e, CurrentContext):
-        return Atom(syntax.CURRENT_CONTEXT_NAME)
     if isinstance(e, EmptyProgram):
         return Atom("empty")
     if isinstance(e, Union):

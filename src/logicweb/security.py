@@ -36,17 +36,11 @@ class PolicyRegistry:
         self.trusted_enabled = trusted_enabled
         self.keystore = keystore or KeyStore()
         self.program_to_policy: dict[ProgramId, ProgramId] = {}
-        self.extra_policies: set[ProgramId] = set()
-
-    # -- the set of policy programs (union of everything any map points at)
-
-    @property
-    def policy_ids(self) -> frozenset[ProgramId]:
-        out = set(self.signer_to_policy.values())
-        out.update(pid for _, pid in self.trusted)
-        out.update(self.program_to_policy.values())
-        out.update(self.extra_policies)
-        return frozenset(out)
+        # the policies of the maps given here; afterwards only
+        # register_policy and assign (the one writer of program_to_policy)
+        # add to it
+        self.policy_ids: set[ProgramId] = set(self.signer_to_policy.values())
+        self.policy_ids.update(pid for _, pid in self.trusted)
 
     def is_policy(self, pid: ProgramId) -> bool:
         return pid in self.policy_ids
@@ -54,7 +48,14 @@ class PolicyRegistry:
     def register_policy(self, pid: ProgramId) -> None:
         """Mark an id as a policy program without tying it to a signer,
         for ad hoc checks and tests."""
-        self.extra_policies.add(pid)
+        self.policy_ids.add(pid)
+
+    def assign(self, pid: ProgramId, policy: ProgramId) -> ProgramId:
+        """Record `policy` for `pid` unless it already has one; the policy
+        kept is returned and counts as a policy program from now on."""
+        kept = self.program_to_policy.setdefault(pid, policy)
+        self.policy_ids.add(kept)
+        return kept
 
     @property
     def default_policy(self) -> ProgramId:
@@ -96,9 +97,7 @@ class PolicyRegistry:
             return None
         if pid in self.program_to_policy:
             return self.program_to_policy[pid]
-        chosen = self.determine_policy_id(pid.url, contents)
-        self.program_to_policy[pid] = chosen
-        return chosen
+        return self.assign(pid, self.determine_policy_id(pid.url, contents))
 
     # -- config file
 

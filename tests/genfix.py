@@ -245,7 +245,7 @@ def run_world(world: World) -> Session:
     for pol_url in world.policy_clauses:
         registry.register_policy(ProgramId.get(pol_url))
     for page_url, pol_url in world.page_policy.items():
-        registry.program_to_policy[ProgramId.get(page_url)] = ProgramId.get(pol_url)
+        registry.assign(ProgramId.get(page_url), ProgramId.get(pol_url))
     session = Session(registry,
                       FetchConfig(pages=dict(world.pages), allow_network=False),
                       EngineConfig(),

@@ -188,6 +188,15 @@ def test_undecodable_page_fails_cleanly(site, capsys):
     assert err.startswith("fetch failed (status)")
 
 
+def test_undecodable_registry_is_a_usage_error(site, capsys):
+    _, registry = site
+    registry.write_bytes(b"default http://site.test/perm.html\n\xff\n")
+    code, out, err = run_cli(capsys, "query", SITE + "index.html", "p(X)",
+                             *base(site))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------- policy-check
 
 def test_policy_check_composes_policies(site, capsys):
@@ -252,6 +261,13 @@ def test_store_list_requires_a_directory(capsys, monkeypatch):
     assert "--store-dir" in err
 
 
+def test_store_list_undecodable_cache_file_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "0123456789abcdef.lwp").write_bytes(b"\xff\n")
+    code, out, err = run_cli(capsys, "store-list", "--store-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------- signing
 
 def test_keygen_sign_authenticate_pipeline(site, capsys, tmp_path):
@@ -303,3 +319,14 @@ def test_keygen_appends_to_existing_keystore(capsys, tmp_path):
             "--keystore", str(ks))
     store = KeyStore.load(ks)
     assert set(store.keys) == {"alice", "bob"}
+
+
+def test_sign_undecodable_page_is_a_usage_error(capsys, tmp_path):
+    key = tmp_path / "k.key"
+    page = tmp_path / "page.html"
+    page.write_bytes(b"<html>\xff</html>\n")
+    run_cli(capsys, "keygen", "bob", "--key-out", str(key))
+    code, out, err = run_cli(capsys, "sign", str(page), "--key", str(key),
+                             "--signer", "bob")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")

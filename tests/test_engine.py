@@ -211,7 +211,7 @@ def test_policy_set_grows_and_dedupes_across_switches():
     s = make_session(pages, security=True)
     perm = ProgramId.get(PERMISSIVE_URL)
     second = ProgramId.get(SECOND_URL)
-    s.registry.program_to_policy[ProgramId.get(A)] = second
+    s.registry.assign(ProgramId.get(A), second)
 
     list(solutions(s, MAIN, f'"{A}" #> p(X)'))
     switches = [ev for ev in s.audit.of_kind("switch")
@@ -272,12 +272,6 @@ def test_syscall_audit_records_chain_and_policies():
 
 # ---------------------------------------------------------------- config
 
-def test_max_solutions_truncates():
-    s = sess({MAIN: ""})
-    s.config.max_solutions = 2
-    assert q(s, "member(X, [1, 2, 3])") == ["1", "2"]
-
-
 def test_occurs_check_can_be_disabled():
     s = sess({MAIN: ""})
     stream, _ = s.query_text(MAIN, "X = f(X)")
@@ -301,6 +295,12 @@ def test_uninstantiated_switch_expression_is_an_error():
     s = sess({MAIN: ""})
     with pytest.raises(EngineError, match="not instantiated"):
         list(solutions(s, MAIN, "E #> true"))
+
+
+def test_restricting_by_a_compound_current_context_is_an_error():
+    s = sess({MAIN: "", A: f'r :- ("{B}" / (#)) #> true.\n', B: ""})
+    with pytest.raises(EngineError, match="restriction"):
+        list(solutions(s, MAIN, f'("{A}" + "{B}") #> r'))
 
 
 def test_partially_bound_goals_run():

@@ -142,6 +142,18 @@ def test_store_round_trip(tmp_path, pages):
     assert fresh.registry.pol(pid) == session.registry.pol(pid)
 
 
+def test_load_store_marks_assigned_policies(tmp_path, pages):
+    pid = ProgramId.get(HOME_URL)
+    pol = ProgramId.get("http://policies.example.org/elsewhere.html")
+    (tmp_path / "_assignments").write_text(
+        f"{pid.serialize()}\t{pol.serialize()}\n", encoding="utf-8")
+    session = make_session(pages)
+    assert not session.registry.is_policy(pol)
+    load_store(tmp_path, session.store, session.registry)
+    assert session.registry.pol(pid) == pol
+    assert session.registry.is_policy(pol)
+
+
 def test_save_store_prunes_removed_programs(tmp_path, pages):
     session = make_session(pages)
     pid = ProgramId.get(HOME_URL)

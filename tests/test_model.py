@@ -2,20 +2,22 @@
 
 import pytest
 
-from logicweb.model import (CC, EMPTY_PROGRAM, Encapsulation, ExpressionError,
+from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ExpressionError,
                             Id, Intersection, LWProgram, ProgramId,
                             ProgramStore, Restriction, Union,
                             clause_from_term, clause_text, expids,
                             expr_from_term, expr_text, expr_to_term,
-                            insert_current_context, parse_goal,
-                            parse_program, rename_clause)
+                            parse_goal, parse_program, rename_clause)
 from logicweb.syntax import parse_term_text
 from logicweb.terms import Atom, Str, Struct
 
 
-def expr(text):
+ME = Id(ProgramId.get("http://me/"))
+
+
+def expr(text, ctx=EMPTY_PROGRAM):
     t, _ = parse_term_text(text)
-    return expr_from_term(t)
+    return expr_from_term(t, ctx)
 
 
 # ---------------------------------------------------------------- identifiers
@@ -52,9 +54,9 @@ def test_serialize_round_trip():
 def test_expr_from_term_operators():
     e = expr('lw(get, "http://a/") + lw(get, "http://b/")')
     assert isinstance(e, Union)
-    e = expr('lw(get, "http://a/") * (#)')
+    e = expr('lw(get, "http://a/") * (#)', ME)
     assert isinstance(e, Intersection)
-    assert e.right is CC
+    assert e.right is ME
     e = expr('lw(get, "http://a/") / lw(get, "http://b/")')
     assert isinstance(e, Restriction)
     e = expr('@lw(get, "http://a/")')
@@ -98,10 +100,10 @@ def test_expr_rejects_non_expressions():
 
 
 def test_expr_round_trip_text():
-    e = expr('@(lw(get, "http://a/") + (#))')
+    e = expr('@(lw(get, "http://a/") + lw(head, "http://b/"))')
     t = expr_to_term(e)
-    assert expr_from_term(t) == e
-    assert "(#)" in expr_text(e)
+    assert expr_from_term(t, EMPTY_PROGRAM) == e
+    assert expr_text(e) == '@(lw(get, "http://a/") + lw(head, "http://b/"))'
 
 
 def test_expids_collects_everything():
@@ -110,18 +112,21 @@ def test_expids_collects_everything():
     assert urls == {"http://a/", "http://b/", "http://c/"}
 
 
-def test_insert_current_context():
-    ctx = Id(ProgramId.get("http://me/"))
-    e = expr('lw(get, "http://a/") + (#)')
-    out = insert_current_context(e, ctx)
-    assert out == Union(Id(ProgramId.get("http://a/")), ctx)
+def test_current_context_resolves_to_the_given_context():
+    a = Id(ProgramId.get("http://a/"))
+    assert expr('lw(get, "http://a/") + (#)', ME) == Union(a, ME)
+    assert expr('(#)', ME) is ME
+    assert expr('(#)') is EMPTY_PROGRAM
+    assert expr('"http://a/" / (#)', ME) == Restriction(a, ME)
+    assert expr('(+)<>[(#), "http://a/"]', ME) == Union(ME, a)
 
 
-def test_insert_current_context_rejects_compound_ctx_in_restriction():
+def test_current_context_rejects_compound_ctx_in_restriction():
     ctx = Union(Id(ProgramId.get("http://a/")), Id(ProgramId.get("http://b/")))
-    e = expr('lw(get, "http://c/") / (#)')
     with pytest.raises(ExpressionError):
-        insert_current_context(e, ctx)
+        expr('lw(get, "http://c/") / (#)', ctx)
+    with pytest.raises(ExpressionError):
+        expr('(/)<>("http://c/", [(#)])', ctx)
 
 
 # ---------------------------------------------------------------- goals

@@ -2,7 +2,9 @@
 
 import pytest
 
-from logicweb.model import Id, ProgramId
+from logicweb.engine import Session
+from logicweb.fetching import FetchConfig
+from logicweb.model import Id, LWProgram, ProgramId
 from logicweb.security import (AuditLog, PolicyRegistry, RegistryError,
                                UNKNOWN_SIGNER)
 from logicweb.signatures import KeyStore, generate_keypair, sign_page
@@ -26,8 +28,11 @@ def test_policy_ids_union():
     reg = registry(trusted=[("http://corp.example/", CORP_POL)])
     extra = ProgramId.get("http://pol.example/extra.html")
     reg.register_policy(extra)
-    reg.program_to_policy[ProgramId.get("http://x/")] = DEFAULT
-    assert reg.policy_ids == frozenset({DEFAULT, ALICE_POL, CORP_POL, extra})
+    assigned = ProgramId.get("http://pol.example/assigned.html")
+    assert reg.assign(ProgramId.get("http://x/"), assigned) == assigned
+    # the first assignment stays, and only it names a policy
+    assert reg.assign(ProgramId.get("http://x/"), DEFAULT) == assigned
+    assert reg.policy_ids == {DEFAULT, ALICE_POL, CORP_POL, extra, assigned}
     assert reg.is_policy(extra)
     assert not reg.is_policy(ProgramId.get("http://x/"))
 
@@ -86,6 +91,19 @@ def test_assign_policy_records_once():
 def test_assign_policy_skips_policy_programs():
     reg = registry()
     assert reg.assign_policy(DEFAULT, "<html>") is None
+    assert DEFAULT not in reg.program_to_policy
+
+
+def test_install_local_assigns_like_a_download():
+    reg = registry(trusted=[("http://corp.example/", CORP_POL)],
+                   trusted_enabled=True)
+    session = Session(reg, FetchConfig(allow_network=False))
+    inside = ProgramId.get("http://corp.example/tool.html")
+    outside = ProgramId.get("http://other.example/")
+    for pid in (inside, outside, DEFAULT):
+        session.install_local(LWProgram(pid, []))
+    assert reg.pol(inside) == CORP_POL
+    assert reg.pol(outside) == DEFAULT
     assert DEFAULT not in reg.program_to_policy
 
 
