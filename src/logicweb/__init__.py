@@ -13,7 +13,7 @@ from .fetching import (FetchConfig, FetchError, FetchOutcome, PageEntry,
 from .guards import (EngineHooks, Guard, GuardConfig, GuardOutcome,
                      GuardTermination, check_loop, guarded_solve)
 from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
-                    ExpressionError, Id, Intersection, LWProgram,
+                    ExpressionError, Intersection, LWProgram,
                     ProgramExpression, ProgramId, ProgramStore, Restriction,
                     Union, clause_from_term, clause_text, clause_to_term,
                     expids, expr_from_term, expr_text, expr_to_term,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import syntax
-from .model import Id, clause_from_term, clause_to_term
+from .model import ProgramId, clause_from_term, clause_to_term
 from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
                     EMPTY_SUBST, functor_of, list_items, make_list, unify)
 
@@ -62,10 +62,6 @@ def _text(t: Term) -> Optional[str]:
     if isinstance(t, Atom):
         return t.name
     return None
-
-
-def _unify_new(a: Term, b: Term) -> Optional[Substitution]:
-    return unify(a, b, EMPTY_SUBST)
 
 
 def _proper_list(t: Term) -> Optional[list[Term]]:
@@ -182,7 +178,7 @@ def _bi_retract(args, rt):
     # a ':-'/2 pattern matches rules
     pattern = args[0]
     for i, clause in enumerate(prog.clauses):
-        s = _unify_new(pattern, clause_to_term(clause))
+        s = unify(pattern, clause_to_term(clause))
         if s is not None:
             del prog.clauses[i]
             yield s
@@ -191,7 +187,6 @@ def _bi_retract(args, rt):
 
 @_register("program_exists", 1, "program_exists(lw(Method, URL))")
 def _bi_program_exists(args, rt):
-    from .model import ProgramId
     try:
         pid = ProgramId.from_term(args[0])
     except Exception:
@@ -225,25 +220,25 @@ def _bi_append(args, rt):
 def _append_strings(a, b, c):
     ta, tb, tc = _text(a), _text(b), _text(c)
     if ta is not None and tb is not None:
-        s = _unify_new(c, Str(ta + tb))
+        s = unify(c, Str(ta + tb))
         if s is not None:
             yield s
         return
     if tc is not None:
         if ta is not None:
             if tc.startswith(ta):
-                s = _unify_new(b, Str(tc[len(ta):]))
+                s = unify(b, Str(tc[len(ta):]))
                 if s is not None:
                     yield s
             return
         if tb is not None:
             if tc.endswith(tb):
-                s = _unify_new(a, Str(tc[:len(tc) - len(tb)]))
+                s = unify(a, Str(tc[:len(tc) - len(tb)]))
                 if s is not None:
                     yield s
             return
         for i in range(len(tc) + 1):
-            s = _unify_new(a, Str(tc[:i]))
+            s = unify(a, Str(tc[:i]))
             if s is None:
                 continue
             s2 = unify(b, Str(tc[i:]), s)
@@ -254,14 +249,14 @@ def _append_strings(a, b, c):
 def _append_lists(a, b, c):
     front = _proper_list(a)
     if front is not None:
-        s = _unify_new(c, make_list(front, b))
+        s = unify(c, make_list(front, b))
         if s is not None:
             yield s
         return
     whole = _proper_list(c)
     if whole is not None:
         for i in range(len(whole) + 1):
-            s = _unify_new(a, make_list(whole[:i]))
+            s = unify(a, make_list(whole[:i]))
             if s is None:
                 continue
             s2 = unify(b, make_list(whole[i:]), s)
@@ -276,7 +271,7 @@ def _bi_member(args, rt):
     x, lst = args
     items, _tail = list_items(lst)
     for item in items:
-        s = _unify_new(x, item)
+        s = unify(x, item)
         if s is not None:
             yield s
 
@@ -285,14 +280,14 @@ def _bi_member(args, rt):
 
 @_register("=", 2, "unification")
 def _bi_unify(args, rt):
-    s = unify(args[0], args[1], EMPTY_SUBST, occurs_check=rt.occurs_check)
+    s = unify(args[0], args[1])
     if s is not None:
         yield s
 
 
 @_register("\\=", 2, "not unifiable")
 def _bi_not_unify(args, rt):
-    if unify(args[0], args[1], EMPTY_SUBST, occurs_check=rt.occurs_check) is None:
+    if unify(args[0], args[1]) is None:
         yield EMPTY_SUBST
 
 
@@ -334,7 +329,7 @@ def _bi_is(args, rt):
     except _ArithmeticError as exc:
         rt.notice(f"is/2: not arithmetic: {exc}")
         return
-    s = _unify_new(args[0], Num(value))
+    s = unify(args[0], Num(value))
     if s is not None:
         yield s
 
@@ -393,16 +388,13 @@ class BuiltinCall:
         self.session = session
         self.ctx = ctx
 
-    @property
-    def occurs_check(self) -> bool:
-        return self.session.config.occurs_check
-
     def notice(self, message: str) -> None:
         self.session.audit.emit("notice", message)
 
     def policy_program(self):
         """The store entry for the calling context when it is a single
         policy program; None otherwise."""
-        if isinstance(self.ctx, Id) and self.session.registry.is_policy(self.ctx.pid):
-            return self.session.store.get(self.ctx.pid)
+        if (isinstance(self.ctx, ProgramId)
+                and self.session.registry.is_policy(self.ctx)):
+            return self.session.store.get(self.ctx)
         return None

@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import syntax
-from .engine import EngineConfig, EngineError, Session, policy_intersection
-from .fetching import (FetchConfig, FetchError, download, fetch_response,
-                       load_store, save_store)
+from .engine import EngineConfig, EngineError, Session
+from .fetching import (FetchConfig, FetchError, download, load_store,
+                       save_store)
 from .guards import Guard, GuardConfig, guarded_solve
 from .model import (ExpressionError, ProgramId, ProgramStore, clause_text,
                     parse_goal)
@@ -24,7 +24,7 @@ from .security import PolicyRegistry, RegistryError
 from .signatures import (SIGNED_SUFFIX, KeyStore, SignatureError,
                          generate_keypair, load_private_key,
                          save_private_key, sign_page)
-from .syntax import ParseError, parse_term_text
+from .syntax import ParseError, parse_term_text, read_text
 from .terms import Str, Struct
 
 EXIT_OK = 0
@@ -68,8 +68,6 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--offline", action="store_true",
                    help="never touch the network")
     p.add_argument("--http-timeout", type=float, default=10.0, metavar="SECS")
-    p.add_argument("--no-occurs-check", action="store_true",
-                   help="unify without the occurs check")
     p.add_argument("--timeout-ms", type=int, default=None, metavar="MS",
                    help="abort the query after MS milliseconds")
     p.add_argument("--max-depth", type=int, default=40, metavar="N")
@@ -113,8 +111,7 @@ def _build_session(args) -> Session:
         timeout=args.http_timeout,
         allow_network=not args.offline,
     )
-    config = EngineConfig(security_enabled=security,
-                          occurs_check=not args.no_occurs_check)
+    config = EngineConfig(security_enabled=security)
     guard = Guard(GuardConfig(
         max_depth=args.max_depth,
         loop_check=args.loop_check,
@@ -203,7 +200,7 @@ def cmd_policy_check(args) -> int:
         target = ProgramId.from_term(id_term)
         check = Struct("valid_program", (target.method_term(), Str(target.url)))
 
-    allowed = session.engine._prove_isolated(policy_intersection(pids), check)
+    allowed = session.engine._prove_isolated(pids, check)
     print("allow" if allowed else "deny")
     return EXIT_OK if allowed else EXIT_NO
 
@@ -256,7 +253,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    html = Path(args.page).read_text(encoding="utf-8")
+    html = read_text(args.page)
     signed = sign_page(html, load_private_key(args.key), args.signer)
     if args.out:
         Path(args.out).write_text(signed, encoding="utf-8")

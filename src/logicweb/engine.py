@@ -22,7 +22,7 @@ from . import syntax
 from .fetching import FetchConfig, add_programs
 from .guards import EngineHooks
 from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
-                    ExpressionError, Id, Intersection, LWProgram,
+                    ExpressionError, Intersection, LWProgram,
                     ProgramExpression, ProgramId, ProgramStore, Restriction,
                     Union, expids, expr_from_term, parse_goal, rename_clause)
 from .security import AuditLog, PolicyRegistry
@@ -40,19 +40,11 @@ class EngineError(Exception):
 @dataclass
 class EngineConfig:
     security_enabled: bool = True
-    occurs_check: bool = True
 
 
 @dataclass(frozen=True)
 class Solution:
     subst: Substitution
-    store: ProgramStore
-
-
-def policy_intersection(pids: Iterable[ProgramId]) -> ProgramExpression:
-    """The composition in which every given policy must agree: the
-    encapsulated policies, intersected left to right."""
-    return reduce(Intersection, (Encapsulation(Id(p)) for p in pids))
 
 
 class Barrier:
@@ -94,9 +86,11 @@ class Session:
 
     def run_query(self, main: ProgramId, goal: Term) -> Iterator[Solution]:
         """Evaluate `goal` against the program at `main`, the way a browser
-        session would: no policies yet, empty starting context."""
-        for s in self.engine.context_switch((), Id(main), goal):
-            yield Solution(s, self.store)
+        session would: no policies yet, empty starting context. The hooks
+        start afresh for every query."""
+        self.hooks.start()
+        for s in self.engine.context_switch((), main, goal):
+            yield Solution(s)
 
     def query_text(self, main_url: str, goal_text: str):
         """(solutions iterator, query variable map) for a textual goal."""
@@ -107,18 +101,6 @@ class Session:
 class Engine:
     def __init__(self, session: Session):
         self.session = session
-
-    @property
-    def config(self) -> EngineConfig:
-        return self.session.config
-
-    @property
-    def store(self) -> ProgramStore:
-        return self.session.store
-
-    @property
-    def registry(self) -> PolicyRegistry:
-        return self.session.registry
 
     # ------------------------------------------------------------- solve
 
@@ -221,14 +203,13 @@ class Engine:
         as (extended substitution, renamed head, body) triples."""
         if isinstance(e, EmptyProgram):
             return
-        if isinstance(e, Id):
-            program = self.store.get(e.pid)
+        if isinstance(e, ProgramId):
+            program = self.session.store.get(e)
             if program is None:
                 return
             for clause in tuple(program.clauses):
                 renamed = rename_clause(clause)
-                s1 = unify(goal, renamed.head, s,
-                           occurs_check=self.config.occurs_check)
+                s1 = unify(goal, renamed.head, s)
                 if s1 is None:
                     continue
                 self.session.hooks.on_clause_applied()
@@ -241,9 +222,8 @@ class Engine:
                 for s2, _h2, b2 in self.select_clause(sigma, e.right, goal, s1, chain):
                     yield s2, h1, Struct(",", (b1, b2))
         elif isinstance(e, Restriction):
-            assert isinstance(e.prog, Id)
             for s1, h1, b1 in self.select_clause(sigma, e.expr, goal, s, chain):
-                if not self._defined_in(h1, e.prog.pid):
+                if not self._defined_in(h1, e.prog):
                     yield s1, h1, b1
         elif isinstance(e, Encapsulation):
             for s1 in self.solve(sigma, e.expr, goal, s, chain, Barrier()):
@@ -252,7 +232,7 @@ class Engine:
             raise EngineError(f"unknown expression node: {e!r}")
 
     def _defined_in(self, head: Term, pid: ProgramId) -> bool:
-        program = self.store.get(pid)
+        program = self.session.store.get(pid)
         if program is None:
             return False
         key = functor_of(head)
@@ -276,21 +256,23 @@ class Engine:
         downloading the programs involved."""
         if barrier is None:
             barrier = Barrier()
+        registry = self.session.registry
+        security = self.session.config.security_enabled
         ids = expids(f)
         ordered = sorted(ids, key=ProgramId.serialize)
-        new_ids = [p for p in ordered if not self.registry.is_policy(p)]
+        new_ids = [p for p in ordered if not registry.is_policy(p)]
 
-        if self.config.security_enabled and sigma and new_ids:
+        if security and sigma and new_ids:
             if not self._programs_allowed(sigma, new_ids):
                 return
 
         if not add_programs(self.session, ids, chain, sigma):
             return
 
-        if self.config.security_enabled:
+        if security:
             fresh = []
             for pid in new_ids:
-                pol = self.registry.pol(pid)
+                pol = registry.pol(pid)
                 if pol not in fresh and pol not in sigma:
                     fresh.append(pol)
             new_sigma: PolicySet = tuple(fresh) + tuple(sigma)
@@ -309,11 +291,14 @@ class Engine:
                   for pid in pids]
         goal = reduce(lambda rest, check: Struct(",", (check, rest)),
                       reversed(checks))
-        return self._prove_isolated(policy_intersection(sigma), goal)
+        return self._prove_isolated(sigma, goal)
 
-    def _prove_isolated(self, expr: ProgramExpression, goal: Term) -> bool:
-        """One solution of `expr #> goal` from a pristine derivation state
-        (no policies, empty context, fresh chain)."""
+    def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term) -> bool:
+        """One solution of `goal` in the composition where every given
+        policy must agree (the encapsulated policies, intersected left to
+        right), from a pristine derivation state: no policies, empty
+        context, fresh chain."""
+        expr = reduce(Intersection, (Encapsulation(p) for p in pids))
         for _ in self.context_switch((), expr, goal):
             return True
         return False
@@ -322,19 +307,23 @@ class Engine:
 
     def _system_call(self, sigma, ctx, t: Term, s, chain):
         g = s.apply(t)
-        if sigma:
-            check = Struct("valid_systemCall", (g,))
-            if not self._prove_isolated(policy_intersection(sigma), check):
-                return
-            self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
-            run = Struct("call_system", (g,))
-            for s_inner in self.context_switch((), Id(sigma[-1]), run):
-                yield s.compose(s_inner)
-        else:
-            self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
-            rt = bi.BuiltinCall(self.session, ctx)
-            for delta in bi.call_builtin(g, rt):
-                yield s.compose(delta)
+        if not sigma:
+            yield from self._run_builtin(ctx, g, s, chain)
+            return
+        if not self._prove_isolated(sigma, Struct("valid_systemCall", (g,))):
+            return
+        self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
+        run = Struct("call_system", (g,))
+        for s_inner in self.context_switch((), sigma[-1], run):
+            yield s.compose(s_inner)
+
+    def _run_builtin(self, ctx, g: Term, s, chain):
+        """Run the built-in `g` directly, with no policy active, and merge
+        each of its answers into `s`."""
+        self.session.audit.emit("syscall", syntax.to_text(g), chain, ())
+        rt = bi.BuiltinCall(self.session, ctx)
+        for delta in bi.call_builtin(g, rt):
+            yield s.compose(delta)
 
     def _builtin_qualified(self, sigma, ctx, inner_term: Term, s, chain):
         """`built_ins:G` runs the built-in directly. Only derivations with
@@ -351,10 +340,7 @@ class Engine:
             if bi.lookup(g.args[0]) is not None:
                 yield s
             return
-        self.session.audit.emit("syscall", syntax.to_text(target), chain, sigma)
-        rt = bi.BuiltinCall(self.session, ctx)
-        for delta in bi.call_builtin(target, rt):
-            yield s.compose(delta)
+        yield from self._run_builtin(ctx, target, s, chain)
 
 
 def solutions(session: Session, main_url: str, goal_text: str,

@@ -193,19 +193,19 @@ def save_store(dirpath: str | Path, store, registry) -> None:
 
 
 def load_store(dirpath: str | Path, store, registry) -> None:
-    from .syntax import parse_term_text
+    from .syntax import parse_term_text, read_text
 
     root = Path(dirpath)
     if not root.is_dir():
         return
     for path in sorted(root.glob("*.lwp")):
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
         first, _, rest = text.partition("\n")
         pid = ProgramId.from_term(parse_term_text(first)[0])
         store.install(LWProgram(pid, parse_program(rest)))
     assign = root / _ASSIGN_FILE
     if assign.is_file():
-        for line in assign.read_text(encoding="utf-8").splitlines():
+        for line in read_text(assign).splitlines():
             if not line.strip():
                 continue
             left, _, right = line.partition("\t")

@@ -160,7 +160,6 @@ class GuardOutcome:
 def guarded_solve(session, main, goal, limit: int | None = None) -> GuardOutcome:
     """Run a query to completion or to the first guard abort, keeping
     whatever answers arrived first."""
-    session.hooks.start()
     outcome = GuardOutcome()
     try:
         for sol in session.run_query(main, goal):

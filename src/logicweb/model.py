@@ -10,7 +10,7 @@ an expression at evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Optional
 
@@ -19,25 +19,31 @@ from .terms import (TRUE_ATOM, Atom, Str, Struct, Term, Var, make_list,
                     list_items, rename_apart)
 
 
-class ExpressionError(Exception):
+class ExpressionError(ValueError):
     """A term in context position does not denote a valid composition."""
+
+
+class ProgramExpression:
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------- identifiers
 
 @dataclass(frozen=True, order=False)
-class ProgramId:
+class ProgramId(ProgramExpression):
+    """A program, named by how it was retrieved; also an expression leaf."""
+
     method: str                                   # 'head' | 'get' | 'post'
     url: str
     post_fields: tuple[tuple[str, str], ...] = ()  # order-sensitive
 
     def __post_init__(self):
         if self.method not in ("head", "get", "post"):
-            raise ValueError(f"bad retrieval method {self.method!r}")
+            raise ExpressionError(f"bad retrieval method {self.method!r}")
         if not self.url:
-            raise ValueError("empty URL")
+            raise ExpressionError("empty URL")
         if self.method != "post" and self.post_fields:
-            raise ValueError("fields only make sense for post")
+            raise ExpressionError("fields only make sense for post")
 
     @classmethod
     def head(cls, url: str) -> "ProgramId":
@@ -103,15 +109,6 @@ class Clause:
 
 # ---------------------------------------------------------------- expressions
 
-class ProgramExpression:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Id(ProgramExpression):
-    pid: ProgramId
-
-
 @dataclass(frozen=True, slots=True)
 class EmptyProgram(ProgramExpression):
     pass
@@ -132,10 +129,10 @@ class Intersection(ProgramExpression):
 @dataclass(frozen=True, slots=True)
 class Restriction(ProgramExpression):
     expr: ProgramExpression
-    prog: Id
+    prog: ProgramId
 
     def __post_init__(self):
-        if not isinstance(self.prog, Id):
+        if not isinstance(self.prog, ProgramId):
             raise ExpressionError(
                 "the right-hand side of a restriction must be a program identifier")
 
@@ -164,7 +161,7 @@ def leaves(e: ProgramExpression) -> Iterator[ProgramExpression]:
 
 def expids(e: ProgramExpression) -> frozenset[ProgramId]:
     """All program identifiers mentioned anywhere in the expression."""
-    return frozenset(x.pid for x in leaves(e) if isinstance(x, Id))
+    return frozenset(x for x in leaves(e) if isinstance(x, ProgramId))
 
 
 def _expr_list(t: Term, ctx: ProgramExpression) -> list[ProgramExpression]:
@@ -191,10 +188,10 @@ def expr_from_term(t: Term, ctx: ProgramExpression) -> ProgramExpression:
         raise ExpressionError(f"not a composition expression: {syntax.to_text(t)}")
     if isinstance(t, Str):
         # a bare URL abbreviates the program fetched from it with GET
-        return Id(ProgramId.get(t.value))
+        return ProgramId.get(t.value)
     if isinstance(t, Struct):
         if t.functor == "lw" and len(t.args) == 2:
-            return Id(ProgramId.from_term(t))
+            return ProgramId.from_term(t)
         if t.functor == "+" and len(t.args) == 2:
             return Union(expr_from_term(t.args[0], ctx),
                          expr_from_term(t.args[1], ctx))
@@ -225,8 +222,8 @@ def expr_from_term(t: Term, ctx: ProgramExpression) -> ProgramExpression:
 
 
 def expr_to_term(e: ProgramExpression) -> Term:
-    if isinstance(e, Id):
-        return e.pid.to_term()
+    if isinstance(e, ProgramId):
+        return e.to_term()
     if isinstance(e, EmptyProgram):
         return Atom("empty")
     if isinstance(e, Union):
@@ -333,7 +330,6 @@ def rename_clause(c: Clause) -> Clause:
 class LWProgram:
     id: ProgramId
     clauses: list[Clause]
-    meta: dict = field(default_factory=dict)
 
     def defines(self, name: str, arity: int) -> bool:
         for c in self.clauses:

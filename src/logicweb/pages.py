@@ -129,7 +129,7 @@ def translate_head(resp: HttpResponse) -> LWProgram:
     clauses = _about_clauses(resp)
     clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),))))
     pid = ProgramId.head(resp.requested_url)
-    return LWProgram(pid, clauses, meta={"status": resp.status})
+    return LWProgram(pid, clauses)
 
 
 def translate_page(resp: HttpResponse, method: str = "get",
@@ -159,4 +159,4 @@ def translate_page(resp: HttpResponse, method: str = "get",
             log.warning("dropping embedded clauses of %s: %s", resp.requested_url, exc)
             embedded = []
     clauses.extend(embedded)
-    return LWProgram(pid, clauses, meta={"status": resp.status})
+    return LWProgram(pid, clauses)

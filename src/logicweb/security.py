@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from . import signatures
 from .model import ProgramExpression, ProgramId, expr_text
 from .signatures import KeyStore, UNKNOWN_SIGNER
+from .syntax import read_text
 
 
 class RegistryError(Exception):
@@ -109,7 +110,7 @@ class PolicyRegistry:
         the URL is always the last field."""
         signer_map: dict[str, ProgramId] = {}
         trusted: list[tuple[str, ProgramId]] = []
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -24,6 +24,8 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey, Ed25519PublicKey)
 
+from .syntax import read_text
+
 UNKNOWN_SIGNER = "unknown"
 SIGNED_SUFFIX = ".lwpgp.html"
 
@@ -89,7 +91,7 @@ class KeyStore:
     @classmethod
     def load(cls, path: str | Path) -> "KeyStore":
         ks = cls()
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -155,4 +157,4 @@ def save_private_key(path: str | Path, private_key: bytes) -> None:
 
 
 def load_private_key(path: str | Path) -> bytes:
-    return base64.b64decode(Path(path).read_text(encoding="utf-8").strip())
+    return base64.b64decode(read_text(path).strip())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .terms import (Atom, Num, Str, Struct, Term, Var, fresh_var_id,
                     list_items, make_list)
@@ -20,6 +21,15 @@ class ParseError(Exception):
         super().__init__(f"{message} at line {line}, column {column}")
         self.line = line
         self.column = column
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a local file; a decode error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
 
 
 # ---------------------------------------------------------------- tokens
@@ -143,7 +153,6 @@ PREFIX_OPS: dict[str, tuple[int, str]] = {
 }
 
 CURRENT_CONTEXT_NAME = "(#)"    # atom standing for the calling context
-REDUCE_MARKERS = {"+", "*", "/"}
 
 
 class _Parser:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 _var_ids = itertools.count(1)
 
@@ -122,12 +122,6 @@ class Substitution:
     def __repr__(self) -> str:
         return f"Substitution({self._b!r})"
 
-    def items(self) -> Iterator[tuple[int, Term]]:
-        return iter(self._b.items())
-
-    def lookup(self, v: Var) -> Optional[Term]:
-        return self._b.get(v.id)
-
     def bind(self, v: Var, t: Term) -> "Substitution":
         if isinstance(t, Var) and t.id == v.id:
             return self
@@ -159,10 +153,6 @@ class Substitution:
         triangular, the union of the two maps is then the composition."""
         return Substitution({**other._b, **self._b})
 
-    def project(self, variables) -> dict[str, Term]:
-        """Answer bindings for the given Vars, keyed by display name."""
-        return {v.name: self.apply(v) for v in variables}
-
 
 EMPTY_SUBST = Substitution()
 
@@ -179,14 +169,10 @@ def occurs_in(vid: int, t: Term, s: Substitution) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term, subst: Substitution | None = None,
-          occurs_check: bool = True) -> Optional[Substitution]:
-    """Most general unifier extending `subst`, or None.
-
-    With occurs_check on (the default) the result never contains a cyclic
-    binding. Turning it off is a speed hack; applying a substitution built
-    from genuinely cyclic input will not terminate.
-    """
+def unify(t1: Term, t2: Term,
+          subst: Substitution | None = None) -> Optional[Substitution]:
+    """Most general unifier extending `subst`, or None. The occurs check is
+    always on, so the result never contains a cyclic binding."""
     s = subst if subst is not None else EMPTY_SUBST
     stack = [(t1, t2)]
     while stack:
@@ -198,11 +184,11 @@ def unify(t1: Term, t2: Term, subst: Substitution | None = None,
         if isinstance(a, Var):
             if isinstance(b, Var) and a.id == b.id:
                 continue
-            if occurs_check and occurs_in(a.id, b, s):
+            if occurs_in(a.id, b, s):
                 return None
             s = s.bind(a, b)
         elif isinstance(b, Var):
-            if occurs_check and occurs_in(b.id, a, s):
+            if occurs_in(b.id, a, s):
                 return None
             s = s.bind(b, a)
         elif isinstance(a, Atom) and isinstance(b, Atom):

@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from logicweb.engine import EngineConfig, Session, policy_intersection
+from logicweb.engine import EngineConfig, Session
 from logicweb.fetching import FetchConfig, PageEntry
 from logicweb.guards import Guard, GuardConfig
-from logicweb.model import (Encapsulation, Id, Intersection, LWProgram,
+from logicweb.model import (Encapsulation, Intersection, LWProgram,
                             ProgramExpression, ProgramId, Restriction, Union,
                             parse_goal, parse_program)
 from logicweb.security import PolicyRegistry
@@ -167,7 +167,7 @@ def allows(session: Session, policy_pids: list[ProgramId], call_text: str) -> bo
     """Whether the composed policies admit the system call."""
     term, _ = parse_term_text(call_text)
     return session.engine._prove_isolated(
-        policy_intersection(policy_pids), Struct("valid_systemCall", (term,)))
+        policy_pids, Struct("valid_systemCall", (term,)))
 
 
 # ================================================================ worlds
@@ -261,8 +261,8 @@ def run_world(world: World) -> Session:
 def walk_expr_ids(e: ProgramExpression) -> set[ProgramId]:
     """Recursive identifier collection, written out independently of the
     engine's own traversal."""
-    if isinstance(e, Id):
-        return {e.pid}
+    if isinstance(e, ProgramId):
+        return {e}
     if isinstance(e, (Union, Intersection)):
         return walk_expr_ids(e.left) | walk_expr_ids(e.right)
     if isinstance(e, Restriction):

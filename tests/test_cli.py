@@ -195,6 +195,20 @@ def test_undecodable_registry_is_a_usage_error(site, capsys):
                              *base(site))
     assert (code, out) == (3, "")
     assert err.startswith("error:")
+    assert str(registry) in err
+
+
+def test_empty_url_switch_in_a_page_is_a_usage_error(site, capsys):
+    d, _ = site
+    (d / "empty.html").write_text(
+        '<html><LW_CODE>p :- lw(get, "") #> q.\nr :- "" #> q.\n</LW_CODE></html>\n',
+        encoding="utf-8")
+    for goal in ("p", "r"):
+        code, out, err = run_cli(capsys, "query", SITE + "empty.html", goal,
+                                 "--no-security", *base(site))
+        assert (code, out, err) == (3, "", "error: empty URL\n")
+    code, out, err = run_cli(capsys, "query", "", "p", *base(site))
+    assert (code, out, err) == (3, "", "error: empty URL\n")
 
 
 # ---------------------------------------------------------------- policy-check
@@ -266,6 +280,7 @@ def test_store_list_undecodable_cache_file_is_a_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "store-list", "--store-dir", str(tmp_path))
     assert (code, out) == (3, "")
     assert err.startswith("error:")
+    assert str(tmp_path / "0123456789abcdef.lwp") in err
 
 
 # ---------------------------------------------------------------- signing
@@ -330,3 +345,4 @@ def test_sign_undecodable_page_is_a_usage_error(capsys, tmp_path):
                              "--signer", "bob")
     assert (code, out) == (3, "")
     assert err.startswith("error:")
+    assert str(page) in err

@@ -270,19 +270,6 @@ def test_syscall_audit_records_chain_and_policies():
     assert ev.sigma == (ProgramId.get(PERMISSIVE_URL),)
 
 
-# ---------------------------------------------------------------- config
-
-def test_occurs_check_can_be_disabled():
-    s = sess({MAIN: ""})
-    stream, _ = s.query_text(MAIN, "X = f(X)")
-    assert list(stream) == []
-
-    s2 = sess({MAIN: ""})
-    s2.config.occurs_check = False
-    stream, _ = s2.query_text(MAIN, "X = f(X)")
-    assert sum(1 for _ in stream) == 1
-
-
 # ---------------------------------------------------------------- errors
 
 def test_unbound_goal_is_an_error():
@@ -301,6 +288,14 @@ def test_restricting_by_a_compound_current_context_is_an_error():
     s = sess({MAIN: "", A: f'r :- ("{B}" / (#)) #> true.\n', B: ""})
     with pytest.raises(EngineError, match="restriction"):
         list(solutions(s, MAIN, f'("{A}" + "{B}") #> r'))
+
+
+def test_switch_to_an_empty_url_is_an_error():
+    s = sess({MAIN: 'p :- lw(get, "") #> true.\n'})
+    with pytest.raises(EngineError, match="empty URL"):
+        list(solutions(s, MAIN, "p"))
+    with pytest.raises(EngineError, match="empty URL"):
+        list(solutions(s, MAIN, '"" #> true'))
 
 
 def test_partially_bound_goals_run():

@@ -3,6 +3,7 @@ timeouts, and the ancestor-stack bookkeeping they depend on."""
 
 import pytest
 from conftest import PERMISSIVE_URL, base_pages, make_session, policy_page
+from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (CLAUSE_COUNT_EXCEEDED, DEPTH_EXCEEDED, Guard,
                              GuardConfig, GuardOutcome, GuardTermination,
@@ -131,6 +132,21 @@ def test_timeout_uses_injected_clock():
     out = run(s, "nat(X)")
     assert out.termination.reason == TIMED_OUT
     assert now["t"] <= 5.0
+
+
+def test_solutions_starts_every_query_afresh():
+    # 100 queries of 10 clause applications each: the default budget of 500
+    # holds only because every query starts from zero
+    s = sess({MAIN: "".join(f"n({i}).\n" for i in range(10))})
+    for _ in range(100):
+        assert len(solutions(s, MAIN, "n(X)")) == 10
+
+
+def test_solutions_arms_the_timeout():
+    s = sess({MAIN: ""}, guard=Guard(GuardConfig(timeout_ms=150)))
+    with pytest.raises(GuardTermination) as info:
+        solutions(s, MAIN, "sleep(5000)")
+    assert info.value.reason == TIMED_OUT
 
 
 def test_context_size_cap_reports_loop():

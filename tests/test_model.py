@@ -3,7 +3,7 @@
 import pytest
 
 from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ExpressionError,
-                            Id, Intersection, LWProgram, ProgramId,
+                            Intersection, LWProgram, ProgramId,
                             ProgramStore, Restriction, Union,
                             clause_from_term, clause_text, expids,
                             expr_from_term, expr_text, expr_to_term,
@@ -12,7 +12,7 @@ from logicweb.syntax import parse_term_text
 from logicweb.terms import Atom, Str, Struct
 
 
-ME = Id(ProgramId.get("http://me/"))
+ME = ProgramId.get("http://me/")
 
 
 def expr(text, ctx=EMPTY_PROGRAM):
@@ -66,7 +66,7 @@ def test_expr_from_term_operators():
 
 def test_bare_url_string_abbreviates_get_program():
     e = expr('"http://a.example/page"')
-    assert e == Id(ProgramId.get("http://a.example/page"))
+    assert e == ProgramId.get("http://a.example/page")
 
 
 def test_reduce_forms():
@@ -113,7 +113,7 @@ def test_expids_collects_everything():
 
 
 def test_current_context_resolves_to_the_given_context():
-    a = Id(ProgramId.get("http://a/"))
+    a = ProgramId.get("http://a/")
     assert expr('lw(get, "http://a/") + (#)', ME) == Union(a, ME)
     assert expr('(#)', ME) is ME
     assert expr('(#)') is EMPTY_PROGRAM
@@ -122,7 +122,7 @@ def test_current_context_resolves_to_the_given_context():
 
 
 def test_current_context_rejects_compound_ctx_in_restriction():
-    ctx = Union(Id(ProgramId.get("http://a/")), Id(ProgramId.get("http://b/")))
+    ctx = Union(ProgramId.get("http://a/"), ProgramId.get("http://b/"))
     with pytest.raises(ExpressionError):
         expr('lw(get, "http://c/") / (#)', ctx)
     with pytest.raises(ExpressionError):

@@ -4,7 +4,7 @@ import pytest
 
 from logicweb.engine import Session
 from logicweb.fetching import FetchConfig
-from logicweb.model import Id, LWProgram, ProgramId
+from logicweb.model import LWProgram, ProgramId
 from logicweb.security import (AuditLog, PolicyRegistry, RegistryError,
                                UNKNOWN_SIGNER)
 from logicweb.signatures import KeyStore, generate_keypair, sign_page
@@ -138,7 +138,7 @@ def test_audit_log_collects_and_formats():
     seen = []
     log.listeners.append(seen.append)
     ev = log.emit("syscall", "open(f, read, S)",
-                  chain=(Id(ProgramId.get("http://a/")),),
+                  chain=(ProgramId.get("http://a/"),),
                   sigma=(DEFAULT,))
     assert log.of_kind("syscall") == [ev]
     assert log.of_kind("fetch") == []
