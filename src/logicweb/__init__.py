@@ -7,9 +7,8 @@ evaluated under per-program security policies with resource guards.
 
 from .engine import (Barrier, Engine, EngineConfig, EngineError, Session,
                      Solution, solutions)
-from .fetching import (FetchConfig, FetchError, FetchOutcome, PageEntry,
-                       add_programs, download, fetch_response, load_store,
-                       save_store)
+from .fetching import (FetchConfig, FetchError, PageEntry, add_programs,
+                       download, fetch_response, load_store, save_store)
 from .guards import (EngineHooks, Guard, GuardConfig, GuardOutcome,
                      GuardTermination, check_loop, guarded_solve)
 from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
@@ -19,7 +18,7 @@ from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     expids, expr_from_term, expr_text, expr_to_term,
                     parse_goal, parse_program)
 from .pages import (HttpResponse, LWCodeError, extract_links, extract_lw_code,
-                    translate_head, translate_page)
+                    translate_page)
 from .security import (AuditEvent, AuditLog, PolicyRegistry, RegistryError)
 from .signatures import (KeyStore, SignatureError, SignedPage, authenticate,
                          generate_keypair, is_signed, sign_page, split_signed)

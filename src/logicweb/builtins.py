@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import subprocess
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import syntax
@@ -19,26 +18,18 @@ from .model import ProgramId, clause_from_term, clause_to_term
 from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
                     EMPTY_SUBST, functor_of, list_items, make_list, unify)
 
-
-@dataclass(frozen=True)
-class BuiltinSpec:
-    name: str
-    arity: int
-    impl: Callable
-    note: str
+# (name, arity) -> implementation, called with the arguments and a BuiltinCall
+TABLE: dict[tuple[str, int], Callable] = {}
 
 
-TABLE: dict[tuple[str, int], BuiltinSpec] = {}
-
-
-def _register(name: str, arity: int, note: str):
+def _register(name: str, arity: int):
     def deco(fn):
-        TABLE[(name, arity)] = BuiltinSpec(name, arity, fn, note)
+        TABLE[(name, arity)] = fn
         return fn
     return deco
 
 
-def lookup(t: Term) -> Optional[BuiltinSpec]:
+def lookup(t: Term) -> Optional[Callable]:
     key = functor_of(t)
     return TABLE.get(key) if key else None
 
@@ -46,12 +37,12 @@ def lookup(t: Term) -> Optional[BuiltinSpec]:
 def call_builtin(t: Term, rt) -> Iterator[Substitution]:
     """Type-checked execution of one built-in call. `rt` carries the session
     (store, registry, streams, audit, hooks) and the calling context."""
-    spec = lookup(t)
-    if spec is None:
+    impl = lookup(t)
+    if impl is None:
         rt.notice(f"unknown built-in: {syntax.to_text(t)}")
         return
     args = t.args if isinstance(t, Struct) else ()
-    yield from spec.impl(args, rt)
+    yield from impl(args, rt)
 
 
 # ---------------------------------------------------------------- helpers
@@ -73,8 +64,9 @@ def _proper_list(t: Term) -> Optional[list[Term]]:
 
 # ---------------------------------------------------------------- I/O
 
-@_register("open", 3, "open(File, read|write, Stream): opens a real file")
+@_register("open", 3)
 def _bi_open(args, rt):
+    """open(File, read|write, Stream): opens a real file"""
     fname, mode, stream = args
     path = _text(fname)
     if path is None:
@@ -95,8 +87,9 @@ def _bi_open(args, rt):
     yield EMPTY_SUBST.bind(stream, Struct("$stream", (Num(n),)))
 
 
-@_register("close", 1, "close(Stream)")
+@_register("close", 1)
 def _bi_close(args, rt):
+    """close(Stream)"""
     (stream,) = args
     if (isinstance(stream, Struct) and stream.functor == "$stream"
             and len(stream.args) == 1 and isinstance(stream.args[0], Num)):
@@ -108,8 +101,9 @@ def _bi_close(args, rt):
     rt.notice("close/1: not an open stream")
 
 
-@_register("system", 1, "system(Command): run a shell command, succeed on exit 0")
+@_register("system", 1)
 def _bi_system(args, rt):
+    """system(Command): run a shell command, succeed on exit 0"""
     cmd = _text(args[0])
     if cmd is None:
         rt.notice("system/1: command must be an atom or string")
@@ -123,22 +117,25 @@ def _bi_system(args, rt):
         yield EMPTY_SUBST
 
 
-@_register("display", 1, "display(Term): print in canonical syntax")
+@_register("display", 1)
 def _bi_display(args, rt):
+    """display(Term): print in canonical syntax"""
     print(syntax.to_text(args[0]))
     yield EMPTY_SUBST
 
 
-@_register("report_deletion", 1, "report_deletion(Cmd): flag a deletion to the user")
+@_register("report_deletion", 1)
 def _bi_report_deletion(args, rt):
+    """report_deletion(Cmd): flag a deletion to the user"""
     text = syntax.to_text(args[0])
     rt.session.audit.emit("notice", f"deletion-report {text}")
     print(f"deletion reported: {text}")
     yield EMPTY_SUBST
 
 
-@_register("sleep", 1, "sleep(Millis): cooperative pause, wakes early on guard stop")
+@_register("sleep", 1)
 def _bi_sleep(args, rt):
+    """sleep(Millis): cooperative pause, wakes early on guard stop"""
     if not isinstance(args[0], Num):
         rt.notice("sleep/1: milliseconds must be a number")
         return
@@ -154,8 +151,9 @@ def _bi_sleep(args, rt):
 
 # ---------------------------------------------------------------- store state
 
-@_register("assert", 1, "assert(Clause): extend the calling policy program")
+@_register("assert", 1)
 def _bi_assert(args, rt):
+    """assert(Clause): extend the calling policy program"""
     prog = rt.policy_program()
     if prog is None:
         rt.notice("assert/1: only policy programs may change their clauses")
@@ -168,8 +166,9 @@ def _bi_assert(args, rt):
     yield EMPTY_SUBST
 
 
-@_register("retract", 1, "retract(Clause): remove the first matching clause")
+@_register("retract", 1)
 def _bi_retract(args, rt):
+    """retract(Clause): remove the first matching clause"""
     prog = rt.policy_program()
     if prog is None:
         rt.notice("retract/1: only policy programs may change their clauses")
@@ -185,8 +184,9 @@ def _bi_retract(args, rt):
             return
 
 
-@_register("program_exists", 1, "program_exists(lw(Method, URL))")
+@_register("program_exists", 1)
 def _bi_program_exists(args, rt):
+    """program_exists(lw(Method, URL))"""
     try:
         pid = ProgramId.from_term(args[0])
     except Exception:
@@ -198,8 +198,9 @@ def _bi_program_exists(args, rt):
 
 # ---------------------------------------------------------------- text & lists
 
-@_register("contains", 2, "contains(Text, Sub): substring test")
+@_register("contains", 2)
 def _bi_contains(args, rt):
+    """contains(Text, Sub): substring test"""
     text, sub = _text(args[0]), _text(args[1])
     if text is None or sub is None:
         rt.notice("contains/2: both arguments must be text")
@@ -208,8 +209,9 @@ def _bi_contains(args, rt):
         yield EMPTY_SUBST
 
 
-@_register("append", 3, "append/3 over lists, or strings by concatenation")
+@_register("append", 3)
 def _bi_append(args, rt):
+    """append/3 over lists, or strings by concatenation"""
     a, b, c = args
     if isinstance(a, Str) or isinstance(b, Str) or isinstance(c, Str):
         yield from _append_strings(a, b, c)
@@ -266,8 +268,9 @@ def _append_lists(a, b, c):
     # both open-ended: not needed by any policy we ship
 
 
-@_register("member", 2, "member(X, List): enumerate elements")
+@_register("member", 2)
 def _bi_member(args, rt):
+    """member(X, List): enumerate elements"""
     x, lst = args
     items, _tail = list_items(lst)
     for item in items:
@@ -278,27 +281,31 @@ def _bi_member(args, rt):
 
 # ---------------------------------------------------------------- comparison
 
-@_register("=", 2, "unification")
+@_register("=", 2)
 def _bi_unify(args, rt):
+    """unification"""
     s = unify(args[0], args[1])
     if s is not None:
         yield s
 
 
-@_register("\\=", 2, "not unifiable")
+@_register("\\=", 2)
 def _bi_not_unify(args, rt):
+    """not unifiable"""
     if unify(args[0], args[1]) is None:
         yield EMPTY_SUBST
 
 
-@_register("==", 2, "structural equality")
+@_register("==", 2)
 def _bi_eq(args, rt):
+    """structural equality"""
     if args[0] == args[1]:
         yield EMPTY_SUBST
 
 
-@_register("\\==", 2, "structural inequality")
+@_register("\\==", 2)
 def _bi_neq(args, rt):
+    """structural inequality"""
     if args[0] != args[1]:
         yield EMPTY_SUBST
 
@@ -322,8 +329,9 @@ def _eval_arith(t: Term):
     raise _ArithmeticError(syntax.to_text(t))
 
 
-@_register("is", 2, "is(X, Expr): evaluate +, -, * over numbers")
+@_register("is", 2)
 def _bi_is(args, rt):
+    """is(X, Expr): evaluate +, -, * over numbers"""
     try:
         value = _eval_arith(args[1])
     except _ArithmeticError as exc:
@@ -341,6 +349,7 @@ def _compare(op: str):
     fn = table[op]
 
     def impl(args, rt):
+        """Arithmetic comparison of two evaluated expressions."""
         try:
             lhs, rhs = _eval_arith(args[0]), _eval_arith(args[1])
         except _ArithmeticError as exc:
@@ -352,33 +361,22 @@ def _compare(op: str):
 
 
 for _op in ("<", ">", "=<", ">=", "=:=", "=\\="):
-    TABLE[(_op, 2)] = BuiltinSpec(_op, 2, _compare(_op), f"arithmetic {_op}")
+    TABLE[(_op, 2)] = _compare(_op)
 
 
 # ---------------------------------------------------------------- type tests
 
-@_register("atom", 1, "atom(X)")
-def _bi_atom(args, rt):
-    if isinstance(args[0], Atom):
-        yield EMPTY_SUBST
+def _type_test(kind: type):
+    def impl(args, rt):
+        """Succeeds when the argument is an instance of the named type."""
+        if isinstance(args[0], kind):
+            yield EMPTY_SUBST
+    return impl
 
 
-@_register("var", 1, "var(X)")
-def _bi_var(args, rt):
-    if isinstance(args[0], Var):
-        yield EMPTY_SUBST
-
-
-@_register("number", 1, "number(X)")
-def _bi_number(args, rt):
-    if isinstance(args[0], Num):
-        yield EMPTY_SUBST
-
-
-@_register("string", 1, "string(X)")
-def _bi_string(args, rt):
-    if isinstance(args[0], Str):
-        yield EMPTY_SUBST
+for _name, _kind in (("atom", Atom), ("var", Var), ("number", Num),
+                     ("string", Str)):
+    TABLE[(_name, 1)] = _type_test(_kind)
 
 
 class BuiltinCall:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import syntax
 from .engine import EngineConfig, EngineError, Session
-from .fetching import (FetchConfig, FetchError, download, load_store,
-                       save_store)
+from .fetching import (FetchConfig, FetchError, clear_store, download,
+                       load_store, save_store)
 from .guards import Guard, GuardConfig, guarded_solve
 from .model import (ExpressionError, ProgramId, ProgramStore, clause_text,
                     parse_goal)
@@ -76,6 +76,13 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-context-size", type=int, default=None, metavar="N")
     p.add_argument("--loop-check", action=argparse.BooleanOptionalAction,
                    default=True, help="stop on repeated ancestor goals")
+
+
+def _non_negative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return n
 
 
 def _parse_mounts(specs: list[str]) -> list[tuple[str, Path]]:
@@ -169,17 +176,14 @@ def cmd_trace(args) -> int:
 
 def cmd_fetch(args) -> int:
     session = _build_session(args)
-    if args.method == "head":
-        pid = ProgramId.head(args.url)
-    else:
-        pid = ProgramId.get(args.url)
-    outcome = download(pid, session)
-    _flush_store(session)
-    if not outcome.ok:
-        print(f"fetch failed ({outcome.reason}): {outcome.detail}",
-              file=sys.stderr)
+    try:
+        program = download(ProgramId(args.method, args.url), session)
+    except FetchError as exc:
+        print(f"fetch failed ({exc.reason}): {exc.detail}", file=sys.stderr)
         return EXIT_NO
-    for clause in outcome.program.clauses:
+    finally:
+        _flush_store(session)
+    for clause in program.clauses:
         print(clause_text(clause))
     return EXIT_OK
 
@@ -200,15 +204,20 @@ def cmd_policy_check(args) -> int:
         target = ProgramId.from_term(id_term)
         check = Struct("valid_program", (target.method_term(), Str(target.url)))
 
-    allowed = session.engine._prove_isolated(pids, check)
+    allowed = session._prove_isolated(pids, check)
     print("allow" if allowed else "deny")
     return EXIT_OK if allowed else EXIT_NO
 
 
-def cmd_store_list(args) -> int:
+def _required_store_dir(args) -> str:
     store_dir = args.store_dir or _env("LW_STORE_DIR")
     if not store_dir:
         raise CliError("--store-dir (or $LW_STORE_DIR) is required")
+    return store_dir
+
+
+def cmd_store_list(args) -> int:
+    store_dir = _required_store_dir(args)
     store = ProgramStore()
     registry = PolicyRegistry({"unknown": ProgramId.get("lw:no-policy")})
     load_store(store_dir, store, registry)
@@ -220,18 +229,7 @@ def cmd_store_list(args) -> int:
 
 
 def cmd_store_clear(args) -> int:
-    store_dir = args.store_dir or _env("LW_STORE_DIR")
-    if not store_dir:
-        raise CliError("--store-dir (or $LW_STORE_DIR) is required")
-    root = Path(store_dir)
-    removed = 0
-    if root.is_dir():
-        for path in root.glob("*.lwp"):
-            path.unlink()
-            removed += 1
-        sidecar = root / "_assignments"
-        if sidecar.is_file():
-            sidecar.unlink()
+    removed = clear_store(_required_store_dir(args))
     print(f"removed {removed} cached program(s)")
     return EXIT_OK
 
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("query", help="evaluate a goal against a page's program")
     q.add_argument("url")
     q.add_argument("goal")
-    q.add_argument("--limit", type=int, default=None, metavar="N",
+    q.add_argument("--limit", type=_non_negative, default=None, metavar="N",
                    help="stop after N answers")
     _add_session_args(q)
     q.set_defaults(func=cmd_query)
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", help="run a query, then print the audit trail")
     t.add_argument("url")
     t.add_argument("goal")
-    t.add_argument("--limit", type=int, default=None, metavar="N")
+    t.add_argument("--limit", type=_non_negative, default=None, metavar="N")
     _add_session_args(t)
     t.set_defaults(func=cmd_trace)
 

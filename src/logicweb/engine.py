@@ -56,8 +56,9 @@ class Barrier:
 
 
 class Session:
-    """Everything one interpreter instance owns: store, registry, fetch
-    setup, audit trail, guard hooks, and open streams."""
+    """Everything one interpreter instance owns (store, registry, fetch
+    setup, audit trail, guard hooks, open streams) and the evaluator that
+    runs goals over them."""
 
     def __init__(self, registry: PolicyRegistry,
                  fetch_config: FetchConfig | None = None,
@@ -71,7 +72,6 @@ class Session:
         self.hooks = hooks or EngineHooks()
         self.streams: dict[int, object] = {}
         self._stream_ids = itertools.count(0)
-        self.engine = Engine(self)
 
     def new_stream(self, handle) -> int:
         n = next(self._stream_ids)
@@ -89,18 +89,8 @@ class Session:
         session would: no policies yet, empty starting context. The hooks
         start afresh for every query."""
         self.hooks.start()
-        for s in self.engine.context_switch((), main, goal):
+        for s in self.context_switch((), main, goal):
             yield Solution(s)
-
-    def query_text(self, main_url: str, goal_text: str):
-        """(solutions iterator, query variable map) for a textual goal."""
-        goal, varmap = parse_goal(goal_text)
-        return self.run_query(ProgramId.get(main_url), goal), varmap
-
-
-class Engine:
-    def __init__(self, session: Session):
-        self.session = session
 
     # ------------------------------------------------------------- solve
 
@@ -179,7 +169,7 @@ class Engine:
         # The ancestor stack must mirror the live call path, so the goal is
         # popped while a solution is handed upward (the continuation is not
         # beneath it) and pushed back when backtracking resumes here.
-        hooks = self.session.hooks
+        hooks = self.hooks
         token = hooks.enter_goal(ctx, s.apply(t))
         try:
             inner = Barrier()
@@ -204,7 +194,7 @@ class Engine:
         if isinstance(e, EmptyProgram):
             return
         if isinstance(e, ProgramId):
-            program = self.session.store.get(e)
+            program = self.store.get(e)
             if program is None:
                 return
             for clause in tuple(program.clauses):
@@ -212,7 +202,7 @@ class Engine:
                 s1 = unify(goal, renamed.head, s)
                 if s1 is None:
                     continue
-                self.session.hooks.on_clause_applied()
+                self.hooks.on_clause_applied()
                 yield s1, renamed.head, renamed.body
         elif isinstance(e, Union):
             yield from self.select_clause(sigma, e.left, goal, s, chain)
@@ -232,11 +222,10 @@ class Engine:
             raise EngineError(f"unknown expression node: {e!r}")
 
     def _defined_in(self, head: Term, pid: ProgramId) -> bool:
-        program = self.session.store.get(pid)
-        if program is None:
-            return False
+        program = self.store.get(pid)
         key = functor_of(head)
-        return key is not None and program.defines(*key)
+        return (program is not None and key is not None
+                and program.defines(*key))
 
     # ------------------------------------------------------------- switching
 
@@ -256,8 +245,8 @@ class Engine:
         downloading the programs involved."""
         if barrier is None:
             barrier = Barrier()
-        registry = self.session.registry
-        security = self.session.config.security_enabled
+        registry = self.registry
+        security = self.config.security_enabled
         ids = expids(f)
         ordered = sorted(ids, key=ProgramId.serialize)
         new_ids = [p for p in ordered if not registry.is_policy(p)]
@@ -266,7 +255,7 @@ class Engine:
             if not self._programs_allowed(sigma, new_ids):
                 return
 
-        if not add_programs(self.session, ids, chain, sigma):
+        if not add_programs(self, ids, chain, sigma):
             return
 
         if security:
@@ -280,7 +269,7 @@ class Engine:
             new_sigma = ()
 
         new_chain = chain + (f,)
-        self.session.audit.emit("switch", "context switch", new_chain, new_sigma)
+        self.audit.emit("switch", "context switch", new_chain, new_sigma)
         yield from self.solve(new_sigma, f, goal, s, new_chain, barrier)
 
     def _programs_allowed(self, sigma: PolicySet, pids: list[ProgramId]) -> bool:
@@ -312,7 +301,7 @@ class Engine:
             return
         if not self._prove_isolated(sigma, Struct("valid_systemCall", (g,))):
             return
-        self.session.audit.emit("syscall", syntax.to_text(g), chain, sigma)
+        self.audit.emit("syscall", syntax.to_text(g), chain, sigma)
         run = Struct("call_system", (g,))
         for s_inner in self.context_switch((), sigma[-1], run):
             yield s.compose(s_inner)
@@ -320,8 +309,8 @@ class Engine:
     def _run_builtin(self, ctx, g: Term, s, chain):
         """Run the built-in `g` directly, with no policy active, and merge
         each of its answers into `s`."""
-        self.session.audit.emit("syscall", syntax.to_text(g), chain, ())
-        rt = bi.BuiltinCall(self.session, ctx)
+        self.audit.emit("syscall", syntax.to_text(g), chain, ())
+        rt = bi.BuiltinCall(self, ctx)
         for delta in bi.call_builtin(g, rt):
             yield s.compose(delta)
 
@@ -343,14 +332,14 @@ class Engine:
         yield from self._run_builtin(ctx, target, s, chain)
 
 
+Engine = Session  # bench/tracer.py patches the evaluator through this name
+
+
 def solutions(session: Session, main_url: str, goal_text: str,
               limit: int | None = None) -> list[dict[str, Term]]:
     """Convenience: answer bindings for the goal's variables, in order."""
-    stream, varmap = session.query_text(main_url, goal_text)
+    goal, varmap = parse_goal(goal_text)
     qvars = list(varmap.values())
-    out = []
-    for sol in stream:
-        out.append({v.name: sol.subst.apply(v) for v in qvars})
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    stream = session.run_query(ProgramId.get(main_url), goal)
+    return [{v.name: sol.subst.apply(v) for v in qvars}
+            for sol in itertools.islice(stream, limit)]

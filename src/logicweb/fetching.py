@@ -2,8 +2,8 @@
 
 Besides live http(s), URLs can resolve offline: an in-memory page table
 (tests), a `file://` root, or mount points mapping URL prefixes onto fixture
-directories. A download that cannot produce a program yields a Bottom
-outcome naming what went wrong; the store is left untouched in that case.
+directories. A download that cannot produce a program raises FetchError
+naming what went wrong; the store is left untouched in that case.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 from urllib.parse import unquote, urlsplit
 
 from .model import LWProgram, ProgramId, parse_program
-from .pages import HttpResponse, translate_head, translate_page
+from .pages import HttpResponse, translate_page
 
 log = logging.getLogger(__name__)
 
@@ -41,18 +41,9 @@ class PageEntry:
     headers: list[tuple[str, str]] | None = None
 
 
-@dataclass(frozen=True)
-class FetchOutcome:
-    program: Optional[LWProgram]
-    reason: Optional[str] = None      # network | status | translate
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.program is not None
-
-
 class FetchError(Exception):
+    """`reason` is network, status or translate."""
+
     def __init__(self, reason: str, detail: str):
         super().__init__(f"{reason}: {detail}")
         self.reason = reason
@@ -109,54 +100,49 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
 def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
     import requests
 
-    session = requests.Session()
-    session.max_redirects = MAX_REDIRECTS
-    try:
-        resp = session.get(url, timeout=cfg.timeout, allow_redirects=True)
-    except requests.RequestException as exc:
-        raise FetchError("network", str(exc)) from exc
+    with requests.Session() as http:
+        http.max_redirects = MAX_REDIRECTS
+        try:
+            resp = http.get(url, timeout=cfg.timeout, allow_redirects=True)
+        except requests.RequestException as exc:
+            raise FetchError("network", str(exc)) from exc
     if resp.status_code != 200:
         raise FetchError("status", f"status {resp.status_code} for {url}")
     return HttpResponse(url, resp.url, resp.status_code,
                         list(resp.headers.items()), resp.text)
 
 
-def download(pid: ProgramId, session, chain=(), sigma=()) -> FetchOutcome:
-    """Install the program named by `pid`, fetching unless already cached.
+def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
+    """Install and return the program named by `pid`, fetching unless
+    already cached; raises FetchError when there is no program.
 
     A cache hit is silent; an actual retrieval leaves a fetch event in the
     audit log before any bytes move."""
     cached = session.store.get(pid)
     if cached is not None:
-        return FetchOutcome(cached)
+        return cached
 
     session.audit.emit("fetch", pid.serialize(), tuple(chain), tuple(sigma))
+    resp = fetch_response(pid.url, session.fetch_config)
     try:
-        resp = fetch_response(pid.url, session.fetch_config)
-    except FetchError as exc:
-        log.info("fetch failed for %s: %s", pid.serialize(), exc)
-        return FetchOutcome(None, exc.reason, exc.detail)
-
-    try:
-        if pid.method == "head":
-            program = translate_head(resp)
-        else:
-            program = translate_page(resp, pid.method, pid.post_fields)
+        program = translate_page(resp, pid)
     except Exception as exc:
-        log.info("translation failed for %s: %s", pid.serialize(), exc)
-        return FetchOutcome(None, "translate", str(exc))
+        raise FetchError("translate", str(exc)) from exc
 
     session.store.install(program)
     session.registry.assign_policy(pid, resp.body)
     session.hooks.on_program_created(pid)
-    return FetchOutcome(program)
+    return program
 
 
 def add_programs(session, pids, chain=(), sigma=()) -> bool:
     """Bring every named program into the store; True only if all present.
     Ids are handled in serialized order so fetch traffic is deterministic."""
     for pid in sorted(set(pids), key=ProgramId.serialize):
-        download(pid, session, chain, sigma)
+        try:
+            download(pid, session, chain, sigma)
+        except FetchError as exc:
+            log.info("fetch failed for %s: %s", pid.serialize(), exc)
     return all(pid in session.store for pid in pids)
 
 
@@ -172,21 +158,17 @@ def _program_filename(pid: ProgramId) -> str:
 
 def save_store(dirpath: str | Path, store, registry) -> None:
     """One file per program: serialized id on the first line, clause text
-    after. Policy assignments live in a sidecar map file."""
+    after. Policy assignments live in a sidecar map file. A store only
+    grows, so no file already there needs deleting."""
     from .model import clause_text
 
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
-    keep = set()
     for program in store.programs():
-        name = _program_filename(program.id)
-        keep.add(name)
         lines = [program.id.serialize()]
         lines += [clause_text(c) for c in program.clauses]
-        (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for old in root.glob("*.lwp"):
-        if old.name not in keep:
-            old.unlink()
+        (root / _program_filename(program.id)).write_text(
+            "\n".join(lines) + "\n", encoding="utf-8")
     assign_lines = [f"{pid.serialize()}\t{pol.serialize()}"
                     for pid, pol in registry.program_to_policy.items()]
     (root / _ASSIGN_FILE).write_text("\n".join(assign_lines) + "\n", encoding="utf-8")
@@ -212,3 +194,16 @@ def load_store(dirpath: str | Path, store, registry) -> None:
             pid = ProgramId.from_term(parse_term_text(left)[0])
             pol = ProgramId.from_term(parse_term_text(right)[0])
             registry.assign(pid, pol)
+
+
+def clear_store(dirpath: str | Path) -> int:
+    """Delete the cached programs and the assignment map; returns how many
+    programs were removed."""
+    root = Path(dirpath)
+    if not root.is_dir():
+        return 0
+    programs = list(root.glob("*.lwp"))
+    for path in programs:
+        path.unlink()
+    (root / _ASSIGN_FILE).unlink(missing_ok=True)
+    return len(programs)

@@ -9,6 +9,7 @@ session remains usable afterwards.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -162,10 +163,8 @@ def guarded_solve(session, main, goal, limit: int | None = None) -> GuardOutcome
     whatever answers arrived first."""
     outcome = GuardOutcome()
     try:
-        for sol in session.run_query(main, goal):
+        for sol in itertools.islice(session.run_query(main, goal), limit):
             outcome.solutions.append(sol)
-            if limit is not None and len(outcome.solutions) >= limit:
-                break
     except GuardTermination as exc:
         outcome.termination = exc
         session.audit.emit("notice", f"query aborted: {exc.message}")

@@ -15,8 +15,8 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from . import syntax
-from .terms import (TRUE_ATOM, Atom, Str, Struct, Term, Var, make_list,
-                    list_items, rename_apart)
+from .terms import (TRUE_ATOM, Atom, Str, Struct, Term, Var, functor_of,
+                    make_list, list_items, rename_apart)
 
 
 class ExpressionError(ValueError):
@@ -286,12 +286,8 @@ def clause_from_term(t: Term) -> Clause:
         head, body = t.args
     else:
         head, body = t, Atom("true")
-    key = None
-    if isinstance(head, Atom):
-        key = head.name
-    elif isinstance(head, Struct):
-        key = head.functor
-    if key is None or key in RESERVED_HEADS:
+    key = functor_of(head)
+    if key is None or key[0] in RESERVED_HEADS:
         raise ExpressionError(f"illegal clause head: {syntax.to_text(head)}")
     check_body(body)
     return Clause(head, body)
@@ -332,18 +328,11 @@ class LWProgram:
     clauses: list[Clause]
 
     def defines(self, name: str, arity: int) -> bool:
-        for c in self.clauses:
-            if isinstance(c.head, Atom) and arity == 0 and c.head.name == name:
-                return True
-            if (isinstance(c.head, Struct) and c.head.functor == name
-                    and len(c.head.args) == arity):
-                return True
-        return False
+        return any(functor_of(c.head) == (name, arity) for c in self.clauses)
 
 
 class ProgramStore:
-    """Downloaded programs, keyed by identifier. Grows monotonically during
-    evaluation; removal happens only through explicit administration."""
+    """Downloaded programs, keyed by identifier. The store only grows."""
 
     def __init__(self):
         self._programs: dict[ProgramId, LWProgram] = {}
@@ -360,12 +349,6 @@ class ProgramStore:
     def install(self, program: LWProgram) -> None:
         """Idempotent: an already-present id keeps its stored program."""
         self._programs.setdefault(program.id, program)
-
-    def remove(self, pid: ProgramId) -> None:
-        self._programs.pop(pid, None)
-
-    def ids(self) -> frozenset[ProgramId]:
-        return frozenset(self._programs)
 
     def programs(self) -> Iterator[LWProgram]:
         return iter(self._programs.values())

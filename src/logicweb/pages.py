@@ -120,43 +120,26 @@ def extract_links(html: str) -> list[tuple[str, str]]:
     return scanner.links
 
 
-def _about_clauses(resp: HttpResponse) -> list[Clause]:
-    return [Clause(Struct("about", (Str(name.lower()), Str(value))))
-            for name, value in resp.headers]
-
-
-def translate_head(resp: HttpResponse) -> LWProgram:
-    clauses = _about_clauses(resp)
+def translate_page(resp: HttpResponse, pid: ProgramId) -> LWProgram:
+    """The program named by `pid` from its response: header facts and the
+    final URL, then for GET and POST the identity, page text, links and
+    embedded clauses."""
+    clauses = [Clause(Struct("about", (Str(name.lower()), Str(value))))
+               for name, value in resp.headers]
     clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),))))
-    pid = ProgramId.head(resp.requested_url)
-    return LWProgram(pid, clauses)
-
-
-def translate_page(resp: HttpResponse, method: str = "get",
-                   post_fields: tuple[tuple[str, str], ...] = ()) -> LWProgram:
-    """Full translation of a GET or POST response body."""
-    if method == "post":
-        pid = ProgramId.post(resp.requested_url, post_fields)
-    else:
-        pid = ProgramId.get(resp.requested_url)
+    if pid.method == "head":
+        return LWProgram(pid, clauses)
 
     clause_text, page_text = extract_lw_code(resp.body)
-
-    clauses = _about_clauses(resp)
-    clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),))))
-    clauses.append(Clause(
-        Struct("my_id", (pid.method_term(), Str(resp.requested_url)))))
+    clauses.append(Clause(Struct("my_id", (pid.method_term(), Str(pid.url)))))
     clauses.append(Clause(Struct("h_text", (Str(page_text),))))
     for label, href in extract_links(page_text):
         absolute = urljoin(resp.final_url, href)
         clauses.append(Clause(Struct("link", (Str(label), Str(absolute)))))
 
-    embedded: list[Clause] = []
     if clause_text.strip():
         try:
-            embedded = parse_program(clause_text)
+            clauses.extend(parse_program(clause_text))
         except Exception as exc:
             log.warning("dropping embedded clauses of %s: %s", resp.requested_url, exc)
-            embedded = []
-    clauses.extend(embedded)
     return LWProgram(pid, clauses)

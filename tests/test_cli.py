@@ -94,6 +94,24 @@ def test_limit_truncates(site, capsys):
     assert out.splitlines() == ["X = 1"]
 
 
+def test_limit_zero_prints_nothing_exit_one(site, capsys):
+    code, out, _ = run_cli(capsys, "query", SITE + "index.html", "p(X)",
+                           "--limit", "0", *base(site))
+    assert (code, out) == (1, "")
+
+
+def test_negative_limit_is_a_usage_error(site, capsys):
+    for command in ("query", "trace"):
+        with pytest.raises(SystemExit) as info:
+            main([command, SITE + "index.html", "p(X)", "--limit", "-1",
+                  *base(site)])
+        assert info.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--limit" in err and "must not be negative" in err
+        assert "Traceback" not in err
+
+
 def test_guard_stop_exit_two(site, capsys):
     code, out, err = run_cli(capsys, "query", SITE + "index.html", "loop",
                              *base(site))
@@ -169,6 +187,18 @@ def test_fetch_prints_the_translated_program(site, capsys):
     assert 'my_id(get, "http://site.test/index.html").' in out
     assert 'link("Other page", "http://site.test/other.html").' in out
     assert "p(1)." in out
+
+
+def test_fetch_head_prints_only_the_header_facts(site, capsys):
+    d, _ = site
+    size = len((d / "index.html").read_bytes())
+    code, out, _ = run_cli(capsys, "fetch", SITE + "index.html",
+                           "--method", "head", *base(site))
+    assert code == 0
+    assert out.splitlines() == [
+        'about("content-type", "text/html").',
+        f'about("content-length", "{size}").',
+        f'actual_url("{SITE}index.html").']
 
 
 def test_fetch_failure(site, capsys):

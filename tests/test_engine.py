@@ -327,3 +327,10 @@ def test_goal_reached_through_a_variable_runs_like_the_written_body(security):
     assert pairs(f'G = (member(X, [1, 2, 3]), X > 1, !, "{A}" #> q(Y)), G') \
         == expected
     assert q(s, f'switch_via("{A}", X)') == ["5", "6"]
+
+
+def test_solutions_limit_zero_returns_no_answers():
+    s = sess({MAIN: "p(1).\np(2).\n"})
+    assert solutions(s, MAIN, "p(X)", limit=0) == []
+    first = solutions(s, MAIN, "p(X)", limit=1)
+    assert [to_text(b["X"]) for b in first] == ["1"]

@@ -5,6 +5,7 @@ from conftest import HOME_URL, PERMISSIVE_URL, make_session
 from logicweb.fetching import (FetchConfig, FetchError, PageEntry,
                                add_programs, download, fetch_response,
                                load_store, save_store)
+from logicweb.engine import solutions
 from logicweb.model import ProgramId, clause_text
 
 
@@ -72,9 +73,8 @@ def test_mounts_longest_prefix_and_index(tmp_path):
 def test_download_installs_and_assigns(pages):
     session = make_session(pages)
     pid = ProgramId.get(HOME_URL)
-    out = download(pid, session)
-    assert out.program is not None
-    assert pid in session.store
+    program = download(pid, session)
+    assert program is session.store.get(pid)
     assert session.registry.pol(pid) == ProgramId.get(PERMISSIVE_URL)
     fetches = session.audit.of_kind("fetch")
     assert [e.detail for e in fetches] == [pid.serialize()]
@@ -86,15 +86,17 @@ def test_download_cache_hit_is_silent(pages):
     download(pid, session)
     before = len(session.audit.events)
     again = download(pid, session)
-    assert again.program is session.store.get(pid)
+    assert again is session.store.get(pid)
     assert len(session.audit.events) == before
 
 
 def test_download_failure_reports_reason(pages):
     session = make_session(pages)
-    out = download(ProgramId.get("http://unlisted.example/"), session)
-    assert out.program is None
-    assert out.reason == "network"
+    pid = ProgramId.get("http://unlisted.example/")
+    with pytest.raises(FetchError) as info:
+        download(pid, session)
+    assert info.value.reason == "network"
+    assert pid not in session.store
     # the attempt still left a fetch event
     assert len(session.audit.of_kind("fetch")) == 1
 
@@ -134,7 +136,8 @@ def test_store_round_trip(tmp_path, pages):
 
     fresh = make_session(pages)
     load_store(tmp_path, fresh.store, fresh.registry)
-    assert set(fresh.store.ids()) == set(session.store.ids())
+    assert ({p.id for p in fresh.store.programs()}
+            == {p.id for p in session.store.programs()})
     pid = ProgramId.get(HOME_URL)
     old = [clause_text(c) for c in session.store.get(pid).clauses]
     new = [clause_text(c) for c in fresh.store.get(pid).clauses]
@@ -154,25 +157,59 @@ def test_load_store_marks_assigned_policies(tmp_path, pages):
     assert session.registry.is_policy(pol)
 
 
-def test_save_store_prunes_removed_programs(tmp_path, pages):
-    session = make_session(pages)
-    pid = ProgramId.get(HOME_URL)
-    download(pid, session)
-    save_store(tmp_path, session.store, session.registry)
-    assert list(tmp_path.glob("*.lwp"))
-
-    session.store.remove(pid)
-    save_store(tmp_path, session.store, session.registry)
-    assert not list(tmp_path.glob("*.lwp"))
-
-
 def test_undecodable_fixture_page_fails_the_download(tmp_path, pages):
     (tmp_path / "bad.html").write_bytes(b"<html>\xff p(1).</html>")
     session = make_session(pages, security=False)
     session.fetch_config.mounts.append(("http://mounted.example/", tmp_path))
     pid = ProgramId.get("http://mounted.example/bad.html")
-    out = download(pid, session)
-    assert (out.program, out.reason) == (None, "status")
+    with pytest.raises(FetchError) as info:
+        download(pid, session)
+    assert info.value.reason == "status"
     assert pid not in session.store
-    stream, _ = session.query_text(pid.url, "p(X)")
-    assert list(stream) == []
+    assert solutions(session, pid.url, "p(X)") == []
+
+
+def test_http_fetch_closes_its_connection_pool(monkeypatch, pages):
+    requests = pytest.importorskip("requests")
+    closed = []
+
+    class Response:
+        status_code = 200
+        url = "http://live.example/final"
+        headers = {"Server": "stub"}
+        text = "<LW_CODE>p(1).</LW_CODE>"
+
+    class StubSession(requests.Session):
+        """Answers from memory; nothing leaves the process."""
+        refuse = False
+
+        def get(self, url, **kwargs):
+            if self.refuse:
+                raise requests.ConnectionError("refused")
+            return Response()
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", StubSession)
+    cfg = FetchConfig(allow_network=True)
+    resp = fetch_response("http://live.example/", cfg)
+    assert (resp.final_url, resp.body) == (Response.url, Response.text)
+    assert len(closed) == 1
+
+    StubSession.refuse = True
+    with pytest.raises(FetchError) as info:
+        fetch_response("http://live.example/other", cfg)
+    assert info.value.reason == "network"
+    assert len(closed) == 2
+
+    StubSession.refuse = False
+    session = make_session(pages, security=False)
+    session.fetch_config.allow_network = True
+    program = download(ProgramId.get("http://live.example/"), session)
+    texts = [clause_text(c) for c in program.clauses]
+    assert texts[:2] == ['about("server", "stub").',
+                         'actual_url("http://live.example/final").']
+    assert texts[-1] == "p(1)."
+    assert len(closed) == 3

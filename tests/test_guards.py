@@ -182,6 +182,13 @@ def test_guarded_solve_limit_short_circuits():
     assert not out.terminated
 
 
+def test_guarded_solve_limit_zero_returns_no_answers():
+    s = sess({MAIN: "p(1).\np(2).\n"})
+    out = run(s, "p(X)", limit=0)
+    assert out.solutions == []
+    assert not out.terminated
+
+
 def test_abort_leaves_an_audit_notice():
     s = sess({MAIN: "loop :- loop.\n"})
     run(s, "loop")

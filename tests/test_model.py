@@ -201,14 +201,6 @@ def test_store_install_is_idempotent():
     assert store.get(pid) is first
 
 
-def test_store_remove():
-    store = ProgramStore()
-    pid = ProgramId.get("http://x/")
-    store.install(LWProgram(pid, []))
-    store.remove(pid)
-    assert pid not in store
-
-
 def test_program_defines():
     prog = LWProgram(ProgramId.get("http://x/"),
                      parse_program("f(a).\ng(X) :- f(X)."))

@@ -2,9 +2,9 @@
 
 import pytest
 
-from logicweb.model import clause_text
+from logicweb.model import ProgramId, clause_text
 from logicweb.pages import (HttpResponse, LWCodeError, extract_links,
-                            extract_lw_code, translate_head, translate_page)
+                            extract_lw_code, translate_page)
 from logicweb.syntax import to_text
 
 
@@ -60,7 +60,10 @@ def test_extract_links_unclosed_final_anchor():
     assert extract_links('<a href="http://a/">dangling') == [("dangling", "http://a/")]
 
 
-def _resp(body, url="http://site.example/page", final=None, headers=None):
+PAGE = "http://site.example/page"
+
+
+def _resp(body, url=PAGE, final=None, headers=None):
     return HttpResponse(requested_url=url, final_url=final or url,
                         status=200, headers=headers or [], body=body)
 
@@ -68,7 +71,8 @@ def _resp(body, url="http://site.example/page", final=None, headers=None):
 def test_translate_page_fact_order():
     body = ('<html><a href="other.html">Other</a>'
             "<LW_CODE><!-- f(a). --></LW_CODE></html>")
-    prog = translate_page(_resp(body, headers=[("Content-Type", "text/html")]))
+    prog = translate_page(_resp(body, headers=[("Content-Type", "text/html")]),
+                          ProgramId.get(PAGE))
     texts = [clause_text(c) for c in prog.clauses]
     assert texts[0] == 'about("content-type", "text/html").'
     assert texts[1] == 'actual_url("http://site.example/page").'
@@ -79,7 +83,8 @@ def test_translate_page_fact_order():
 
 
 def test_h_text_excludes_code_blocks():
-    prog = translate_page(_resp("visible<LW_CODE>f(a).</LW_CODE>"))
+    prog = translate_page(_resp("visible<LW_CODE>f(a).</LW_CODE>"),
+                          ProgramId.get(PAGE))
     h_text = next(c for c in prog.clauses if c.head.functor == "h_text")
     assert "visible" in h_text.head.args[0].value
     assert "f(a)" not in h_text.head.args[0].value
@@ -88,14 +93,15 @@ def test_h_text_excludes_code_blocks():
 def test_links_resolve_against_final_url():
     body = '<a href="doc.html">Doc</a>'
     prog = translate_page(_resp(body, url="http://old.example/x",
-                                final="http://new.example/dir/y"))
+                                final="http://new.example/dir/y"),
+                          ProgramId.get("http://old.example/x"))
     link = next(c for c in prog.clauses if c.head.functor == "link")
     assert to_text(link.head.args[1]) == '"http://new.example/dir/doc.html"'
 
 
 def test_post_translation_id():
-    prog = translate_page(_resp("<LW_CODE>f(a).</LW_CODE>"), method="post",
-                          post_fields=(("q", "1"),))
+    prog = translate_page(_resp("<LW_CODE>f(a).</LW_CODE>"),
+                          ProgramId.post(PAGE, [("q", "1")]))
     assert prog.id.method == "post"
     assert prog.id.post_fields == (("q", "1"),)
     my_id = next(c for c in prog.clauses if c.head.functor == "my_id")
@@ -105,16 +111,17 @@ def test_post_translation_id():
 def test_bad_embedded_clauses_are_dropped(caplog):
     body = "<LW_CODE>f(a. broken</LW_CODE>"
     with caplog.at_level("WARNING"):
-        prog = translate_page(_resp(body))
+        prog = translate_page(_resp(body), ProgramId.get(PAGE))
     names = {c.head.functor for c in prog.clauses}
     assert "f" not in names
     assert "h_text" in names
     assert any("dropping embedded clauses" in r.message for r in caplog.records)
 
 
-def test_translate_head_facts_only():
-    prog = translate_head(_resp("ignored body",
-                                headers=[("Server", "demo")]))
+def test_head_translation_is_header_facts_only():
+    prog = translate_page(_resp("<LW_CODE>f(a).</LW_CODE>",
+                                headers=[("Server", "demo")]),
+                          ProgramId.head(PAGE))
     texts = [clause_text(c) for c in prog.clauses]
     assert texts == ['about("server", "demo").',
                      'actual_url("http://site.example/page").']
