@@ -16,7 +16,8 @@ from typing import Callable, Iterator, Optional
 from . import syntax
 from .model import ProgramId, clause_from_term, clause_to_term
 from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
-                    EMPTY_SUBST, functor_of, list_items, make_list, unify)
+                    EMPTY_SUBST, functor_of, list_items, make_list,
+                    rename_apart, unify)
 
 # (name, arity) -> implementation, called with the arguments and a BuiltinCall
 TABLE: dict[tuple[str, int], Callable] = {}
@@ -159,10 +160,12 @@ def _bi_assert(args, rt):
         rt.notice("assert/1: only policy programs may change their clauses")
         return
     try:
-        prog.clauses.append(clause_from_term(args[0]))
+        # a copy, so the stored clause shares no variable with the caller
+        clause = clause_from_term(rename_apart(args[0]))
     except Exception as exc:
         rt.notice(f"assert/1: {exc}")
         return
+    prog.clauses += (clause,)
     yield EMPTY_SUBST
 
 
@@ -179,7 +182,7 @@ def _bi_retract(args, rt):
     for i, clause in enumerate(prog.clauses):
         s = unify(pattern, clause_to_term(clause))
         if s is not None:
-            del prog.clauses[i]
+            prog.clauses = prog.clauses[:i] + prog.clauses[i + 1:]
             yield s
             return
 

@@ -17,7 +17,7 @@ from . import syntax
 from .engine import EngineConfig, EngineError, Session
 from .fetching import (FetchConfig, FetchError, clear_store, download,
                        load_store, save_store)
-from .guards import Guard, GuardConfig, guarded_solve
+from .guards import Guard, GuardConfig, GuardTermination, guarded_solve
 from .model import (ExpressionError, ProgramId, ProgramStore, clause_text,
                     parse_goal)
 from .security import PolicyRegistry, RegistryError
@@ -25,7 +25,6 @@ from .signatures import (SIGNED_SUFFIX, KeyStore, SignatureError,
                          generate_keypair, load_private_key,
                          save_private_key, sign_page)
 from .syntax import ParseError, parse_term_text, read_text
-from .terms import Str, Struct
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -144,7 +143,7 @@ def _flush_store(session: Session) -> None:
 
 # ------------------------------------------------------------------ commands
 
-def cmd_query(args, trace: bool = False) -> int:
+def cmd_query(args) -> int:
     session = _build_session(args)
     try:
         goal, varmap = parse_goal(args.goal)
@@ -161,17 +160,13 @@ def cmd_query(args, trace: bool = False) -> int:
                             for v in qvars))
         else:
             print("true")
-    if trace:
+    if args.trace:
         for line in session.audit.lines():
             print(line)
     if outcome.terminated:
         print(f"stopped: {outcome.termination.message}", file=sys.stderr)
         return EXIT_STOPPED
     return EXIT_OK if outcome.solutions else EXIT_NO
-
-
-def cmd_trace(args) -> int:
-    return cmd_query(args, trace=True)
 
 
 def cmd_fetch(args) -> int:
@@ -198,13 +193,10 @@ def cmd_policy_check(args) -> int:
 
     if args.call:
         term, _ = parse_term_text(args.call)
-        check = Struct("valid_systemCall", (term,))
+        allowed = session._call_allowed(pids, term)
     else:
         id_term, _ = parse_term_text(args.program)
-        target = ProgramId.from_term(id_term)
-        check = Struct("valid_program", (target.method_term(), Str(target.url)))
-
-    allowed = session._prove_isolated(pids, check)
+        allowed = session._programs_allowed(pids, [ProgramId.from_term(id_term)])
     print("allow" if allowed else "deny")
     return EXIT_OK if allowed else EXIT_NO
 
@@ -270,20 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Run goals against logic programs on the web.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    q = sub.add_parser("query", help="evaluate a goal against a page's program")
-    q.add_argument("url")
-    q.add_argument("goal")
-    q.add_argument("--limit", type=_non_negative, default=None, metavar="N",
-                   help="stop after N answers")
-    _add_session_args(q)
-    q.set_defaults(func=cmd_query)
-
-    t = sub.add_parser("trace", help="run a query, then print the audit trail")
-    t.add_argument("url")
-    t.add_argument("goal")
-    t.add_argument("--limit", type=_non_negative, default=None, metavar="N")
-    _add_session_args(t)
-    t.set_defaults(func=cmd_trace)
+    for name, trace, text in (
+            ("query", False, "evaluate a goal against a page's program"),
+            ("trace", True, "run a query, then print the audit trail")):
+        q = sub.add_parser(name, help=text)
+        q.add_argument("url")
+        q.add_argument("goal")
+        q.add_argument("--limit", type=_non_negative, default=None, metavar="N",
+                       help="stop after N answers")
+        _add_session_args(q)
+        q.set_defaults(func=cmd_query, trace=trace)
 
     f = sub.add_parser("fetch", help="download one page and print its program")
     f.add_argument("url")
@@ -336,6 +324,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except GuardTermination as exc:
+        print(f"stopped: {exc.message}", file=sys.stderr)
+        return EXIT_STOPPED
     except (RegistryError, SignatureError, ParseError, EngineError,
             ExpressionError, FetchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

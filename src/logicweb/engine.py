@@ -135,13 +135,16 @@ class Session:
                     and isinstance(t.args[0], Atom)
                     and t.args[0].name == "built_ins"):
                 yield from self._builtin_qualified(sigma, ctx, t.args[1], s, chain)
-                # fall through: a page could, pointlessly, define ':'/2 clauses
+                return
         if not isinstance(t, (Atom, Struct)):
             raise EngineError(f"goal is not callable: {t!r}")
 
+        # A built-in goal is a system call and nothing else: clauses a page
+        # writes for a built-in's name and arity are never selected.
         if bi.lookup(t) is not None:
             yield from self._system_call(sigma, ctx, t, s, chain)
-        yield from self._user_call(sigma, ctx, t, s, chain)
+        else:
+            yield from self._user_call(sigma, ctx, t, s, chain)
 
     def _disjunction(self, sigma, ctx, t, s, chain, barrier):
         lhs, rhs = t.args
@@ -170,14 +173,15 @@ class Session:
         # popped while a solution is handed upward (the continuation is not
         # beneath it) and pushed back when backtracking resumes here.
         hooks = self.hooks
-        token = hooks.enter_goal(ctx, s.apply(t))
+        g = s.apply(t)
+        token = hooks.enter_goal(ctx, g)
         try:
             inner = Barrier()
-            for s1, _head, body in self.select_clause(sigma, ctx, t, s, chain):
+            for s1, body in self.select_clause(sigma, ctx, t, s, chain):
                 for s2 in self.solve(sigma, ctx, body, s1, chain, inner):
                     hooks.exit_goal(token)
                     yield s2
-                    token = hooks.enter_goal(ctx, s.apply(t))
+                    token = hooks.enter_goal(ctx, g)
                 if inner.cut:
                     break
         finally:
@@ -188,44 +192,43 @@ class Session:
     def select_clause(self, sigma, e: ProgramExpression, goal: Term,
                       s: Substitution = EMPTY_SUBST,
                       chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,)
-                      ) -> Iterator[tuple[Substitution, Term, Term]]:
+                      ) -> Iterator[tuple[Substitution, Term]]:
         """Clauses of the composition `e` whose head unifies with `goal`,
-        as (extended substitution, renamed head, body) triples."""
+        as (extended substitution, renamed body) pairs. A program's clauses
+        are a tuple that `assert` and `retract` replace, never edit, so a
+        selection walks the clauses as they stood when it began (the
+        logical update view)."""
         if isinstance(e, EmptyProgram):
             return
         if isinstance(e, ProgramId):
             program = self.store.get(e)
             if program is None:
                 return
-            for clause in tuple(program.clauses):
+            for clause in program.clauses:
                 renamed = rename_clause(clause)
                 s1 = unify(goal, renamed.head, s)
                 if s1 is None:
                     continue
                 self.hooks.on_clause_applied()
-                yield s1, renamed.head, renamed.body
+                yield s1, renamed.body
         elif isinstance(e, Union):
             yield from self.select_clause(sigma, e.left, goal, s, chain)
             yield from self.select_clause(sigma, e.right, goal, s, chain)
         elif isinstance(e, Intersection):
-            for s1, h1, b1 in self.select_clause(sigma, e.left, goal, s, chain):
-                for s2, _h2, b2 in self.select_clause(sigma, e.right, goal, s1, chain):
-                    yield s2, h1, Struct(",", (b1, b2))
+            for s1, b1 in self.select_clause(sigma, e.left, goal, s, chain):
+                for s2, b2 in self.select_clause(sigma, e.right, goal, s1, chain):
+                    yield s2, Struct(",", (b1, b2))
         elif isinstance(e, Restriction):
-            for s1, h1, b1 in self.select_clause(sigma, e.expr, goal, s, chain):
-                if not self._defined_in(h1, e.prog):
-                    yield s1, h1, b1
+            # every selected head unifies with the goal, so it has the
+            # goal's functor: the filter hides all of them or none
+            hidden = self.store.get(e.prog)
+            if hidden is None or not hidden.defines(*functor_of(goal)):
+                yield from self.select_clause(sigma, e.expr, goal, s, chain)
         elif isinstance(e, Encapsulation):
             for s1 in self.solve(sigma, e.expr, goal, s, chain, Barrier()):
-                yield s1, s1.apply(goal), TRUE_ATOM
+                yield s1, TRUE_ATOM
         else:
             raise EngineError(f"unknown expression node: {e!r}")
-
-    def _defined_in(self, head: Term, pid: ProgramId) -> bool:
-        program = self.store.get(pid)
-        key = functor_of(head)
-        return (program is not None and key is not None
-                and program.defines(*key))
 
     # ------------------------------------------------------------- switching
 
@@ -282,6 +285,10 @@ class Session:
                       reversed(checks))
         return self._prove_isolated(sigma, goal)
 
+    def _call_allowed(self, sigma: PolicySet, g: Term) -> bool:
+        """Every active policy must accept the system call `g`."""
+        return self._prove_isolated(sigma, Struct("valid_systemCall", (g,)))
+
     def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term) -> bool:
         """One solution of `goal` in the composition where every given
         policy must agree (the encapsulated policies, intersected left to
@@ -299,7 +306,7 @@ class Session:
         if not sigma:
             yield from self._run_builtin(ctx, g, s, chain)
             return
-        if not self._prove_isolated(sigma, Struct("valid_systemCall", (g,))):
+        if not self._call_allowed(sigma, g):
             return
         self.audit.emit("syscall", syntax.to_text(g), chain, sigma)
         run = Struct("call_system", (g,))

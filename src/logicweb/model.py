@@ -325,7 +325,10 @@ def rename_clause(c: Clause) -> Clause:
 @dataclass
 class LWProgram:
     id: ProgramId
-    clauses: list[Clause]
+    clauses: tuple[Clause, ...]   # replaced whole by assert/retract, never edited
+
+    def __post_init__(self):
+        self.clauses = tuple(self.clauses)
 
     def defines(self, name: str, arity: int) -> bool:
         return any(functor_of(c.head) == (name, arity) for c in self.clauses)

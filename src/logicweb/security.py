@@ -83,12 +83,9 @@ class PolicyRegistry:
                     return pid
         if signatures.is_signed(url):
             signer = signatures.authenticate(contents, self.keystore)
-            got = self.signer_to_policy.get(signer)
-            if got is not None:
-                return got
-            # a verified signer nobody registered a policy for: fall back
-            # to the untrusted default rather than wedging the download
-            return self.default_policy
+            # a signer nobody registered a policy for gets the untrusted
+            # default rather than wedging the download
+            return self.signer_to_policy.get(signer, self.default_policy)
         return self.default_policy
 
     def assign_policy(self, pid: ProgramId, contents: str) -> Optional[ProgramId]:

@@ -97,27 +97,16 @@ def tokenize(text: str) -> list[Token]:
         kind = m.lastgroup
         tok_text = m.group()
         col = pos - line_start + 1
-        if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "num":
-            val = float(tok_text) if "." in tok_text else int(tok_text)
-            tokens.append(Token("NUM", tok_text, line, col, val))
-        elif kind == "name":
-            tokens.append(Token("NAME", tok_text, line, col, tok_text))
-        elif kind == "var":
-            tokens.append(Token("VAR", tok_text, line, col, tok_text))
-        elif kind == "str":
-            tokens.append(Token("STR", tok_text, line, col, _unescape(tok_text[1:-1], line, col)))
-        elif kind == "qatom":
-            tokens.append(Token("QATOM", tok_text, line, col, _unescape(tok_text[1:-1], line, col)))
-        elif kind == "op":
-            tokens.append(Token("OP", tok_text, line, col, tok_text))
-        elif kind == "punct":
-            tokens.append(Token("PUNCT", tok_text, line, col, tok_text))
-        elif kind == "end":
-            # a '.' between digits was already eaten by the number rule;
-            # any '.' reaching here ends a clause
-            tokens.append(Token("END", ".", line, col))
+        if kind == "num":
+            value = float(tok_text) if "." in tok_text else int(tok_text)
+        elif kind in ("str", "qatom"):
+            value = _unescape(tok_text[1:-1], line, col)
+        else:
+            # a '.' between digits was already eaten by the number rule, so
+            # an END token always ends a clause
+            value = tok_text
+        if kind not in ("ws", "comment"):
+            tokens.append(Token(kind.upper(), tok_text, line, col, value))
         newlines = tok_text.count("\n")
         if newlines:
             line += newlines
@@ -367,9 +356,7 @@ def to_text(t: Term, max_prec: int = 1200) -> str:
         prec, fixity = INFIX_OPS[t.functor]
         lp = prec if fixity == "yfx" else prec - 1
         rp = prec if fixity == "xfy" else prec - 1
-        sep = t.functor if t.functor == "," else f" {t.functor} "
-        if t.functor == ",":
-            sep = ", "
+        sep = ", " if t.functor == "," else f" {t.functor} "
         body = f"{to_text(t.args[0], lp)}{sep}{to_text(t.args[1], rp)}"
         return body if prec <= max_prec else f"({body})"
     args = ", ".join(to_text(a, 999) for a in t.args)

@@ -39,6 +39,14 @@ class Atom(Term):
 class Num(Term):
     value: int | float
 
+    # 1 and 1.0 do not unify, so they are not equal either
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Num) and self.value == other.value
+                and type(self.value) is type(other.value))
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
+
 
 @dataclass(frozen=True, slots=True)
 class Str(Term):
@@ -195,7 +203,7 @@ def unify(t1: Term, t2: Term,
             if a.name != b.name:
                 return None
         elif isinstance(a, Num) and isinstance(b, Num):
-            if a.value != b.value or type(a.value) is not type(b.value):
+            if a != b:
                 return None
         elif isinstance(a, Str) and isinstance(b, Str):
             if a.value != b.value:

@@ -166,8 +166,7 @@ def policy_session(policy_pages: dict[str, str]) -> tuple[Session, dict[str, Pro
 def allows(session: Session, policy_pids: list[ProgramId], call_text: str) -> bool:
     """Whether the composed policies admit the system call."""
     term, _ = parse_term_text(call_text)
-    return session._prove_isolated(
-        policy_pids, Struct("valid_systemCall", (term,)))
+    return session._call_allowed(policy_pids, term)
 
 
 # ================================================================ worlds

@@ -151,6 +151,11 @@ def test_unify_and_friends(open_session):
     assert run(open_session, "f(a) == f(a)") == [{}]
     assert run(open_session, "X == Y") == []
     assert len(run(open_session, "X \\== Y")) == 1
+    # an integer and a float neither unify nor compare equal
+    assert run(open_session, "1 == 1.0") == []
+    assert run(open_session, "f(1) == f(1.0)") == []
+    assert run(open_session, "1 \\== 1.0") == [{}]
+    assert run(open_session, "1 =:= 1.0") == [{}]
 
 
 def test_unify_respects_occurs_check(open_session):
@@ -196,6 +201,34 @@ def test_passthrough_policy_owns_asserted_clauses(pages):
     got = solutions(session, HOME_URL,
                     f'lw(get, "{PERMISSIVE_URL}") #> marker(X)')
     assert got == [{"X": Num(1)}]
+
+
+def test_assert_stores_a_copy(pages):
+    # the stored clause shares no variable with the caller's goal
+    session = make_session(pages)
+    for goal in ("assert(c(X)), retract(c(5))",
+                 "assert(c(X)), assert(d(X)), retract(c(Y)), Y = 3"):
+        (got,) = solutions(session, HOME_URL, goal)
+        assert isinstance(got["X"], Var)
+
+
+def test_selection_keeps_the_clauses_it_started_with(pages):
+    clauses = ("p(1).\np(2).\n"
+               "valid_program(_, _).\n"
+               "valid_systemCall(_).\n"
+               "call_system(G) :- built_ins:call_builtin(G).\n")
+    url = "http://policies.example.org/growing.html"
+    from conftest import policy_page
+    pages = dict(pages)
+    pages[url] = PageEntry(policy_page("Growing", clauses))
+    session = make_session(pages, default_policy=url)
+
+    def in_policy(goal):
+        got = solutions(session, HOME_URL, f'lw(get, "{url}") #> ({goal})')
+        return [b["X"].value for b in got]
+
+    assert in_policy("p(X), assert(p(9))") == [1, 2]
+    assert in_policy("p(X)") == [1, 2, 9, 9]
 
 
 def test_stateful_policy_counter(pages):

@@ -241,6 +241,13 @@ def test_empty_url_switch_in_a_page_is_a_usage_error(site, capsys):
     assert (code, out, err) == (3, "", "error: empty URL\n")
 
 
+def test_fetch_over_the_program_budget_stops(site, capsys):
+    code, out, err = run_cli(capsys, "fetch", SITE + "index.html",
+                             "--max-programs", "0", "--no-security", *base(site))
+    assert (code, out) == (2, "")
+    assert err == "stopped: maximum LogicWeb program count exceeded\n"
+
+
 # ---------------------------------------------------------------- policy-check
 
 def test_policy_check_composes_policies(site, capsys):
@@ -267,6 +274,14 @@ def test_policy_check_program_ids(site, capsys):
                            "--program", 'lw(get, "http://anywhere.example/")',
                            *common)
     assert (code, out.strip()) == (0, "allow")
+
+
+def test_policy_check_over_the_program_budget_stops(site, capsys):
+    code, out, err = run_cli(capsys, "policy-check", SITE + "perm.html",
+                             "--call", 'contains("a", "a")',
+                             "--max-programs", "0", *base(site))
+    assert (code, out) == (2, "")
+    assert err == "stopped: maximum LogicWeb program count exceeded\n"
 
 
 # ---------------------------------------------------------------- store

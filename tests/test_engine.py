@@ -334,3 +334,18 @@ def test_solutions_limit_zero_returns_no_answers():
     assert solutions(s, MAIN, "p(X)", limit=0) == []
     first = solutions(s, MAIN, "p(X)", limit=1)
     assert [to_text(b["X"]) for b in first] == ["1"]
+
+
+def test_a_builtin_goal_runs_once_under_encapsulation(capsys):
+    s = sess({MAIN: "", A: "p(1).\n"}, security=True)
+    assert count(s, f'@"{A}" #> contains("ab", "a")') == 1
+    s.audit.events.clear()
+    assert count(s, f'@"{A}" #> display(hello)') == 1
+    assert capsys.readouterr().out == "hello\n"
+    # one vetted call, and one direct run inside the policy
+    assert len(s.audit.of_kind("syscall")) == 2
+
+
+def test_page_clauses_for_a_builtin_are_never_selected():
+    s = sess({MAIN: "member(X, _) :- X = extra.\n"})
+    assert q(s, "member(X, [a, b])") == ["a", "b"]

@@ -85,6 +85,14 @@ def test_depth_allows_exactly_the_limit():
     assert run(s2, "d0").termination.reason == DEPTH_EXCEEDED
 
 
+def test_builtin_goals_take_no_depth():
+    s = sess({MAIN: "leaf(X) :- X is 1 + 1.\n"},
+             guard=Guard(GuardConfig(max_depth=1)))
+    out = run(s, "leaf(X)")
+    assert not out.terminated
+    assert len(out.solutions) == 1
+
+
 def test_clause_budget_resets_per_query():
     churn = ("t(0).\n" + "\n".join(
         f"t({i}) :- t({i - 1}), t({i - 1})." for i in range(1, 9)) + "\n")
