@@ -9,6 +9,7 @@ just fails, optionally leaving a notice in the audit log.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import time
 from typing import Callable, Iterator, Optional
@@ -329,7 +330,7 @@ def _eval_arith(t: Term):
         return lhs * rhs
     if isinstance(t, Struct) and t.functor == "-" and len(t.args) == 1:
         return -_eval_arith(t.args[0])
-    raise _ArithmeticError(syntax.to_text(t))
+    raise _ArithmeticError(f"not arithmetic: {syntax.to_text(t)}")
 
 
 @_register("is", 2)
@@ -337,8 +338,12 @@ def _bi_is(args, rt):
     """is(X, Expr): evaluate +, -, * over numbers"""
     try:
         value = _eval_arith(args[1])
-    except _ArithmeticError as exc:
-        rt.notice(f"is/2: not arithmetic: {exc}")
+    except (_ArithmeticError, OverflowError) as exc:
+        rt.notice(f"is/2: {exc}")
+        return
+    if isinstance(value, float) and not math.isfinite(value):
+        # no text reads back as an infinity, so none may be stored
+        rt.notice(f"is/2: non-finite result: {syntax.to_text(args[1])}")
         return
     s = unify(args[0], Num(value))
     if s is not None:
@@ -355,8 +360,8 @@ def _compare(op: str):
         """Arithmetic comparison of two evaluated expressions."""
         try:
             lhs, rhs = _eval_arith(args[0]), _eval_arith(args[1])
-        except _ArithmeticError as exc:
-            rt.notice(f"{op}: not arithmetic: {exc}")
+        except (_ArithmeticError, OverflowError) as exc:
+            rt.notice(f"{op}: {exc}")
             return
         if fn(lhs, rhs):
             yield EMPTY_SUBST

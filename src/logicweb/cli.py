@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import syntax
@@ -49,6 +50,10 @@ def _env(name: str) -> str | None:
 
 # ------------------------------------------------------------- session setup
 
+_GUARD_HELP = {"timeout_ms": "abort the query after N milliseconds",
+               "loop_check": "stop on repeated ancestor goals"}
+
+
 def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--registry", metavar="FILE",
                    help="policy registry (or $LW_REGISTRY)")
@@ -66,15 +71,17 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
                    help="honour trusted-prefix lines in the registry")
     p.add_argument("--offline", action="store_true",
                    help="never touch the network")
-    p.add_argument("--http-timeout", type=float, default=10.0, metavar="SECS")
-    p.add_argument("--timeout-ms", type=int, default=None, metavar="MS",
-                   help="abort the query after MS milliseconds")
-    p.add_argument("--max-depth", type=int, default=40, metavar="N")
-    p.add_argument("--max-clauses", type=int, default=500, metavar="N")
-    p.add_argument("--max-programs", type=int, default=100, metavar="N")
-    p.add_argument("--max-context-size", type=int, default=None, metavar="N")
-    p.add_argument("--loop-check", action=argparse.BooleanOptionalAction,
-                   default=True, help="stop on repeated ancestor goals")
+    p.add_argument("--http-timeout", type=float, default=FetchConfig.timeout,
+                   metavar="SECS")
+    # one flag per guard setting, named and defaulted by GuardConfig
+    for f in fields(GuardConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action=argparse.BooleanOptionalAction,
+                           default=f.default, help=_GUARD_HELP.get(f.name))
+        else:
+            p.add_argument(flag, type=int, default=f.default, metavar="N",
+                           help=_GUARD_HELP.get(f.name))
 
 
 def _non_negative(text: str) -> int:
@@ -106,7 +113,7 @@ def _build_session(args) -> Session:
     elif security:
         raise CliError("a policy registry is required unless --no-security is given")
     else:
-        # never consulted for decisions, but downloads still record an owner
+        # never consulted: a run without security records no policies
         placeholder = ProgramId.get("lw:no-policy")
         registry = PolicyRegistry({"unknown": placeholder}, keystore=keystore)
 
@@ -118,19 +125,17 @@ def _build_session(args) -> Session:
         allow_network=not args.offline,
     )
     config = EngineConfig(security_enabled=security)
-    guard = Guard(GuardConfig(
-        max_depth=args.max_depth,
-        loop_check=args.loop_check,
-        max_clauses=args.max_clauses,
-        max_programs=args.max_programs,
-        timeout_ms=args.timeout_ms,
-        max_context_size=args.max_context_size,
-    ))
+    guard = Guard(GuardConfig(**{f.name: getattr(args, f.name)
+                                 for f in fields(GuardConfig)}))
     session = Session(registry, fetch_cfg, config, hooks=guard)
 
     store_dir = args.store_dir or _env("LW_STORE_DIR")
     if store_dir:
         load_store(store_dir, session.store, session.registry)
+        if security:
+            # programs cached by a run without security have no policy yet
+            for program in session.store.programs():
+                session.registry.assign_policy(program.id, "")
         session._cli_store_dir = store_dir
     return session
 

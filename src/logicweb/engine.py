@@ -82,7 +82,8 @@ class Session:
         """Place a program in the store without fetching, assigning it a
         policy the way a download would."""
         self.store.install(program)
-        self.registry.assign_policy(program.id, "")
+        if self.config.security_enabled:
+            self.registry.assign_policy(program.id, "")
 
     def run_query(self, main: ProgramId, goal: Term) -> Iterator[Solution]:
         """Evaluate `goal` against the program at `main`, the way a browser
@@ -245,14 +246,15 @@ class Session:
                        chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,),
                        barrier: Barrier | None = None) -> Iterator[Substitution]:
         """Move the derivation into the composition `f`, after vetting and
-        downloading the programs involved."""
+        downloading the programs involved. The programs are taken in the
+        order the expression names them, and their policies enter the set
+        in that order."""
         if barrier is None:
             barrier = Barrier()
         registry = self.registry
         security = self.config.security_enabled
         ids = expids(f)
-        ordered = sorted(ids, key=ProgramId.serialize)
-        new_ids = [p for p in ordered if not registry.is_policy(p)]
+        new_ids = [p for p in ids if not registry.is_policy(p)]
 
         if security and sigma and new_ids:
             if not self._programs_allowed(sigma, new_ids):
@@ -262,12 +264,8 @@ class Session:
             return
 
         if security:
-            fresh = []
-            for pid in new_ids:
-                pol = registry.pol(pid)
-                if pol not in fresh and pol not in sigma:
-                    fresh.append(pol)
-            new_sigma: PolicySet = tuple(fresh) + tuple(sigma)
+            fresh = dict.fromkeys(registry.pol(p) for p in new_ids)
+            new_sigma: PolicySet = tuple(p for p in fresh if p not in sigma) + sigma
         else:
             new_sigma = ()
 

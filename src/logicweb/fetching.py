@@ -20,7 +20,6 @@ from .pages import HttpResponse, translate_page
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TIMEOUT = 10.0
 MAX_REDIRECTS = 5
 
 
@@ -29,7 +28,7 @@ class FetchConfig:
     pages: dict[str, "PageEntry"] = field(default_factory=dict)
     fixture_root: Optional[Path] = None
     mounts: list[tuple[str, Path]] = field(default_factory=list)
-    timeout: float = DEFAULT_TIMEOUT
+    timeout: float = 10.0
     allow_network: bool = True
 
 
@@ -117,7 +116,8 @@ def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
     already cached; raises FetchError when there is no program.
 
     A cache hit is silent; an actual retrieval leaves a fetch event in the
-    audit log before any bytes move."""
+    audit log before any bytes move. The program's policy is recorded only
+    when security is on, so an unsecured run leaves no assignment behind."""
     cached = session.store.get(pid)
     if cached is not None:
         return cached
@@ -130,15 +130,16 @@ def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
         raise FetchError("translate", str(exc)) from exc
 
     session.store.install(program)
-    session.registry.assign_policy(pid, resp.body)
+    if session.config.security_enabled:
+        session.registry.assign_policy(pid, resp.body)
     session.hooks.on_program_created(pid)
     return program
 
 
 def add_programs(session, pids, chain=(), sigma=()) -> bool:
-    """Bring every named program into the store; True only if all present.
-    Ids are handled in serialized order so fetch traffic is deterministic."""
-    for pid in sorted(set(pids), key=ProgramId.serialize):
+    """Bring every named program into the store, in the order given; True
+    only if all are present. A failed fetch does not stop the ones after it."""
+    for pid in pids:
         try:
             download(pid, session, chain, sigma)
         except FetchError as exc:

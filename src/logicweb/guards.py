@@ -69,8 +69,9 @@ class GuardConfig:
     max_programs: Optional[int] = 100
     timeout_ms: Optional[int] = None
     # a cap on context size catches the loops the ancestor check cannot,
-    # where the context keeps growing; off unless set
-    max_context_size: Optional[int] = None
+    # where the context keeps growing (a context that doubles at every
+    # level would otherwise take exponential time to walk)
+    max_context_size: Optional[int] = 100
 
 
 def context_size(ctx) -> int:

@@ -159,9 +159,10 @@ def leaves(e: ProgramExpression) -> Iterator[ProgramExpression]:
         yield e
 
 
-def expids(e: ProgramExpression) -> frozenset[ProgramId]:
-    """All program identifiers mentioned anywhere in the expression."""
-    return frozenset(x for x in leaves(e) if isinstance(x, ProgramId))
+def expids(e: ProgramExpression) -> tuple[ProgramId, ...]:
+    """The program identifiers of the expression, each once, in left-to-right
+    leaf order: the order a context switch vets and fetches them in."""
+    return tuple(dict.fromkeys(x for x in leaves(e) if isinstance(x, ProgramId)))
 
 
 def _expr_list(t: Term, ctx: ProgramExpression) -> list[ProgramExpression]:

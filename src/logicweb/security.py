@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import signatures
 from .model import ProgramExpression, ProgramId, expr_text
@@ -150,19 +150,16 @@ class AuditEvent:
 
 
 class AuditLog:
-    """Always-on in-memory event trail with optional live listeners."""
+    """Always-on in-memory event trail."""
 
     def __init__(self):
         self.events: list[AuditEvent] = []
-        self.listeners: list[Callable[[AuditEvent], None]] = []
 
     def emit(self, kind: str, detail: str,
              chain: tuple[ProgramExpression, ...] = (),
              sigma: tuple[ProgramId, ...] = ()) -> AuditEvent:
         ev = AuditEvent(time.time(), kind, detail, chain, sigma)
         self.events.append(ev)
-        for listen in self.listeners:
-            listen(ev)
         return ev
 
     def lines(self) -> list[str]:

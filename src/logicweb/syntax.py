@@ -8,6 +8,7 @@ composition operators `+  *  /  @  <>  #>` plus the current-context marker
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +53,7 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<comment>%[^\n]*)
-    | (?P<num>\d+\.\d+|\d+)
+    | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<name>[a-z][A-Za-z0-9_]*)
     | (?P<var>[A-Z_][A-Za-z0-9_]*)
     | (?P<str>"(?:\\.|[^"\\])*")
@@ -98,7 +99,9 @@ def tokenize(text: str) -> list[Token]:
         tok_text = m.group()
         col = pos - line_start + 1
         if kind == "num":
-            value = float(tok_text) if "." in tok_text else int(tok_text)
+            value = int(tok_text) if tok_text.isdigit() else float(tok_text)
+            if value == math.inf:   # float() reads a too-large literal as inf
+                raise ParseError(f"number out of range: {tok_text}", line, col)
         elif kind in ("str", "qatom"):
             value = _unescape(tok_text[1:-1], line, col)
         else:
@@ -343,11 +346,6 @@ def to_text(t: Term, max_prec: int = 1200) -> str:
         if isinstance(tail, Atom) and tail.name == "[]":
             return f"[{inner}]"
         return f"[{inner}|{to_text(tail, 999)}]"
-    if t.functor == "<>" and len(t.args) == 2 and isinstance(t.args[0], Atom):
-        marker, rhs = t.args
-        if isinstance(rhs, Struct) and rhs.functor == "," and len(rhs.args) == 2:
-            return f"({marker.name})<>({to_text(rhs.args[0], 999)}, {to_text(rhs.args[1], 999)})"
-        return f"({marker.name})<>{to_text(rhs, 0)}"
     if t.functor == "@" and len(t.args) == 1:
         prec, _ = PREFIX_OPS["@"]
         body = f"@{to_text(t.args[0], prec)}"

@@ -115,17 +115,8 @@ class Substitution:
     def __init__(self, bindings: dict[int, Term] | None = None):
         self._b: dict[int, Term] = bindings or {}
 
-    def __len__(self) -> int:
-        return len(self._b)
-
-    def __bool__(self) -> bool:
-        return bool(self._b)
-
     def __contains__(self, v: Var) -> bool:
         return v.id in self._b
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Substitution) and self._b == other._b
 
     def __repr__(self) -> str:
         return f"Substitution({self._b!r})"

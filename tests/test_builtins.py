@@ -121,6 +121,8 @@ def test_member(open_session):
 
 # ---------------------------------------------------------------- arithmetic
 
+HUGE = "1" + "0" * 400      # an int too large to convert to a float
+
 def test_is_evaluates(open_session):
     assert run(open_session, "X is 2 + 3 * 4") == [{"X": Num(14)}]
     assert run(open_session, "X is 7 - 2 - 1") == [{"X": Num(4)}]
@@ -128,6 +130,11 @@ def test_is_evaluates(open_session):
     assert run(open_session, "5 is 2 + 2") == []
     assert run(open_session, "X is foo + 1") == []
     assert run(open_session, "X is Y + 1") == []
+    # no text reads back as an infinity, so is/2 refuses to make one
+    assert run(open_session, "X is 1.0e300 * 1.0e300") == []
+    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    assert notes[-1] == "is/2: non-finite result: 1e+300 * 1e+300"
+    assert run(open_session, f"X is 1.0 + {HUGE}") == []
 
 
 def test_comparisons(open_session):
@@ -138,6 +145,11 @@ def test_comparisons(open_session):
     assert run(open_session, "2 + 1 =:= 3") == [{}]
     assert run(open_session, "2 =\\= 3") == [{}]
     assert run(open_session, "a < b") == []
+    assert run(open_session, f"1.0 + {HUGE} > 1") == []
+
+
+def test_sleep_completes(open_session):
+    assert run(open_session, "sleep(30)") == [{}]
 
 
 # ---------------------------------------------------------------- terms

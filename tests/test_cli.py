@@ -303,6 +303,22 @@ def test_store_persists_between_invocations(site, capsys, tmp_path):
     assert out == ""
 
 
+def test_unsecured_run_leaves_the_store_usable_for_a_secured_one(
+        site, capsys, tmp_path):
+    d, _ = site
+    sd = ["--store-dir", str(tmp_path / "cache")]
+    code, out, _ = run_cli(capsys, "query", SITE + "index.html", "greet(X)",
+                           "--mount", f"{SITE}={d}", "--offline",
+                           "--no-security", *sd)
+    assert (code, out.splitlines()) == (0, ["X = hi", "X = bye"])
+
+    code, out, _ = run_cli(capsys, "query", SITE + "index.html", "greet(X)",
+                           *base(site), *sd)
+    assert (code, out.splitlines()) == (0, ["X = hi", "X = bye"])
+    code, out, _ = run_cli(capsys, "store-list", *sd)
+    assert f"policy={SITE}perm.html" in out
+
+
 def test_store_dir_from_environment(site, capsys, tmp_path, monkeypatch):
     sd = tmp_path / "cache"
     run_cli(capsys, "query", SITE + "index.html", "p(1)",

@@ -2,7 +2,8 @@
 security-mode differences in switching and system calls."""
 
 import pytest
-from conftest import PERMISSIVE_URL, base_pages, make_session, policy_page
+from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
+                      make_session, policy_page)
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
 from logicweb.model import ProgramId
@@ -268,6 +269,25 @@ def test_syscall_audit_records_chain_and_policies():
     assert ev.detail == 'contains("ab", "a")'
     assert len(ev.chain) == 2
     assert ev.sigma == (ProgramId.get(PERMISSIVE_URL),)
+
+
+def test_a_switch_takes_its_programs_in_expression_order():
+    """B is named first, so it is fetched first and its policy enters the
+    set first, although A's id prints first."""
+    pol_a = ProgramId.get("http://policies.example.org/pol-a.html")
+    pol_b = ProgramId.get("http://policies.example.org/pol-b.html")
+    s = sess({MAIN: "", A: "g.\n", B: "g.\n",
+              pol_a.url: PERMISSIVE_CLAUSES, pol_b.url: PERMISSIVE_CLAUSES},
+             security=True)
+    s.registry.assign(ProgramId.get(A), pol_a)
+    s.registry.assign(ProgramId.get(B), pol_b)
+
+    assert count(s, f'(lw(get, "{B}") + lw(get, "{A}")) #> g') == 2
+    fetched = [ev.detail for ev in s.audit.of_kind("fetch")]
+    b_text, a_text = ProgramId.get(B).serialize(), ProgramId.get(A).serialize()
+    assert fetched.index(b_text) < fetched.index(a_text)
+    last = s.audit.of_kind("switch")[-1]
+    assert last.sigma == (pol_b, pol_a, ProgramId.get(PERMISSIVE_URL))
 
 
 # ---------------------------------------------------------------- errors

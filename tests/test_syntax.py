@@ -46,6 +46,10 @@ def test_parse_numbers():
     assert parse("42") == Num(42)
     assert parse("-7") == Num(-7)
     assert parse("3.5") == Num(3.5)
+    assert parse("1.5e-07") == Num(1.5e-07)
+    assert parse("1e+16") == Num(1e16)
+    with pytest.raises(ParseError):
+        parse("1e999")
 
 
 def test_variables_share_within_one_term():
@@ -171,10 +175,12 @@ def test_print_parenthesizes_by_precedence():
 
 # ---------------------------------------------------------------- round trip
 
-_ATOMS = st.sampled_from(["a", "b", "foo", "hello world", "x_1"])
+_ATOMS = st.sampled_from(["a", "b", "foo", "hello world", "x_1",
+                          "-", "+", "(#)", "[]"])
 _SIMPLE = st.one_of(
     _ATOMS.map(Atom),
     st.integers(min_value=-99, max_value=99).map(Num),
+    st.floats(allow_nan=False, allow_infinity=False).map(Num),
     st.text(alphabet="abc \n\"\\", max_size=6).map(Str),
     st.sampled_from(["X", "Y", "Zed"]).map(lambda n: Var(n, -ord(n[0]))),
 )
@@ -185,7 +191,8 @@ def _trees(depth=2):
         return _SIMPLE
     return st.one_of(
         _SIMPLE,
-        st.tuples(st.sampled_from(["f", "g", "lw", "some_pred"]),
+        st.tuples(st.sampled_from(["f", "g", "lw", "some_pred",
+                                   "<>", "+", "#>", "@"]),
                   st.lists(_trees(depth - 1), min_size=1, max_size=3))
         .map(lambda fa: Struct(fa[0], tuple(fa[1]))),
     )
