@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import subprocess
+import sys
 import time
 from typing import Callable, Iterator, Optional
 
@@ -166,7 +167,7 @@ def _bi_assert(args, rt):
     except Exception as exc:
         rt.notice(f"assert/1: {exc}")
         return
-    prog.clauses += (clause,)
+    prog.replace(prog.clauses + (clause,))
     yield EMPTY_SUBST
 
 
@@ -183,7 +184,7 @@ def _bi_retract(args, rt):
     for i, clause in enumerate(prog.clauses):
         s = unify(pattern, clause_to_term(clause))
         if s is not None:
-            prog.clauses = prog.clauses[:i] + prog.clauses[i + 1:]
+            prog.replace(prog.clauses[:i] + prog.clauses[i + 1:])
             yield s
             return
 
@@ -344,6 +345,12 @@ def _bi_is(args, rt):
     if isinstance(value, float) and not math.isfinite(value):
         # no text reads back as an infinity, so none may be stored
         rt.notice(f"is/2: non-finite result: {syntax.to_text(args[1])}")
+        return
+    # nor an integer the printer refuses (the bit count screens it cheaply)
+    limit = sys.get_int_max_str_digits()
+    if (isinstance(value, int) and limit and value.bit_length() > 3 * limit
+            and abs(value) >= 10 ** limit):
+        rt.notice(f"is/2: integer result too long to print: over {limit} digits")
         return
     s = unify(args[0], Num(value))
     if s is not None:

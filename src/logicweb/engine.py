@@ -195,8 +195,9 @@ class Session:
                       chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,)
                       ) -> Iterator[tuple[Substitution, Term]]:
         """Clauses of the composition `e` whose head unifies with `goal`,
-        as (extended substitution, renamed body) pairs. A program's clauses
-        are a tuple that `assert` and `retract` replace, never edit, so a
+        as (extended substitution, renamed body) pairs. A program renames
+        and tries only the clauses its first-argument index gives, from
+        tuples that `assert` and `retract` replace, never edit, so a
         selection walks the clauses as they stood when it began (the
         logical update view)."""
         if isinstance(e, EmptyProgram):
@@ -205,7 +206,7 @@ class Session:
             program = self.store.get(e)
             if program is None:
                 return
-            for clause in program.clauses:
+            for clause in program.candidates(goal, s):
                 renamed = rename_clause(clause)
                 s1 = unify(goal, renamed.head, s)
                 if s1 is None:

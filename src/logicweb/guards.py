@@ -88,6 +88,8 @@ class Guard(EngineHooks):
         self.clauses_applied = 0
         self.programs_created = 0
         self.deadline: Optional[float] = None
+        # contexts are immutable: a size stays valid while the object does
+        self._sized: tuple[object, int] = (None, 0)
 
     @property
     def depth(self) -> int:
@@ -110,9 +112,11 @@ class Guard(EngineHooks):
         self.check_now()
         if self.config.loop_check and check_loop(self.ancestors, ctx, goal):
             self._stop(LOOP_FOUND)
-        if (self.config.max_context_size is not None
-                and context_size(ctx) > self.config.max_context_size):
-            self._stop(LOOP_FOUND)
+        if self.config.max_context_size is not None:
+            if self._sized[0] is not ctx:
+                self._sized = (ctx, context_size(ctx))
+            if self._sized[1] > self.config.max_context_size:
+                self._stop(LOOP_FOUND)
         token = len(self.ancestors)
         self.ancestors.append((ctx, goal))
         if (self.config.max_depth is not None

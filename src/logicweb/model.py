@@ -15,8 +15,8 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from . import syntax
-from .terms import (TRUE_ATOM, Atom, Str, Struct, Term, Var, functor_of,
-                    make_list, list_items, rename_apart)
+from .terms import (TRUE_ATOM, Atom, Str, Struct, Substitution, Term, Var,
+                    functor_of, make_list, list_items, rename_apart)
 
 
 class ExpressionError(ValueError):
@@ -323,16 +323,53 @@ def rename_clause(c: Clause) -> Clause:
 
 # ---------------------------------------------------------------- the store
 
+def first_arg_key(t: Term):
+    """Index key of a first argument: an atom, number or string is its own
+    (`Num` keeps 1 apart from 1.0), a compound has (functor, arity)."""
+    if isinstance(t, Struct):
+        return (t.functor, len(t.args))
+    return None if isinstance(t, Var) else t
+
+
 @dataclass
 class LWProgram:
     id: ProgramId
-    clauses: tuple[Clause, ...]   # replaced whole by assert/retract, never edited
+    clauses: tuple[Clause, ...]   # set only through `replace`, never edited
 
     def __post_init__(self):
-        self.clauses = tuple(self.clauses)
+        self.replace(self.clauses)
+
+    def replace(self, clauses: Iterable[Clause]) -> None:
+        """Install a new clause tuple and index it: (name, arity) holds a
+        predicate's clauses, (name, arity, key) those whose first argument
+        has that key or is a variable, (name, arity, None) the variable-first
+        ones. Every bucket is a new tuple in clause order, so a selection
+        already running keeps its clauses (the logical update view)."""
+        self.clauses = tuple(clauses)
+        preds: dict[tuple[str, int], list[Clause]] = {}
+        for c in self.clauses:
+            preds.setdefault(functor_of(c.head), []).append(c)
+        self._index: dict[tuple, tuple[Clause, ...]] = {}
+        for pred, cs in preds.items():
+            keys = [first_arg_key(c.head.args[0]) if pred[1] else None for c in cs]
+            buckets: dict[object, list[Clause]] = {k: [] for k in keys}
+            for c, k in zip(cs, keys):
+                for bucket in (buckets.values() if k is None else (buckets[k],)):
+                    bucket.append(c)
+            self._index[pred] = tuple(cs)
+            self._index.update((pred + (k,), tuple(b)) for k, b in buckets.items())
+
+    def candidates(self, goal: Term, s: Substitution) -> tuple[Clause, ...]:
+        """The clauses whose heads may unify with `goal` (an atom or compound,
+        its arguments read through `s`), in clause order."""
+        pred = functor_of(goal)
+        key = first_arg_key(s.walk(goal.args[0])) if pred[1] else None
+        if key is None:
+            return self._index.get(pred, ())
+        return self._index.get(pred + (key,)) or self._index.get(pred + (None,), ())
 
     def defines(self, name: str, arity: int) -> bool:
-        return any(functor_of(c.head) == (name, arity) for c in self.clauses)
+        return (name, arity) in self._index
 
 
 class ProgramStore:

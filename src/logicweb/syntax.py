@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +100,8 @@ def tokenize(text: str) -> list[Token]:
         tok_text = m.group()
         col = pos - line_start + 1
         if kind == "num":
+            if tok_text.isdigit() and 0 < sys.get_int_max_str_digits() < len(tok_text):
+                raise ParseError("integer too long to print", line, col)
             value = int(tok_text) if tok_text.isdigit() else float(tok_text)
             if value == math.inf:   # float() reads a too-large literal as inf
                 raise ParseError(f"number out of range: {tok_text}", line, col)

@@ -4,10 +4,12 @@ security-mode differences in switching and system calls."""
 import pytest
 from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
                       make_session, policy_page)
+from logicweb import engine
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
-from logicweb.model import ProgramId
+from logicweb.model import Clause, LWProgram, ProgramId
 from logicweb.syntax import to_text
+from logicweb.terms import Atom, Num, Struct
 
 MAIN = "http://progs.example/main.html"
 A = "http://progs.example/a.html"
@@ -369,3 +371,44 @@ def test_a_builtin_goal_runs_once_under_encapsulation(capsys):
 def test_page_clauses_for_a_builtin_are_never_selected():
     s = sess({MAIN: "member(X, _) :- X = extra.\n"})
     assert q(s, "member(X, [a, b])") == ["a", "b"]
+
+
+# ---------------------------------------------------------------- the index
+
+def test_a_keyed_lookup_renames_one_clause_of_twenty_thousand(monkeypatch):
+    s = sess({})
+    facts = [Clause(Struct("f", (Atom(f"k{i}"), Num(i)))) for i in range(20000)]
+    s.install_local(LWProgram(ProgramId.get(MAIN), facts))
+    renamed, original = [], engine.rename_clause
+
+    def counting(c):
+        renamed.append(c)
+        return original(c)
+
+    monkeypatch.setattr(engine, "rename_clause", counting)
+    assert q(s, "f(k19999, X)") == ["19999"] and len(renamed) == 1
+    assert q(s, "f(k20000, X)") == [] and len(renamed) == 1
+    # an unbound first argument takes every clause
+    assert q(s, "f(K, 7)", var="K") == ["k7"] and len(renamed) == 20001
+
+
+GROWING_URL = "http://policies.example.org/growing.html"
+
+
+def test_keyed_selection_keeps_the_clauses_it_started_with():
+    growing = PERMISSIVE_CLAUSES + "p(a, 1).\np(Y, 0).\np(b, 2).\np(a, 3).\n"
+    s = sess({MAIN: "", GROWING_URL: growing}, security=True,
+             default_policy=GROWING_URL)
+
+    def in_policy(goal):
+        return q(s, f'lw(get, "{GROWING_URL}") #> ({goal})')
+
+    # the running selection does not see the clause it asserts ...
+    assert in_policy("p(a, X), assert(p(a, 9))") == ["1", "0", "3"]
+    # ... and the next one does
+    assert in_policy("p(a, X)") == ["1", "0", "3", "9", "9", "9"]
+    # a retracted clause stays in the selection that was running
+    assert in_policy("p(a, X), (retract(p(a, 3)) ; true)") == [
+        "1", "1", "0", "3", "9", "9", "9"]
+    assert in_policy("p(a, X)") == ["1", "0", "9", "9", "9"]
+    assert in_policy("p(c, X)") == ["0"]

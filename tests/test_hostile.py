@@ -38,3 +38,33 @@ def test_doubling_context_stops_lw_query(tmp_path, capsys):
                  "--timeout-ms", "3000"])
     _, err = capsys.readouterr()
     assert (code, err) == (2, "stopped: loop found\n")
+
+
+def _lw_query(tmp_path, clauses, goal, command="query"):
+    (tmp_path / "index.html").write_text(policy_page("Hostile", clauses),
+                                         encoding="utf-8")
+    return main([command, "http://hostile.example/", goal, "--no-security",
+                 "--offline", "--mount", f"http://hostile.example/={tmp_path}"])
+
+
+def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):
+    code = _lw_query(tmp_path, "q.\n", "X = " + "1" * 5001)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: bad goal: integer too long to print")
+
+
+# each step squares the number, so sq(2, 14, Y) would make 2^16384, which
+# has 4933 decimal digits
+SQUARING = "sq(X, 0, X).\nsq(X, N, Y) :- N > 0, Z is X*X, M is N-1, sq(Z, M, Y).\n"
+
+
+def test_is_result_too_long_to_print_fails_with_a_notice(tmp_path, capsys):
+    code = _lw_query(tmp_path, SQUARING, "sq(2, 14, Y)", "trace")
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    notices = [line for line in out.splitlines() if "is/2:" in line]
+    assert len(notices) == 1 and "integer result too long to print" in notices[0]
+    # one step less stays printable
+    assert _lw_query(tmp_path, SQUARING, "sq(2, 13, Y)") == 0
+    assert capsys.readouterr().out == f"Y = {2 ** 8192}\n"

@@ -1,6 +1,8 @@
 """Program identifiers, composition expressions, clause and goal shapes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ExpressionError,
                             Intersection, LWProgram, ProgramId,
@@ -9,7 +11,8 @@ from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ExpressionError,
                             expr_from_term, expr_text, expr_to_term,
                             parse_goal, parse_program, rename_clause)
 from logicweb.syntax import parse_term_text
-from logicweb.terms import Atom, Str, Struct
+from logicweb.terms import (EMPTY_SUBST, Atom, Str, Struct, fresh_var,
+                            functor_of, unify)
 
 
 ME = ProgramId.get("http://me/")
@@ -208,3 +211,69 @@ def test_program_defines():
     assert prog.defines("g", 1)
     assert not prog.defines("f", 2)
     assert not prog.defines("h", 1)
+
+
+# ---------------------------------------------------------------- the index
+
+# first arguments that share a key (f(X), f(a)), differ only in type (a and
+# "a", 1 and 1.0) or arity (f(X), f(X, Y)), or have no key at all (X)
+FIRST_ARGS = ["X", "a", '"a"', "b", "1", "1.0", "f(X)", "f(a)", "f(X, Y)",
+              "[]", "[H|T]"]
+
+
+@st.composite
+def _indexed_cases(draw):
+    heads = draw(st.lists(st.tuples(st.sampled_from(["p", "q"]),
+                                    st.sampled_from(FIRST_ARGS)), max_size=14))
+    # the second argument numbers each clause, so a dropped or reordered
+    # clause changes the answer list
+    text = "".join(f"{name}({first}, {i}).\n"
+                   for i, (name, first) in enumerate(heads))
+    name = draw(st.sampled_from(["p", "q", "r"]))
+    first = draw(st.sampled_from(FIRST_ARGS))
+    via_subst = draw(st.booleans())
+    return text, name, first, via_subst
+
+
+def _unifying(clauses, goal, s):
+    return [c for c in clauses
+            if unify(goal, rename_clause(c).head, s) is not None]
+
+
+@given(_indexed_cases())
+@settings(max_examples=300)
+def test_index_selects_what_a_linear_scan_selects(case):
+    text, name, first, via_subst = case
+    prog = LWProgram(ME, parse_program(text))
+    if via_subst:
+        # the first argument is a variable that the substitution binds
+        g = fresh_var("G")
+        t, _ = parse_term_text(first)
+        goal, s = Struct(name, (g, fresh_var("N"))), EMPTY_SUBST.bind(g, t)
+    else:
+        (goal, _), s = parse_goal(f"{name}({first}, N)"), EMPTY_SUBST
+    candidates = prog.candidates(goal, s)
+    assert _unifying(candidates, goal, s) == _unifying(prog.clauses, goal, s)
+    assert [c for c in prog.clauses if c in candidates] == list(candidates)
+    assert prog.defines(name, 2) == any(functor_of(c.head) == (name, 2)
+                                        for c in prog.clauses)
+
+
+def test_index_atom_goal_and_unknown_predicate():
+    prog = LWProgram(ME, parse_program("go.\ngo :- go.\np(a, 1)."))
+    go, _ = parse_goal("go")
+    assert prog.candidates(go, EMPTY_SUBST) == prog.clauses[:2]
+    missing, _ = parse_goal("p(a)")
+    assert prog.candidates(missing, EMPTY_SUBST) == ()
+
+
+def test_replace_reindexes_and_keeps_the_old_buckets():
+    prog = LWProgram(ME, parse_program("p(a, 1).\np(X, 2)."))
+    goal, _ = parse_goal("p(b, N)")
+    before = prog.candidates(goal, EMPTY_SUBST)
+    prog.replace(prog.clauses + tuple(parse_program("p(b, 3).")))
+    assert [clause_text(c) for c in before] == ["p(X, 2)."]
+    assert [clause_text(c) for c in prog.candidates(goal, EMPTY_SUBST)] == [
+        "p(X, 2).", "p(b, 3)."]
+    prog.replace(prog.clauses[1:])
+    assert not prog.defines("q", 2) and prog.defines("p", 2)
