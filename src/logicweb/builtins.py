@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import subprocess
-import sys
 import time
 from typing import Callable, Iterator, Optional
 
@@ -346,11 +345,9 @@ def _bi_is(args, rt):
         # no text reads back as an infinity, so none may be stored
         rt.notice(f"is/2: non-finite result: {syntax.to_text(args[1])}")
         return
-    # nor an integer the printer refuses (the bit count screens it cheaply)
-    limit = sys.get_int_max_str_digits()
-    if (isinstance(value, int) and limit and value.bit_length() > 3 * limit
-            and abs(value) >= 10 ** limit):
-        rt.notice(f"is/2: integer result too long to print: over {limit} digits")
+    # nor an integer the printer refuses
+    if isinstance(value, int) and not syntax.int_printable(value):
+        rt.notice("is/2: integer result too long to print")
         return
     s = unify(args[0], Num(value))
     if s is not None:

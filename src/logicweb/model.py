@@ -340,24 +340,20 @@ class LWProgram:
         self.replace(self.clauses)
 
     def replace(self, clauses: Iterable[Clause]) -> None:
-        """Install a new clause tuple and index it: (name, arity) holds a
-        predicate's clauses, (name, arity, key) those whose first argument
-        has that key or is a variable, (name, arity, None) the variable-first
-        ones. Every bucket is a new tuple in clause order, so a selection
-        already running keeps its clauses (the logical update view)."""
+        """Install a new clause tuple and index it, each clause once:
+        (name, arity) holds a predicate's clauses, (name, arity, key) the
+        positions of those whose first argument has that key, and
+        (name, arity, None) of those whose first argument is a variable.
+        Every bucket is a new tuple, so a selection already running keeps
+        its clauses (the logical update view)."""
         self.clauses = tuple(clauses)
-        preds: dict[tuple[str, int], list[Clause]] = {}
-        for c in self.clauses:
-            preds.setdefault(functor_of(c.head), []).append(c)
-        self._index: dict[tuple, tuple[Clause, ...]] = {}
-        for pred, cs in preds.items():
-            keys = [first_arg_key(c.head.args[0]) if pred[1] else None for c in cs]
-            buckets: dict[object, list[Clause]] = {k: [] for k in keys}
-            for c, k in zip(cs, keys):
-                for bucket in (buckets.values() if k is None else (buckets[k],)):
-                    bucket.append(c)
-            self._index[pred] = tuple(cs)
-            self._index.update((pred + (k,), tuple(b)) for k, b in buckets.items())
+        index: dict[tuple, list] = {}
+        for i, c in enumerate(self.clauses):
+            pred = functor_of(c.head)
+            index.setdefault(pred, []).append(c)
+            if pred[1]:
+                index.setdefault(pred + (first_arg_key(c.head.args[0]),), []).append(i)
+        self._index: dict[tuple, tuple] = {k: tuple(v) for k, v in index.items()}
 
     def candidates(self, goal: Term, s: Substitution) -> tuple[Clause, ...]:
         """The clauses whose heads may unify with `goal` (an atom or compound,
@@ -366,7 +362,11 @@ class LWProgram:
         key = first_arg_key(s.walk(goal.args[0])) if pred[1] else None
         if key is None:
             return self._index.get(pred, ())
-        return self._index.get(pred + (key,)) or self._index.get(pred + (None,), ())
+        keyed = self._index.get(pred + (key,), ())
+        free = self._index.get(pred + (None,), ())
+        # two ascending runs, which the sort merges in one pass
+        positions = sorted(keyed + free) if keyed and free else keyed or free
+        return tuple(map(self.clauses.__getitem__, positions))
 
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self._index

@@ -100,9 +100,10 @@ def tokenize(text: str) -> list[Token]:
         tok_text = m.group()
         col = pos - line_start + 1
         if kind == "num":
-            if tok_text.isdigit() and 0 < sys.get_int_max_str_digits() < len(tok_text):
-                raise ParseError("integer too long to print", line, col)
-            value = int(tok_text) if tok_text.isdigit() else float(tok_text)
+            try:
+                value = int(tok_text) if tok_text.isdigit() else float(tok_text)
+            except ValueError:   # int() refuses what the printer could not write
+                raise ParseError("integer too long to print", line, col) from None
             if value == math.inf:   # float() reads a too-large literal as inf
                 raise ParseError(f"number out of range: {tok_text}", line, col)
         elif kind in ("str", "qatom"):
@@ -328,6 +329,14 @@ def _str_text(value: str) -> str:
     escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
                .replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r"))
     return f'"{escaped}"'
+
+
+def int_printable(n: int) -> bool:
+    """Whether `to_text` can write `n`: Python prints no integer of more than
+    sys.get_int_max_str_digits() digits (0: no limit). The bit count screens
+    it cheaply."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10 ** limit
 
 
 def to_text(t: Term, max_prec: int = 1200) -> str:

@@ -30,21 +30,30 @@ def test_doubling_context_stops_as_a_loop():
     assert time.monotonic() - start < 1.0
 
 
-def test_doubling_context_stops_lw_query(tmp_path, capsys):
-    (tmp_path / "index.html").write_text(policy_page("Doubling", DOUBLING),
+def _lw_query(tmp_path, clauses, goal, command="query", *extra):
+    (tmp_path / "index.html").write_text(policy_page("Hostile", clauses),
                                          encoding="utf-8")
-    code = main(["query", "http://hostile.example/", "g", "--no-security",
+    return main([command, "http://hostile.example/", goal, "--no-security",
                  "--offline", "--mount", f"http://hostile.example/={tmp_path}",
-                 "--timeout-ms", "3000"])
+                 *extra])
+
+
+def test_doubling_context_stops_lw_query(tmp_path, capsys):
+    code = _lw_query(tmp_path, DOUBLING, "g", "query", "--timeout-ms", "3000")
     _, err = capsys.readouterr()
     assert (code, err) == (2, "stopped: loop found\n")
 
 
-def _lw_query(tmp_path, clauses, goal, command="query"):
-    (tmp_path / "index.html").write_text(policy_page("Hostile", clauses),
-                                         encoding="utf-8")
-    return main([command, "http://hostile.example/", goal, "--no-security",
-                 "--offline", "--mount", f"http://hostile.example/={tmp_path}"])
+def test_mixed_first_arguments_install_and_answer_quickly(tmp_path, capsys):
+    # thousands of keyed facts interleaved with as many variable-first ones:
+    # an index that copied each variable-first clause into every key's
+    # bucket would hold n * n entries
+    n = 4000
+    page = "".join(f"p(k{i}, yes).\np(_, no).\n" for i in range(n))
+    start = time.monotonic()
+    code = _lw_query(tmp_path, page, f"p(k{n - 1}, yes)")
+    assert time.monotonic() - start < 1.5
+    assert (code, capsys.readouterr().out) == (0, "true\n")
 
 
 def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):

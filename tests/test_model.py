@@ -267,6 +267,19 @@ def test_index_atom_goal_and_unknown_predicate():
     assert prog.candidates(missing, EMPTY_SUBST) == ()
 
 
+def test_index_holds_each_clause_once():
+    # keyed and variable-first clauses of one predicate: the keyed buckets
+    # and the variable-first bucket share no clause, so the index stays
+    # linear in the clause count
+    text = "".join(f"p(k{i}).\np(_).\n" for i in range(300)) + "go.\n"
+    prog = LWProgram(ME, parse_program(text))
+    assert sum(map(len, prog._index.values())) == 2 * len(prog.clauses) - 1
+    goal, _ = parse_goal("p(k7)")
+    # p(k7) is clause 14; the variable-first ones are the odd positions
+    assert prog.candidates(goal, EMPTY_SUBST) == tuple(
+        c for i, c in enumerate(prog.clauses) if i % 2 or i == 14)
+
+
 def test_replace_reindexes_and_keeps_the_old_buckets():
     prog = LWProgram(ME, parse_program("p(a, 1).\np(X, 2)."))
     goal, _ = parse_goal("p(b, N)")
