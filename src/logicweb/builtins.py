@@ -10,6 +10,7 @@ just fails, optionally leaving a notice in the audit log.
 from __future__ import annotations
 
 import math
+import operator
 import subprocess
 import time
 from typing import Callable, Iterator, Optional
@@ -318,16 +319,17 @@ class _ArithmeticError(Exception):
     pass
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
+            ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
+
+
 def _eval_arith(t: Term):
     if isinstance(t, Num):
         return t.value
-    if isinstance(t, Struct) and len(t.args) == 2 and t.functor in ("+", "-", "*"):
+    if isinstance(t, Struct) and len(t.args) == 2 and t.functor in _ARITH:
         lhs, rhs = _eval_arith(t.args[0]), _eval_arith(t.args[1])
-        if t.functor == "+":
-            return lhs + rhs
-        if t.functor == "-":
-            return lhs - rhs
-        return lhs * rhs
+        return _ARITH[t.functor](lhs, rhs)
     if isinstance(t, Struct) and t.functor == "-" and len(t.args) == 1:
         return -_eval_arith(t.args[0])
     raise _ArithmeticError(f"not arithmetic: {syntax.to_text(t)}")
@@ -355,10 +357,7 @@ def _bi_is(args, rt):
 
 
 def _compare(op: str):
-    import operator
-    table = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
-             ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
-    fn = table[op]
+    fn = _COMPARE[op]
 
     def impl(args, rt):
         """Arithmetic comparison of two evaluated expressions."""
@@ -372,7 +371,7 @@ def _compare(op: str):
     return impl
 
 
-for _op in ("<", ">", "=<", ">=", "=:=", "=\\="):
+for _op in _COMPARE:
     TABLE[(_op, 2)] = _compare(_op)
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import syntax
 from .engine import EngineConfig, EngineError, Session
-from .fetching import (FetchConfig, FetchError, clear_store, download,
-                       load_store, save_store)
+from .fetching import (NO_POLICY, FetchConfig, FetchError, clear_store,
+                       download, load_store, save_store)
 from .guards import Guard, GuardConfig, GuardTermination, guarded_solve
 from .model import (ExpressionError, ProgramId, ProgramStore, clause_text,
                     parse_goal)
@@ -44,8 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str) -> str | None:
-    value = os.environ.get(name)
-    return value if value else None
+    return os.environ.get(name) or None
 
 
 # ------------------------------------------------------------- session setup
@@ -114,8 +113,7 @@ def _build_session(args) -> Session:
         raise CliError("a policy registry is required unless --no-security is given")
     else:
         # never consulted: a run without security records no policies
-        placeholder = ProgramId.get("lw:no-policy")
-        registry = PolicyRegistry({"unknown": placeholder}, keystore=keystore)
+        registry = PolicyRegistry({"unknown": NO_POLICY}, keystore=keystore)
 
     fixture_root = args.fixture_root or _env("LW_FIXTURE_ROOT")
     fetch_cfg = FetchConfig(
@@ -216,7 +214,7 @@ def _required_store_dir(args) -> str:
 def cmd_store_list(args) -> int:
     store_dir = _required_store_dir(args)
     store = ProgramStore()
-    registry = PolicyRegistry({"unknown": ProgramId.get("lw:no-policy")})
+    registry = PolicyRegistry({"unknown": NO_POLICY})
     load_store(store_dir, store, registry)
     for program in sorted(store.programs(), key=lambda p: p.id.serialize()):
         pol = registry.program_to_policy.get(program.id)
@@ -296,13 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_args(pc)
     pc.set_defaults(func=cmd_policy_check)
 
-    sl = sub.add_parser("store-list", help="list the persistent program cache")
-    sl.add_argument("--store-dir", metavar="DIR")
-    sl.set_defaults(func=cmd_store_list)
-
-    sc = sub.add_parser("store-clear", help="empty the persistent program cache")
-    sc.add_argument("--store-dir", metavar="DIR")
-    sc.set_defaults(func=cmd_store_clear)
+    for name, func, verb in (("store-list", cmd_store_list, "list"),
+                             ("store-clear", cmd_store_clear, "empty")):
+        st = sub.add_parser(name, help=f"{verb} the persistent program cache")
+        st.add_argument("--store-dir", metavar="DIR")
+        st.set_defaults(func=func)
 
     kg = sub.add_parser("keygen", help="create a signer keypair")
     kg.add_argument("signer")
@@ -326,13 +322,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except GuardTermination as exc:
         print(f"stopped: {exc.message}", file=sys.stderr)
         return EXIT_STOPPED
-    except (RegistryError, SignatureError, ParseError, EngineError,
+    except (CliError, RegistryError, SignatureError, ParseError, EngineError,
             ExpressionError, FetchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,8 @@ from .pages import HttpResponse, translate_page
 log = logging.getLogger(__name__)
 
 MAX_REDIRECTS = 5
+MAX_BODY_BYTES = 8 << 20          # a longer response body is refused
+NO_POLICY = ProgramId.get("lw:no-policy")   # named by unsecured runs, never stored
 
 
 @dataclass
@@ -99,16 +101,21 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
 def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
     import requests
 
+    body = bytearray()
     with requests.Session() as http:
         http.max_redirects = MAX_REDIRECTS
         try:
-            resp = http.get(url, timeout=cfg.timeout, allow_redirects=True)
+            resp = http.get(url, timeout=cfg.timeout, allow_redirects=True, stream=True)
+            if resp.status_code != 200:
+                raise FetchError("status", f"status {resp.status_code} for {url}")
+            for chunk in resp.iter_content(1 << 16):
+                body += chunk
+                if len(body) > MAX_BODY_BYTES:
+                    raise FetchError("status", f"body of {url} exceeds {MAX_BODY_BYTES} bytes")
         except requests.RequestException as exc:
             raise FetchError("network", str(exc)) from exc
-    if resp.status_code != 200:
-        raise FetchError("status", f"status {resp.status_code} for {url}")
-    return HttpResponse(url, resp.url, resp.status_code,
-                        list(resp.headers.items()), resp.text)
+    return HttpResponse(url, resp.url, resp.status_code, list(resp.headers.items()),
+                        body.decode(resp.encoding or "utf-8", errors="replace"))
 
 
 def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
@@ -194,7 +201,8 @@ def load_store(dirpath: str | Path, store, registry) -> None:
             left, _, right = line.partition("\t")
             pid = ProgramId.from_term(parse_term_text(left)[0])
             pol = ProgramId.from_term(parse_term_text(right)[0])
-            registry.assign(pid, pol)
+            if pol != NO_POLICY:        # older unsecured runs stored it
+                registry.assign(pid, pol)
 
 
 def clear_store(dirpath: str | Path) -> int:

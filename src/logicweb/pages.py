@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
+from html import unescape
+from typing import Callable
 from urllib.parse import urljoin
 
 from .model import Clause, LWProgram, ProgramId, parse_program
@@ -35,31 +36,30 @@ class LWCodeError(Exception):
         self.offset = offset
 
 
-_OPEN_RE = re.compile(r"<\s*lw_code\s*>", re.IGNORECASE)
-_CLOSE_RE = re.compile(r"<\s*/\s*lw_code\s*>", re.IGNORECASE)
+_LW_TAG_RE = re.compile(r"<\s*(/?)\s*lw_code\s*>", re.IGNORECASE)
 
 
 def extract_lw_code(html: str) -> tuple[str, str]:
     """(embedded clause text, page text with the code blocks removed).
 
-    Tags must balance; comment and <PRE> wrappers just inside a block are
-    tolerated and stripped."""
+    Tags must balance (an opening tag inside a block is block text);
+    comment and <PRE> wrappers just inside a block are tolerated and
+    stripped."""
     pieces: list[str] = []
     stripped: list[str] = []
-    pos = 0
-    while True:
-        m_open = _OPEN_RE.search(html, pos)
-        m_close = _CLOSE_RE.search(html, pos)
-        if m_open is None and m_close is None:
-            stripped.append(html[pos:])
-            break
-        if m_open is None or (m_close is not None and m_close.start() < m_open.start()):
-            raise LWCodeError("unmatched closing LW_CODE tag", m_close.start())
-        if m_close is None or m_close.start() < m_open.end():
-            raise LWCodeError("unclosed LW_CODE tag", m_open.start())
-        stripped.append(html[pos:m_open.start()])
-        pieces.append(_strip_wrappers(html[m_open.end():m_close.start()]))
-        pos = m_close.end()
+    pos, opened = 0, None
+    for m in _LW_TAG_RE.finditer(html):
+        if opened is None and m[1]:
+            raise LWCodeError("unmatched closing LW_CODE tag", m.start())
+        if opened is None:
+            opened = m
+        elif m[1]:
+            stripped.append(html[pos:opened.start()])
+            pieces.append(_strip_wrappers(html[opened.end():m.start()]))
+            pos, opened = m.end(), None
+    if opened is not None:
+        raise LWCodeError("unclosed LW_CODE tag", opened.start())
+    stripped.append(html[pos:])
     return "\n".join(pieces), "".join(stripped)
 
 
@@ -75,49 +75,81 @@ def _strip_wrappers(block: str) -> str:
             return text
 
 
-class _AnchorScanner(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.links: list[tuple[str, str]] = []
-        self._href: str | None = None
-        self._label: list[str] = []
+# The next markup: comment, script or style element (raw text up to its end
+# tag), start or end tag, declaration, or unclosed markup read as text to the
+# next `>`. Lookahead plus back-reference keeps the engine from re-splitting
+# attributes; the first one's name and value (most often HREF) are kept.
+_ATTR = (r"""(?<=['"\s/])(%s[^\s/>][^\s/=>]*)"""
+         r"""(?:\s*=+\s*(%s'[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
+_ATTR_RE = re.compile(_ATTR % ("", ""))
+_MARKUP = r"""<(?:%(comment)s
+    | (?:(?P<script>[sS][cC][rR][iI][pP][tT])|[sS][tT][yY][lL][eE])(?![^\t\n\r\f />\x00])
+      (?=(?P<raw_attrs>(?:\s|/(?!>))*(?:%(attr)s)*))(?P=raw_attrs)
+      >(?P<raw>.*?(?=%(close)s)|(?:.*</\s*(?i:(?(script)script|style))\s*>)?)(?:%(close)s|.*)
+    | (?:(?P<a>[aA])(?![^\t\n\r\f />\x00])|[a-zA-Z][^\t\n\r\f />\x00]*)
+      (?=(?P<attrs>(?:\s|/(?!>))*(?:%(first)s)?(?:%(attr)s)*))(?P=attrs)(?P<empty>/?)>
+    | /(?:(?P<a_end>\s*[aA]\s*|[aA][\t\n\r\f /\x00][^>]*)|[^>]*)>
+    | (?!!--)[!?][^>]*> | (?P<text>[a-zA-Z!?/])[^>]*>)"""
+_FORMS = {"attr": _ATTR % ("?:", "?:"), "first": _ATTR % ("?P<name>", "?P<value>"),
+          "close": r"</\s*(?(script)[sS][cC][rR][iI][pP][tT]|[sS][tT][yY][lL][eE])\s*>",
+          "comment": r"!--(?=(?P<comment>[^-]*(?:-(?!-\s*>)[^-]*)*))(?P=comment)--\s*>"}
+_MARKUP_RE = re.compile(_MARKUP % _FORMS, re.S | re.X)
+_LATE_MARKUP_RE = re.compile(_MARKUP % dict(_FORMS, comment="(?!)"), re.S | re.X)
 
-    def handle_starttag(self, tag, attrs):
-        if tag != "a":
-            return
-        self._flush()
-        href = next((v for k, v in attrs if k == "href" and v is not None), None)
-        if href is not None:
-            self._href = href
-            self._label = []
 
-    def handle_endtag(self, tag):
-        if tag == "a":
-            self._flush()
-
-    def handle_data(self, data):
-        if self._href is not None:
-            self._label.append(data)
-
-    def _flush(self):
-        if self._href is not None:
-            label = re.sub(r"\s+", " ", "".join(self._label)).strip()
-            self.links.append((label, self._href))
-            self._href = None
-            self._label = []
-
-    def close(self):
-        super().close()
-        self._flush()
+def _href(tag: re.Match) -> str | None:
+    """The value of the start tag's first HREF attribute that has one."""
+    value = tag["value"]
+    if value is None or tag["name"].lower() != "href":
+        value = next((v for n, v in map(re.Match.groups, _ATTR_RE.finditer(tag["attrs"]))
+                      if v is not None and n.lower() == "href"), None)
+    return None if value is None else unescape(value[1:-1] if value[:1] in "'\"" else value)
 
 
 def extract_links(html: str) -> list[tuple[str, str]]:
     """(label, href) per anchor, document order; markup inside the label is
-    dropped and whitespace collapsed. Anchors without an HREF are skipped."""
-    scanner = _AnchorScanner()
-    scanner.feed(html)
-    scanner.close()
-    return scanner.links
+    dropped, character references decoded and whitespace collapsed. An
+    anchor without an HREF is skipped; it, a new anchor or the page's end
+    closes the open one. Nothing inside a comment, script or style counts."""
+    anchors: list[tuple[str, list[str]]] = []
+    label = None                    # text pieces of the open anchor
+    pos = 0
+    # no comment opened past the last `--` `>` can close, so none is tried there
+    last = max((m.start() for m in re.finditer(r"--\s*>", html)), default=0) - 4
+    for markup in (_MARKUP_RE, _LATE_MARKUP_RE):
+        for m in markup.finditer(html, pos):
+            if label is not None:
+                text = unescape(html[pos:m.end() if m["text"] else m.start()])
+                label.append(text + (m["raw"] or ""))
+                if m["a_end"] is not None:
+                    label = None
+            pos = m.end()
+            if m["a"] is not None:
+                href, label = _href(m), []
+                if href is not None:
+                    anchors.append((href, label))
+                if href is None or m["empty"]:
+                    label = None
+            if pos > last:
+                last = len(html)
+                break
+    if label is not None:
+        label.append(unescape(html[pos:]))
+    return [(" ".join("".join(p).split()), h) for h, p in anchors]
+
+
+# one path segment with no dot-segment, scheme, query or fragment in it
+_SEGMENT_RE = re.compile(r"(?!\.\.?\Z)[\w.~-]+", re.ASCII)
+
+
+def url_resolver(base: str) -> Callable[[str], str]:
+    """href -> `urljoin(base, href)`; a plain one-segment href just extends the base's directory."""
+    try:
+        directory = urljoin(base, "x")[:-1]
+    except ValueError:
+        return lambda href: urljoin(base, href)
+    return lambda href: (directory + href if _SEGMENT_RE.fullmatch(href)
+                         else urljoin(base, href))
 
 
 def translate_page(resp: HttpResponse, pid: ProgramId) -> LWProgram:
@@ -133,9 +165,12 @@ def translate_page(resp: HttpResponse, pid: ProgramId) -> LWProgram:
     clause_text, page_text = extract_lw_code(resp.body)
     clauses.append(Clause(Struct("my_id", (pid.method_term(), Str(pid.url)))))
     clauses.append(Clause(Struct("h_text", (Str(page_text),))))
+    resolve = url_resolver(resp.final_url)
     for label, href in extract_links(page_text):
-        absolute = urljoin(resp.final_url, href)
-        clauses.append(Clause(Struct("link", (Str(label), Str(absolute)))))
+        try:
+            clauses.append(Clause(Struct("link", (Str(label), Str(resolve(href))))))
+        except ValueError as exc:
+            log.warning("dropping link %r of %s: %s", href, resp.requested_url, exc)
 
     if clause_text.strip():
         try:

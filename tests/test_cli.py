@@ -319,6 +319,24 @@ def test_unsecured_run_leaves_the_store_usable_for_a_secured_one(
     assert f"policy={SITE}perm.html" in out
 
 
+def test_placeholder_assignments_in_a_store_are_reassigned(
+        site, capsys, tmp_path):
+    # a store written by an unsecured run that recorded the placeholder it
+    # names as the policy of each program it fetched
+    d, _ = site
+    sd = tmp_path / "cache"
+    run_cli(capsys, "query", SITE + "index.html", "p(1)", "--no-security",
+            "--mount", f"{SITE}={d}", "--offline", "--store-dir", str(sd))
+    (sd / "_assignments").write_text(
+        f'lw(get, "{SITE}index.html")\tlw(get, "lw:no-policy")\n', encoding="utf-8")
+
+    code, out, _ = run_cli(capsys, "query", SITE + "index.html", "greet(X)",
+                           *base(site), "--store-dir", str(sd))
+    assert (code, out.splitlines()) == (0, ["X = hi", "X = bye"])
+    code, out, _ = run_cli(capsys, "store-list", "--store-dir", str(sd))
+    assert f"policy={SITE}perm.html" in out and "no-policy" not in out
+
+
 def test_store_dir_from_environment(site, capsys, tmp_path, monkeypatch):
     sd = tmp_path / "cache"
     run_cli(capsys, "query", SITE + "index.html", "p(1)",

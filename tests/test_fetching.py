@@ -2,7 +2,8 @@
 
 import pytest
 from conftest import HOME_URL, PERMISSIVE_URL, make_session
-from logicweb.fetching import (FetchConfig, FetchError, PageEntry,
+from logicweb import fetching
+from logicweb.fetching import (NO_POLICY, FetchConfig, FetchError, PageEntry,
                                add_programs, download, fetch_response,
                                load_store, save_store)
 from logicweb.engine import solutions
@@ -179,7 +180,11 @@ def test_http_fetch_closes_its_connection_pool(monkeypatch, pages):
         status_code = 200
         url = "http://live.example/final"
         headers = {"Server": "stub"}
+        encoding = "utf-8"
         text = "<LW_CODE>p(1).</LW_CODE>"
+
+        def iter_content(self, chunk_size):
+            yield self.text.encode("utf-8")
 
     class StubSession(requests.Session):
         """Answers from memory; nothing leaves the process."""
@@ -215,3 +220,49 @@ def test_http_fetch_closes_its_connection_pool(monkeypatch, pages):
                          'actual_url("http://live.example/final").']
     assert texts[-1] == "p(1)."
     assert len(closed) == 3
+
+
+def test_http_fetch_refuses_a_body_over_the_cap(monkeypatch):
+    requests = pytest.importorskip("requests")
+    read = []
+
+    class Endless:
+        status_code = 200
+        url = "http://live.example/big"
+        headers = {}
+        encoding = None
+
+        def iter_content(self, chunk_size):
+            while True:             # a body that never ends
+                read.append(chunk_size)
+                yield b"\xc3\xa9" * (chunk_size // 2)
+
+    class StubSession(requests.Session):
+        def get(self, url, **kwargs):
+            assert kwargs["stream"]
+            return Endless()
+
+    monkeypatch.setattr(requests, "Session", StubSession)
+    monkeypatch.setattr(fetching, "MAX_BODY_BYTES", 3 << 16)
+    with pytest.raises(FetchError) as info:
+        fetch_response("http://live.example/big", FetchConfig())
+    assert info.value.reason == "status"
+    assert "exceeds" in info.value.detail
+    assert len(read) == 4               # stopped at the first chunk past the cap
+
+    # a body at the cap is read whole and decoded, UTF-8 when no charset is given
+    monkeypatch.setattr(fetching, "MAX_BODY_BYTES", 4 << 16)
+    read.clear()
+    Endless.iter_content = lambda self, size: iter([b"\xc3\xa9" * (size // 2)] * 4)
+    resp = fetch_response("http://live.example/big", FetchConfig())
+    assert resp.body == "\u00e9" * (2 << 16)
+
+
+def test_load_store_skips_assignments_to_the_no_policy_placeholder(tmp_path, pages):
+    pid = ProgramId.get(HOME_URL)
+    (tmp_path / "_assignments").write_text(
+        f"{pid.serialize()}\t{NO_POLICY.serialize()}\n", encoding="utf-8")
+    session = make_session(pages)
+    load_store(tmp_path, session.store, session.registry)
+    assert pid not in session.registry.program_to_policy
+    assert not session.registry.is_policy(NO_POLICY)

@@ -4,6 +4,8 @@ generated here; nothing is downloaded."""
 
 import time
 
+import pytest
+
 from conftest import base_pages, make_session, policy_page
 from logicweb.cli import main
 from logicweb.fetching import PageEntry
@@ -77,3 +79,35 @@ def test_is_result_too_long_to_print_fails_with_a_notice(tmp_path, capsys):
     # one step less stays printable
     assert _lw_query(tmp_path, SQUARING, "sq(2, 13, Y)") == 0
     assert capsys.readouterr().out == f"Y = {2 ** 8192}\n"
+
+
+# Each page holds p(1) in a well-formed code block unless the case breaks
+# that block; (body, expected exit code, seconds allowed).
+CODE = "<LW_CODE><!-- p(1). --></LW_CODE>"
+HOSTILE_PAGES = {
+    "unbalanced_lw_code": (f"<html>{CODE}<LW_CODE>p(2).</html>", 1, 2.0),
+    "not_utf8": (b"<html>\xff\xfe" + CODE.encode() + b"</html>", 1, 2.0),
+    "unclosed_comment": (f"<html>{CODE}<!-- <a href='x.html'>x</a>", 0, 2.0),
+    "unclosed_script": (f"{CODE}<script> <a href='x.html'>x</a> " + "y" * 100_000, 0, 2.0),
+    "anchors_50k": (CODE + "".join(f'<a href="p{i}.html">page {i}</a>\n'
+                                   for i in range(50_000)), 0, 6.0),
+    "malformed_href": (f"<a href='http://[::1'>bad</a><a href=ok.html>ok</a>{CODE}", 0, 2.0),
+    # a scanner that tries every `<!--` as a comment scans the rest of the
+    # page for each one
+    "unclosed_comments_50k": (CODE + "<!-- <a href=x.html>x</a>\n" * 50_000, 0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_PAGES))
+def test_hostile_page_ends_lw_query_cleanly(case, tmp_path, capsys):
+    body, expected, seconds = HOSTILE_PAGES[case]
+    page = tmp_path / "index.html"
+    page.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
+    start = time.monotonic()
+    code = main(["query", "http://hostile.example/", "p(X)", "--no-security",
+                 "--offline", "--mount", f"http://hostile.example/={tmp_path}"])
+    elapsed = time.monotonic() - start
+    out, err = capsys.readouterr()
+    assert code == expected and "Traceback" not in out + err
+    assert out == ("X = 1\n" if expected == 0 else "")
+    assert elapsed < seconds

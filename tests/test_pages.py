@@ -126,3 +126,15 @@ def test_head_translation_is_header_facts_only():
     assert texts == ['about("server", "demo").',
                      'actual_url("http://site.example/page").']
     assert prog.id.method == "head"
+
+
+def test_malformed_href_drops_only_its_link(caplog):
+    body = ("<a href='http://[::1'>bad</a><a href=\"ok.html\">Ok</a>"
+            "<LW_CODE>f(a).</LW_CODE>")
+    with caplog.at_level("WARNING"):
+        prog = translate_page(_resp(body), ProgramId.get(PAGE))
+    texts = [clause_text(c) for c in prog.clauses]
+    assert [t for t in texts if t.startswith("link(")] == [
+        'link("Ok", "http://site.example/ok.html").']
+    assert texts[-1] == "f(a)."
+    assert any("dropping link 'http://[::1'" in r.message for r in caplog.records)
