@@ -10,7 +10,6 @@ just fails, optionally leaving a notice in the audit log.
 from __future__ import annotations
 
 import math
-import operator
 import subprocess
 import time
 from typing import Callable, Iterator, Optional
@@ -319,17 +318,16 @@ class _ArithmeticError(Exception):
     pass
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_COMPARE = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
-            ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
-
-
 def _eval_arith(t: Term):
     if isinstance(t, Num):
         return t.value
-    if isinstance(t, Struct) and len(t.args) == 2 and t.functor in _ARITH:
+    if isinstance(t, Struct) and len(t.args) == 2 and t.functor in ("+", "-", "*"):
         lhs, rhs = _eval_arith(t.args[0]), _eval_arith(t.args[1])
-        return _ARITH[t.functor](lhs, rhs)
+        if t.functor == "+":
+            return lhs + rhs
+        if t.functor == "-":
+            return lhs - rhs
+        return lhs * rhs
     if isinstance(t, Struct) and t.functor == "-" and len(t.args) == 1:
         return -_eval_arith(t.args[0])
     raise _ArithmeticError(f"not arithmetic: {syntax.to_text(t)}")
@@ -357,7 +355,10 @@ def _bi_is(args, rt):
 
 
 def _compare(op: str):
-    fn = _COMPARE[op]
+    import operator
+    table = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
+             ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
+    fn = table[op]
 
     def impl(args, rt):
         """Arithmetic comparison of two evaluated expressions."""
@@ -371,7 +372,7 @@ def _compare(op: str):
     return impl
 
 
-for _op in _COMPARE:
+for _op in ("<", ">", "=<", ">=", "=:=", "=\\="):
     TABLE[(_op, 2)] = _compare(_op)
 
 

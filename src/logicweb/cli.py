@@ -44,7 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str) -> str | None:
-    return os.environ.get(name) or None
+    value = os.environ.get(name)
+    return value if value else None
 
 
 # ------------------------------------------------------------- session setup
@@ -294,11 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_args(pc)
     pc.set_defaults(func=cmd_policy_check)
 
-    for name, func, verb in (("store-list", cmd_store_list, "list"),
-                             ("store-clear", cmd_store_clear, "empty")):
-        st = sub.add_parser(name, help=f"{verb} the persistent program cache")
-        st.add_argument("--store-dir", metavar="DIR")
-        st.set_defaults(func=func)
+    sl = sub.add_parser("store-list", help="list the persistent program cache")
+    sl.add_argument("--store-dir", metavar="DIR")
+    sl.set_defaults(func=cmd_store_list)
+
+    sc = sub.add_parser("store-clear", help="empty the persistent program cache")
+    sc.add_argument("--store-dir", metavar="DIR")
+    sc.set_defaults(func=cmd_store_clear)
 
     kg = sub.add_parser("keygen", help="create a signer keypair")
     kg.add_argument("signer")
@@ -322,10 +325,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except GuardTermination as exc:
         print(f"stopped: {exc.message}", file=sys.stderr)
         return EXIT_STOPPED
-    except (CliError, RegistryError, SignatureError, ParseError, EngineError,
+    except (RegistryError, SignatureError, ParseError, EngineError,
             ExpressionError, FetchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

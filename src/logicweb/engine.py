@@ -160,7 +160,10 @@ class Session:
         yield from self.solve(sigma, ctx, rhs, s, chain, barrier)
 
     def _if_then_else(self, sigma, ctx, cond, then, els, s, chain, barrier):
-        committed = next(self.solve(sigma, ctx, cond, s, chain, Barrier()), None)
+        committed = None
+        for s1 in self.solve(sigma, ctx, cond, s, chain, Barrier()):
+            committed = s1
+            break
         if committed is not None:
             yield from self.solve(sigma, ctx, then, committed, chain, barrier)
         elif els is not None:

@@ -114,8 +114,11 @@ def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
                     raise FetchError("status", f"body of {url} exceeds {MAX_BODY_BYTES} bytes")
         except requests.RequestException as exc:
             raise FetchError("network", str(exc)) from exc
-    return HttpResponse(url, resp.url, resp.status_code, list(resp.headers.items()),
-                        body.decode(resp.encoding or "utf-8", errors="replace"))
+    try:
+        text = body.decode(resp.encoding or "utf-8", errors="replace")
+    except (LookupError, ValueError):   # a charset Python cannot decode text with
+        text = body.decode("utf-8", errors="replace")
+    return HttpResponse(url, resp.url, resp.status_code, list(resp.headers.items()), text)
 
 
 def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:

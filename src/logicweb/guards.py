@@ -74,6 +74,11 @@ class GuardConfig:
     max_context_size: Optional[int] = 100
 
 
+def context_size(ctx) -> int:
+    """Number of leaves (program ids and empty programs) in a context expression."""
+    return sum(1 for _ in leaves(ctx))
+
+
 class Guard(EngineHooks):
     def __init__(self, config: GuardConfig | None = None,
                  clock: Callable[[], float] = time.monotonic):
@@ -108,8 +113,8 @@ class Guard(EngineHooks):
         if self.config.loop_check and check_loop(self.ancestors, ctx, goal):
             self._stop(LOOP_FOUND)
         if self.config.max_context_size is not None:
-            if self._sized[0] is not ctx:       # count the context's leaves
-                self._sized = (ctx, sum(1 for _ in leaves(ctx)))
+            if self._sized[0] is not ctx:
+                self._sized = (ctx, context_size(ctx))
             if self._sized[1] > self.config.max_context_size:
                 self._stop(LOOP_FOUND)
         token = len(self.ancestors)

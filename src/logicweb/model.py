@@ -80,10 +80,16 @@ class ProgramId(ProgramExpression):
             items, tail = list_items(mt.args[0])
             if not (isinstance(tail, Atom) and tail.name == "[]"):
                 raise ExpressionError("post field list must be a proper list")
-            if not all(isinstance(i, Struct) and i.functor == "field" and len(i.args) == 2
-                       and all(isinstance(a, Str) for a in i.args) for i in items):
-                raise ExpressionError("post field must be field(Name, Value)")
-            return cls.post(ut.value, [(i.args[0].value, i.args[1].value) for i in items])
+            fields = []
+            for item in items:
+                if (isinstance(item, Struct) and item.functor == "field"
+                        and len(item.args) == 2
+                        and isinstance(item.args[0], Str)
+                        and isinstance(item.args[1], Str)):
+                    fields.append((item.args[0].value, item.args[1].value))
+                else:
+                    raise ExpressionError("post field must be field(Name, Value)")
+            return cls.post(ut.value, fields)
         raise ExpressionError(f"bad retrieval method in {syntax.to_text(t)}")
 
     def serialize(self) -> str:

@@ -85,7 +85,7 @@ _ATTR_RE = re.compile(_ATTR % ("", ""))
 _MARKUP = r"""<(?:%(comment)s
     | (?:(?P<script>[sS][cC][rR][iI][pP][tT])|[sS][tT][yY][lL][eE])(?![^\t\n\r\f />\x00])
       (?=(?P<raw_attrs>(?:\s|/(?!>))*(?:%(attr)s)*))(?P=raw_attrs)
-      >(?P<raw>.*?(?=%(close)s)|(?:.*</\s*(?i:(?(script)script|style))\s*>)?)(?:%(close)s|.*)
+      >(?P<raw>.*?(?=%(close)s)|(?:.*</\s*(?i:(?(script)script|style))\s*>)?)(?:%(close)s|(?P<rest>.*))
     | (?:(?P<a>[aA])(?![^\t\n\r\f />\x00])|[a-zA-Z][^\t\n\r\f />\x00]*)
       (?=(?P<attrs>(?:\s|/(?!>))*(?:%(first)s)?(?:%(attr)s)*))(?P=attrs)(?P<empty>/?)>
     | /(?:(?P<a_end>\s*[aA]\s*|[aA][\t\n\r\f /\x00][^>]*)|[^>]*)>
@@ -114,16 +114,18 @@ def extract_links(html: str) -> list[tuple[str, str]]:
     anchors: list[tuple[str, list[str]]] = []
     label = None                    # text pieces of the open anchor
     pos = 0
-    # no comment opened past the last `--` `>` can close, so none is tried there
+    # every form ends in `>`, so what follows the last one is text; and no
+    # comment opened past the last `--` `>` can close, so none is tried there
+    end = html.rfind(">") + 1
     last = max((m.start() for m in re.finditer(r"--\s*>", html)), default=0) - 4
     for markup in (_MARKUP_RE, _LATE_MARKUP_RE):
-        for m in markup.finditer(html, pos):
+        for m in markup.finditer(html, pos, end):
             if label is not None:
                 text = unescape(html[pos:m.end() if m["text"] else m.start()])
                 label.append(text + (m["raw"] or ""))
                 if m["a_end"] is not None:
                     label = None
-            pos = m.end()
+            pos = m.end() if m["rest"] is None else len(html)   # an unclosed script or style
             if m["a"] is not None:
                 href, label = _href(m), []
                 if href is not None:

@@ -116,14 +116,16 @@ class PolicyRegistry:
             rest = rest.strip()
             if kind == "default":
                 signer_map[UNKNOWN_SIGNER] = ProgramId.get(rest)
-            elif kind in ("signer", "trusted"):
-                key, _, url = rest.rpartition(" ")
-                if not key or not url:
-                    raise RegistryError(f"bad {kind} line {lineno}: {raw!r}")
-                if kind == "signer":
-                    signer_map[key] = ProgramId.get(url)
-                else:
-                    trusted.append((key, ProgramId.get(url)))
+            elif kind == "signer":
+                signer, _, url = rest.rpartition(" ")
+                if not signer or not url:
+                    raise RegistryError(f"bad signer line {lineno}: {raw!r}")
+                signer_map[signer] = ProgramId.get(url)
+            elif kind == "trusted":
+                prefix, _, url = rest.rpartition(" ")
+                if not prefix or not url:
+                    raise RegistryError(f"bad trusted line {lineno}: {raw!r}")
+                trusted.append((prefix, ProgramId.get(url)))
             else:
                 raise RegistryError(f"bad registry line {lineno}: {raw!r}")
         if UNKNOWN_SIGNER not in signer_map:

@@ -71,7 +71,11 @@ def split_signed(contents: str) -> SignedPage:
 
 
 def page_digest(html: str, signer: str) -> bytes:
-    return hashlib.sha256(html.encode("utf-8") + b"\x00" + signer.encode("utf-8")).digest()
+    h = hashlib.sha256()
+    h.update(html.encode("utf-8"))
+    h.update(b"\x00")
+    h.update(signer.encode("utf-8"))
+    return h.digest()
 
 
 class KeyStore:

@@ -69,9 +69,21 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
 
 
-def _unescape(body: str) -> str:
-    # the token patterns put a character after every backslash
-    return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[1]), body)
+def _unescape(body: str, line: int, col: int) -> str:
+    out = []
+    i = 0
+    while i < len(body):
+        c = body[i]
+        if c == "\\":
+            i += 1
+            if i >= len(body):
+                raise ParseError("dangling escape", line, col)
+            e = body[i]
+            out.append(_ESCAPES.get(e, e))
+        else:
+            out.append(c)
+        i += 1
+    return "".join(out)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -95,7 +107,7 @@ def tokenize(text: str) -> list[Token]:
             if value == math.inf:   # float() reads a too-large literal as inf
                 raise ParseError(f"number out of range: {tok_text}", line, col)
         elif kind in ("str", "qatom"):
-            value = _unescape(tok_text[1:-1])
+            value = _unescape(tok_text[1:-1], line, col)
         else:
             # a '.' between digits was already eaten by the number rule, so
             # an END token always ends a clause
@@ -174,9 +186,12 @@ class _Parser:
         left = self.parse_primary(max_prec)
         while True:
             t = self.peek()
-            # `,` and `is` are infix operators that are not OP tokens
-            name = t.text if t.kind == "OP" or t.text in (",", "is") else None
-            if name not in INFIX_OPS:
+            name = t.text if t.kind == "OP" else None
+            if t.kind == "PUNCT" and t.text == ",":
+                name = ","
+            if t.kind == "NAME" and t.text == "is":
+                name = "is"
+            if name is None or name not in INFIX_OPS:
                 return left
             prec, fixity = INFIX_OPS[name]
             if prec > max_prec:

@@ -258,6 +258,29 @@ def test_http_fetch_refuses_a_body_over_the_cap(monkeypatch):
     assert resp.body == "\u00e9" * (2 << 16)
 
 
+@pytest.mark.parametrize("charset", ["x-bogus", "base64", "idna", "undefined"])
+def test_http_fetch_decodes_as_utf8_under_a_charset_python_cannot_use(
+        monkeypatch, charset):
+    requests = pytest.importorskip("requests")
+
+    class Response:
+        status_code = 200
+        url = "http://live.example/odd"
+        headers = {"Content-Type": f"text/html; charset={charset}"}
+        encoding = charset
+
+        def iter_content(self, chunk_size):
+            yield "<LW_CODE>p(\"\u00e9\").</LW_CODE>\xff".encode("utf-8")
+
+    class StubSession(requests.Session):
+        def get(self, url, **kwargs):
+            return Response()
+
+    monkeypatch.setattr(requests, "Session", StubSession)
+    resp = fetch_response(Response.url, FetchConfig())
+    assert resp.body == "<LW_CODE>p(\"\u00e9\").</LW_CODE>\u00ff"
+
+
 def test_load_store_skips_assignments_to_the_no_policy_placeholder(tmp_path, pages):
     pid = ProgramId.get(HOME_URL)
     (tmp_path / "_assignments").write_text(

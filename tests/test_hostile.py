@@ -95,6 +95,10 @@ HOSTILE_PAGES = {
     # a scanner that tries every `<!--` as a comment scans the rest of the
     # page for each one
     "unclosed_comments_50k": (CODE + "<!-- <a href=x.html>x</a>\n" * 50_000, 0, 3.0),
+    # a scanner that tries every `<` as a tag scans the rest of the page for
+    # the `>` that would end it
+    "unclosed_start_tags_50k": (CODE + "<a href='x.html' " * 50_000, 0, 3.0),
+    "unclosed_end_tags_50k": (CODE + "</a " * 50_000, 0, 3.0),
 }
 
 

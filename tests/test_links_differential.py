@@ -106,6 +106,9 @@ PAGES = st.builds(lambda pieces, tail: "".join(pieces) + tail,
 @example("<a href=x><SCRIPT/>y<style>a</\u017ftyle>b")
 @example('<a href=""><script><style></\u017fcript></style>')
 @example("<a href=x>a<!---->b<!-- c <a href=y>d</a>e<!-- f >g")
+@example("<a href=x>t<script>s &amp; <a href=y>u")
+@example("<a href=x>t<style>s</style>u &amp; <a href=y <b")
+@example("<a href=x>t</b>u <a href='y>v</a>")
 def test_extract_links_matches_html_parser(html):
     assert extract_links(html) == reference_links(html)
 
