@@ -10,6 +10,8 @@ just fails, optionally leaving a notice in the audit log.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import subprocess
 import time
 from typing import Callable, Iterator, Optional
@@ -105,16 +107,35 @@ def _bi_close(args, rt):
 
 @_register("system", 1)
 def _bi_system(args, rt):
-    """system(Command): run a shell command, succeed on exit 0"""
+    """system(Command): run a shell command, succeed on exit 0. A guard
+    stop kills the command; with no guard deadline it may run 30 s."""
     cmd = _text(args[0])
     if cmd is None:
         rt.notice("system/1: command must be an atom or string")
         return
+    hooks = rt.session.hooks
+    ceiling = time.monotonic() + 30 if getattr(hooks, "deadline", None) is None else None
     try:
-        proc = subprocess.run(cmd, shell=True, capture_output=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired) as exc:
+        # its own process group, so that killing it reaches the shell's children
+        proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+    except OSError as exc:
         rt.notice(f"system/1 failed: {exc}")
         return
+    try:
+        while True:
+            try:
+                proc.wait(timeout=0.02)
+                break
+            except subprocess.TimeoutExpired:
+                hooks.check_now()
+                if ceiling is not None and time.monotonic() > ceiling:
+                    rt.notice(f"system/1 failed: {cmd!r} ran past 30 seconds")
+                    return
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     if proc.returncode == 0:
         yield EMPTY_SUBST
 

@@ -9,7 +9,6 @@ usage and configuration errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -43,11 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str) -> str | None:
-    value = os.environ.get(name)
-    return value if value else None
-
-
 # ------------------------------------------------------------- session setup
 
 _GUARD_HELP = {"timeout_ms": "abort the query after N milliseconds",
@@ -55,16 +49,11 @@ _GUARD_HELP = {"timeout_ms": "abort the query after N milliseconds",
 
 
 def _add_session_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--registry", metavar="FILE",
-                   help="policy registry (or $LW_REGISTRY)")
-    p.add_argument("--keystore", metavar="FILE",
-                   help="signer public keys (or $LW_KEYSTORE)")
-    p.add_argument("--fixture-root", metavar="DIR",
-                   help="directory for file:// URLs (or $LW_FIXTURE_ROOT)")
+    p.add_argument("--registry", metavar="FILE", help="policy registry")
+    p.add_argument("--keystore", metavar="FILE", help="signer public keys")
     p.add_argument("--mount", action="append", default=[], metavar="PREFIX=DIR",
-                   help="serve URLs under PREFIX from DIR; repeatable")
-    p.add_argument("--store-dir", metavar="DIR",
-                   help="persistent program cache (or $LW_STORE_DIR)")
+                   help="serve URLs under PREFIX (file:/// too) from DIR; repeatable")
+    p.add_argument("--store-dir", metavar="DIR", help="persistent program cache")
     p.add_argument("--no-security", action="store_true",
                    help="disable policy enforcement")
     p.add_argument("--trusted", action="store_true",
@@ -102,13 +91,11 @@ def _parse_mounts(specs: list[str]) -> list[tuple[str, Path]]:
 
 
 def _build_session(args) -> Session:
-    keystore_path = args.keystore or _env("LW_KEYSTORE")
-    keystore = KeyStore.load(keystore_path) if keystore_path else KeyStore()
+    keystore = KeyStore.load(args.keystore) if args.keystore else KeyStore()
 
     security = not args.no_security
-    registry_path = args.registry or _env("LW_REGISTRY")
-    if registry_path:
-        registry = PolicyRegistry.load(registry_path, keystore,
+    if args.registry:
+        registry = PolicyRegistry.load(args.registry, keystore,
                                        trusted_enabled=args.trusted)
     elif security:
         raise CliError("a policy registry is required unless --no-security is given")
@@ -116,9 +103,7 @@ def _build_session(args) -> Session:
         # never consulted: a run without security records no policies
         registry = PolicyRegistry({"unknown": NO_POLICY}, keystore=keystore)
 
-    fixture_root = args.fixture_root or _env("LW_FIXTURE_ROOT")
     fetch_cfg = FetchConfig(
-        fixture_root=Path(fixture_root) if fixture_root else None,
         mounts=_parse_mounts(args.mount),
         timeout=args.http_timeout,
         allow_network=not args.offline,
@@ -128,14 +113,13 @@ def _build_session(args) -> Session:
                                  for f in fields(GuardConfig)}))
     session = Session(registry, fetch_cfg, config, hooks=guard)
 
-    store_dir = args.store_dir or _env("LW_STORE_DIR")
-    if store_dir:
-        load_store(store_dir, session.store, session.registry)
+    if args.store_dir:
+        load_store(args.store_dir, session.store, session.registry)
         if security:
             # programs cached by a run without security have no policy yet
             for program in session.store.programs():
                 session.registry.assign_policy(program.id, "")
-        session._cli_store_dir = store_dir
+        session._cli_store_dir = args.store_dir
     return session
 
 
@@ -153,8 +137,11 @@ def cmd_query(args) -> int:
         goal, varmap = parse_goal(args.goal)
     except ParseError as exc:
         raise CliError(f"bad goal: {exc}") from exc
-    outcome = guarded_solve(session, ProgramId.get(args.url), goal,
-                            limit=args.limit)
+    try:
+        outcome = guarded_solve(session, ProgramId.get(args.url), goal,
+                                limit=args.limit)
+    finally:
+        session.close_streams()
     _flush_store(session)
 
     qvars = list(varmap.values())
@@ -195,21 +182,23 @@ def cmd_policy_check(args) -> int:
     for pid in pids:
         session.registry.register_policy(pid)
 
-    if args.call:
-        term, _ = parse_term_text(args.call)
-        allowed = session._call_allowed(pids, term)
-    else:
-        id_term, _ = parse_term_text(args.program)
-        allowed = session._programs_allowed(pids, [ProgramId.from_term(id_term)])
+    try:
+        if args.call:
+            term, _ = parse_term_text(args.call)
+            allowed = session._call_allowed(pids, term)
+        else:
+            id_term, _ = parse_term_text(args.program)
+            allowed = session._programs_allowed(pids, [ProgramId.from_term(id_term)])
+    finally:
+        session.close_streams()
     print("allow" if allowed else "deny")
     return EXIT_OK if allowed else EXIT_NO
 
 
 def _required_store_dir(args) -> str:
-    store_dir = args.store_dir or _env("LW_STORE_DIR")
-    if not store_dir:
-        raise CliError("--store-dir (or $LW_STORE_DIR) is required")
-    return store_dir
+    if not args.store_dir:
+        raise CliError("--store-dir is required")
+    return args.store_dir
 
 
 def cmd_store_list(args) -> int:
@@ -233,14 +222,13 @@ def cmd_store_clear(args) -> int:
 def cmd_keygen(args) -> int:
     private, public = generate_keypair()
     save_private_key(args.key_out, private)
-    keystore_path = args.keystore or _env("LW_KEYSTORE")
-    if keystore_path:
-        path = Path(keystore_path)
+    if args.keystore:
+        path = Path(args.keystore)
         keystore = KeyStore.load(path) if path.is_file() else KeyStore()
         keystore.add(args.signer, public)
         keystore.save(path)
         print(f"key for {args.signer!r} written to {args.key_out}, "
-              f"public key added to {keystore_path}")
+              f"public key added to {args.keystore}")
     else:
         print(f"key for {args.signer!r} written to {args.key_out}")
     return EXIT_OK
@@ -308,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--key-out", required=True, metavar="FILE",
                     help="where to write the private key")
     kg.add_argument("--keystore", metavar="FILE",
-                    help="keystore to add the public key to (or $LW_KEYSTORE)")
+                    help="keystore to add the public key to")
     kg.set_defaults(func=cmd_keygen)
 
     sg = sub.add_parser("sign", help="append a signature trailer to a page")

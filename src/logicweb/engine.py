@@ -78,6 +78,12 @@ class Session:
         self.streams[n] = handle
         return n
 
+    def close_streams(self) -> None:
+        """Close every stream `open/3` left open."""
+        for handle in self.streams.values():
+            handle.close()
+        self.streams.clear()
+
     def install_local(self, program: LWProgram) -> None:
         """Place a program in the store without fetching, assigning it a
         policy the way a download would."""

@@ -1,9 +1,10 @@
 """Retrieving programs: the oracle between the store and the web.
 
 Besides live http(s), URLs can resolve offline: an in-memory page table
-(tests), a `file://` root, or mount points mapping URL prefixes onto fixture
-directories. A download that cannot produce a program raises FetchError
-naming what went wrong; the store is left untouched in that case.
+(tests), or mount points mapping URL prefixes onto directories
+(`file:///` is a prefix like any other). A download that cannot produce a
+program raises FetchError naming what went wrong; the store is left
+untouched in that case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ NO_POLICY = ProgramId.get("lw:no-policy")   # named by unsecured runs, never sto
 @dataclass
 class FetchConfig:
     pages: dict[str, "PageEntry"] = field(default_factory=dict)
-    fixture_root: Optional[Path] = None
     mounts: list[tuple[str, Path]] = field(default_factory=list)
     timeout: float = 10.0
     allow_network: bool = True
@@ -76,21 +76,21 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
         return HttpResponse(url, entry.final_url or url, entry.status,
                             headers, entry.body)
 
-    parts = urlsplit(url)
-    if parts.scheme == "file":
-        if cfg.fixture_root is None:
-            raise FetchError("network", "file URLs need a fixture root")
-        rel = unquote(parts.path).lstrip("/")
-        return _file_response(url, cfg.fixture_root / rel)
-
     for prefix, root in sorted(cfg.mounts, key=lambda m: -len(m[0])):
         if url.startswith(prefix):
-            rel = url[len(prefix):].split("?", 1)[0].split("#", 1)[0]
+            # a `..` segment, percent-encoded or not, could leave the directory
+            rel = unquote(url[len(prefix):].split("?", 1)[0].split("#", 1)[0]).lstrip("/")
+            if ".." in rel.split("/"):
+                raise FetchError("status", f"path leaves its mount: {url}")
             if not rel or rel.endswith("/"):
                 rel += "index.html"
-            return _file_response(url, root / rel.lstrip("/"))
+            return _file_response(url, root / rel)
 
-    if parts.scheme in ("http", "https"):
+    try:
+        scheme = urlsplit(url).scheme
+    except ValueError as exc:       # such as an unclosed `[` in the host
+        raise FetchError("network", f"malformed URL {url}: {exc}") from exc
+    if scheme in ("http", "https"):
         if not cfg.allow_network:
             raise FetchError("network", f"network disabled, cannot fetch {url}")
         return _http_fetch(url, cfg)
@@ -99,6 +99,8 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
 
 
 def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
+    from email.message import Message
+
     import requests
 
     body = bytearray()
@@ -114,8 +116,13 @@ def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
                     raise FetchError("status", f"body of {url} exceeds {MAX_BODY_BYTES} bytes")
         except requests.RequestException as exc:
             raise FetchError("network", str(exc)) from exc
+    # the charset the Content-Type names, else UTF-8 (requests would take
+    # ISO-8859-1 for any text/* type that names none)
+    content_type = Message()
+    content_type["Content-Type"] = resp.headers.get("Content-Type", "")
     try:
-        text = body.decode(resp.encoding or "utf-8", errors="replace")
+        text = body.decode(content_type.get_content_charset() or "utf-8",
+                           errors="replace")
     except (LookupError, ValueError):   # a charset Python cannot decode text with
         text = body.decode("utf-8", errors="replace")
     return HttpResponse(url, resp.url, resp.status_code, list(resp.headers.items()), text)

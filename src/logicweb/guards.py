@@ -172,5 +172,6 @@ def guarded_solve(session, main, goal, limit: int | None = None) -> GuardOutcome
             outcome.solutions.append(sol)
     except GuardTermination as exc:
         outcome.termination = exc
+        session.close_streams()
         session.audit.emit("notice", f"query aborted: {exc.message}")
     return outcome

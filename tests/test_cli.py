@@ -3,6 +3,7 @@
 import pytest
 from conftest import policy_page
 from logicweb.cli import main
+from logicweb.engine import Session
 from logicweb.signatures import KeyStore, authenticate
 
 SITE = "http://site.test/"
@@ -179,6 +180,23 @@ def test_argparse_errors_exit_three(capsys):
     assert info.value.code == 3
 
 
+@pytest.mark.parametrize("goal, expected", [("q", 2), ("r", 0)])
+def test_query_leaves_no_stream_open(site, capsys, tmp_path, monkeypatch, goal, expected):
+    d, _ = site
+    (d / "files.html").write_text(policy_page("Files", (
+        f'q :- open("{tmp_path / "q.txt"}", write, _), deep(0).\n'
+        f'r :- open("{tmp_path / "r.txt"}", write, _).\n'
+        "deep(N) :- M is N + 1, deep(M).\n")), encoding="utf-8")
+    handles = []
+    new_stream = Session.new_stream
+    monkeypatch.setattr(Session, "new_stream", lambda self, handle: (
+        handles.append(handle) or new_stream(self, handle)))
+    code, _, _ = run_cli(capsys, "query", SITE + "files.html", goal,
+                         "--max-depth", "20", *base(site))
+    assert code == expected
+    assert len(handles) == 1 and handles[0].closed
+
+
 # ---------------------------------------------------------------- fetch
 
 def test_fetch_prints_the_translated_program(site, capsys):
@@ -205,6 +223,50 @@ def test_fetch_failure(site, capsys):
     code, _, err = run_cli(capsys, "fetch", SITE + "absent.html", *base(site))
     assert code == 1
     assert err.startswith("fetch failed")
+
+
+def test_file_urls_are_served_by_a_mount(site, capsys):
+    d, _ = site
+    (d / "my page.html").write_text(INDEX, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "query", "file:///my%20page.html", "p(X)",
+                           "--mount", f"file:///={d}", "--no-security", "--offline")
+    assert (code, out) == (0, "X = 1\nX = 2\n")
+
+
+DOMAIN = ('valid_program(get, URL) :- contains(URL, "http://site.test/").\n'
+          "valid_systemCall(_).\n"
+          "call_system(G) :- built_ins:call_builtin(G).\n")
+
+
+def test_a_mounted_page_reads_nothing_outside_its_directory(site, capsys, tmp_path):
+    d, registry = site
+    (tmp_path / "secret.html").write_text("<html>secret</html>", encoding="utf-8")
+    (d / "peek.html").write_text(
+        '<html><LW_CODE>peek(T) :- lw(get, "http://site.test/../secret.html") '
+        "#> h_text(T).</LW_CODE></html>", encoding="utf-8")
+    (d / "domain.html").write_text(policy_page("Domain Only", DOMAIN),
+                                   encoding="utf-8")
+    registry.write_text(f"default {SITE}domain.html\n", encoding="utf-8")
+    for security in ([], ["--no-security"]):
+        code, out, err = run_cli(capsys, "query", SITE + "peek.html", "peek(T)",
+                                 *security, *base(site))
+        assert (code, out, err) == (1, "", "")
+
+
+def test_malformed_query_url_fails_cleanly(capsys):
+    code, out, err = run_cli(capsys, "query", "http://[::1", "q",
+                             "--no-security", "--offline")
+    assert (code, out, err) == (1, "", "")
+
+
+def test_malformed_url_in_a_page_switch_fails_cleanly(site, capsys):
+    d, _ = site
+    (d / "bad.html").write_text(
+        '<html><LW_CODE>q :- lw(get, "http://[::1") #> r.</LW_CODE></html>',
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", SITE + "bad.html", "q",
+                             "--no-security", *base(site))
+    assert (code, out, err) == (1, "", "")
 
 
 def test_undecodable_page_fails_cleanly(site, capsys):
@@ -337,18 +399,12 @@ def test_placeholder_assignments_in_a_store_are_reassigned(
     assert f"policy={SITE}perm.html" in out and "no-policy" not in out
 
 
-def test_store_dir_from_environment(site, capsys, tmp_path, monkeypatch):
+def test_store_list_requires_a_directory(site, capsys, tmp_path, monkeypatch):
     sd = tmp_path / "cache"
     run_cli(capsys, "query", SITE + "index.html", "p(1)",
             *base(site), "--store-dir", str(sd))
+    # the directory comes from the flag alone, never from the environment
     monkeypatch.setenv("LW_STORE_DIR", str(sd))
-    code, out, _ = run_cli(capsys, "store-list")
-    assert code == 0
-    assert "index.html" in out
-
-
-def test_store_list_requires_a_directory(capsys, monkeypatch):
-    monkeypatch.delenv("LW_STORE_DIR", raising=False)
     code, _, err = run_cli(capsys, "store-list")
     assert code == 3
     assert "--store-dir" in err

@@ -8,6 +8,8 @@ from logicweb.fetching import (NO_POLICY, FetchConfig, FetchError, PageEntry,
                                load_store, save_store)
 from logicweb.engine import solutions
 from logicweb.model import ProgramId, clause_text
+from logicweb.signatures import (KeyStore, authenticate, generate_keypair,
+                                 sign_page)
 
 
 def test_pages_table_hit():
@@ -47,14 +49,44 @@ def test_unsupported_scheme():
         fetch_response("gopher://old.example/", FetchConfig())
 
 
-def test_file_scheme_fixture_root(tmp_path):
+def test_file_scheme_mount(tmp_path):
     (tmp_path / "page.html").write_text("<html>f</html>", encoding="utf-8")
-    cfg = FetchConfig(fixture_root=tmp_path)
+    (tmp_path / "my page.html").write_text("<html>g</html>", encoding="utf-8")
+    cfg = FetchConfig(mounts=[("file:///", tmp_path)])
     assert fetch_response("file:///page.html", cfg).body == "<html>f</html>"
-    with pytest.raises(FetchError):
+    assert fetch_response("file:///my%20page.html", cfg).body == "<html>g</html>"
+    with pytest.raises(FetchError) as info:
         fetch_response("file:///absent.html", cfg)
-    with pytest.raises(FetchError):
+    assert info.value.reason == "status"
+    with pytest.raises(FetchError) as info:
         fetch_response("file:///page.html", FetchConfig())
+    assert info.value.reason == "network"
+
+
+@pytest.mark.parametrize("prefix", ["http://site.example/", "file:///"])
+@pytest.mark.parametrize("rest", ["../x", "%2E%2E/x", "a/..%2F..%2Fx", "a/../../x?q"])
+def test_mount_refuses_a_path_that_leaves_its_directory(
+        tmp_path, monkeypatch, prefix, rest):
+    root = tmp_path / "mount"
+    (root / "a").mkdir(parents=True)
+    (tmp_path / "x").write_text("secret", encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(fetching, "_file_response",
+                        lambda url, path: opened.append(path))
+    with pytest.raises(FetchError) as info:
+        fetch_response(prefix + rest, FetchConfig(mounts=[(prefix, root)]))
+    assert info.value.reason == "status"
+    assert opened == []
+
+
+def test_mount_keeps_decoded_slashes_and_nul_inside(tmp_path):
+    (tmp_path / "etc").mkdir()
+    (tmp_path / "etc" / "passwd").write_text("inside", encoding="utf-8")
+    cfg = FetchConfig(mounts=[("http://site.example/", tmp_path)])
+    assert fetch_response("http://site.example/%2Fetc/passwd", cfg).body == "inside"
+    with pytest.raises(FetchError) as info:
+        fetch_response("http://site.example/etc/passwd%00.html", cfg)
+    assert info.value.reason == "status"
 
 
 def test_mounts_longest_prefix_and_index(tmp_path):
@@ -279,6 +311,36 @@ def test_http_fetch_decodes_as_utf8_under_a_charset_python_cannot_use(
     monkeypatch.setattr(requests, "Session", StubSession)
     resp = fetch_response(Response.url, FetchConfig())
     assert resp.body == "<LW_CODE>p(\"\u00e9\").</LW_CODE>\u00ff"
+
+
+@pytest.mark.parametrize("content_type, charset", [
+    ("text/html", "utf-8"), ("text/html; charset=ISO-8859-1", "latin-1"),
+    ('text/html; charset="utf-8"', "utf-8")])
+def test_http_fetch_decodes_with_the_named_charset_else_utf8(
+        monkeypatch, content_type, charset):
+    requests = pytest.importorskip("requests")
+    private, public = generate_keypair()
+    page = sign_page('<LW_CODE>p("caf\u00e9").</LW_CODE>\n', private, "alice")
+
+    class Response:
+        status_code = 200
+        url = "http://live.example/page.lwpgp.html"
+        headers = requests.structures.CaseInsensitiveDict(
+            {"Content-Type": content_type})
+        # what requests itself sets: ISO-8859-1 for text/* without a charset
+        encoding = requests.utils.get_encoding_from_headers(headers)
+
+        def iter_content(self, chunk_size):
+            yield page.encode(charset)
+
+    class StubSession(requests.Session):
+        def get(self, url, **kwargs):
+            return Response()
+
+    monkeypatch.setattr(requests, "Session", StubSession)
+    resp = fetch_response(Response.url, FetchConfig())
+    assert resp.body == page
+    assert authenticate(resp.body, KeyStore({"alice": public})) == "alice"
 
 
 def test_load_store_skips_assignments_to_the_no_policy_placeholder(tmp_path, pages):

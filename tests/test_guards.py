@@ -1,6 +1,9 @@
 """Resource guards: loop detection, depth, clause and program budgets,
 timeouts, and the ancestor-stack bookkeeping they depend on."""
 
+import subprocess
+import time
+
 import pytest
 from conftest import PERMISSIVE_URL, base_pages, make_session, policy_page
 from logicweb.engine import solutions
@@ -140,6 +143,32 @@ def test_timeout_uses_injected_clock():
     out = run(s, "nat(X)")
     assert out.termination.reason == TIMED_OUT
     assert now["t"] <= 5.0
+
+
+def test_timeout_kills_a_running_system_command(monkeypatch):
+    started = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda *a, **kw: started.append(popen(*a, **kw)) or started[-1])
+    s = sess({MAIN: ""}, guard=Guard(GuardConfig(timeout_ms=300)))
+    start = time.monotonic()
+    out = run(s, 'system("sleep 5")')
+    assert out.termination.reason == TIMED_OUT
+    assert time.monotonic() - start < 2.0
+    assert len(started) == 1 and started[0].poll() is not None
+
+
+def test_a_stop_closes_the_streams_the_query_opened(tmp_path):
+    s = sess({MAIN: "deep(N) :- M is N + 1, deep(M).\n"
+                    f'q :- open("{tmp_path / "out.txt"}", write, _), deep(0).\n'},
+             guard=Guard(GuardConfig(max_depth=20)))
+    handles = []
+    new_stream = s.new_stream
+    s.new_stream = lambda handle: handles.append(handle) or new_stream(handle)
+    out = run(s, "q")
+    assert out.termination.reason == DEPTH_EXCEEDED
+    assert len(handles) == 1 and handles[0].closed
+    assert s.streams == {}
 
 
 def test_solutions_starts_every_query_afresh():

@@ -58,6 +58,26 @@ def test_mixed_first_arguments_install_and_answer_quickly(tmp_path, capsys):
     assert (code, capsys.readouterr().out) == (0, "true\n")
 
 
+def test_last_fact_of_a_10k_clause_page_answers_quickly(tmp_path, capsys):
+    n = 10_000
+    page = "".join(f"f(k{i}, v{i}).\n" for i in range(n))
+    start = time.monotonic()
+    code = _lw_query(tmp_path, page, f"f(k{n - 1}, X)")
+    assert time.monotonic() - start < 3.0
+    assert (code, capsys.readouterr().out) == (0, f"X = v{n - 1}\n")
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 4: each call nests Python frames")
+def test_len_over_500_elements_ends_lw_query_cleanly(tmp_path, capsys):
+    items = ", ".join(str(i) for i in range(500))
+    page = (f"big([{items}]).\n"
+            "len([], 0).\nlen([_|T], N) :- len(T, M), N is M + 1.\n")
+    code = _lw_query(tmp_path, page, "big(L), len(L, N)", "query",
+                     "--max-depth", "2000", "--max-clauses", "100000")
+    assert code == 0 and capsys.readouterr().out.endswith(", N = 500\n")
+
+
 def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):
     code = _lw_query(tmp_path, "q.\n", "X = " + "1" * 5001)
     out, err = capsys.readouterr()
