@@ -108,7 +108,9 @@ def _bi_close(args, rt):
 @_register("system", 1)
 def _bi_system(args, rt):
     """system(Command): run a shell command, succeed on exit 0. A guard
-    stop kills the command; with no guard deadline it may run 30 s."""
+    stop kills the command; with no guard deadline it may run 30 s. Jobs
+    the shell leaves in the background are killed when it exits, except
+    one that moved to a session of its own (`setsid`)."""
     cmd = _text(args[0])
     if cmd is None:
         rt.notice("system/1: command must be an atom or string")
@@ -133,9 +135,11 @@ def _bi_system(args, rt):
                     rt.notice(f"system/1 failed: {cmd!r} ran past 30 seconds")
                     return
     finally:
-        if proc.poll() is None:
+        try:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        except ProcessLookupError:      # nothing of the group is left
+            pass
+        proc.wait()
     if proc.returncode == 0:
         yield EMPTY_SUBST
 

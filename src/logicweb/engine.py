@@ -7,7 +7,8 @@ vets the non-policy ones against every active policy, and extends the
 policy set so the new programs' own policies travel with the derivation.
 System calls are routed through the policy programs; with no policies
 active (a policy's own code, or security switched off) they run directly
-against the built-in table.
+against the built-in table. A session reuses a vetting verdict while the
+clauses it was proved from stand (`verdicts`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify)
+from .verdicts import Recorder, Verdict, VerdictMemo, policy_reads, variant_key
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -57,8 +59,8 @@ class Barrier:
 
 class Session:
     """Everything one interpreter instance owns (store, registry, fetch
-    setup, audit trail, guard hooks, open streams) and the evaluator that
-    runs goals over them."""
+    setup, audit trail, guard hooks, open streams, reusable policy
+    verdicts) and the evaluator that runs goals over them."""
 
     def __init__(self, registry: PolicyRegistry,
                  fetch_config: FetchConfig | None = None,
@@ -72,6 +74,7 @@ class Session:
         self.hooks = hooks or EngineHooks()
         self.streams: dict[int, object] = {}
         self._stream_ids = itertools.count(0)
+        self.verdicts = VerdictMemo()
 
     def new_stream(self, handle) -> int:
         n = next(self._stream_ids)
@@ -264,7 +267,7 @@ class Session:
         new_ids = [p for p in ids if not registry.is_policy(p)]
 
         if security and sigma and new_ids:
-            if not self._programs_allowed(sigma, new_ids):
+            if not self._programs_allowed(sigma, new_ids, chain):
                 return
 
         if not add_programs(self, ids, chain, sigma):
@@ -280,7 +283,8 @@ class Session:
         self.audit.emit("switch", "context switch", new_chain, new_sigma)
         yield from self.solve(new_sigma, f, goal, s, new_chain, barrier)
 
-    def _programs_allowed(self, sigma: PolicySet, pids: list[ProgramId]) -> bool:
+    def _programs_allowed(self, sigma: PolicySet, pids: list[ProgramId],
+                          chain=()) -> bool:
         """Every active policy must accept every new program id. Evaluated
         as one conjunction inside the intersection of the encapsulated
         policies; any bindings it makes are discarded."""
@@ -288,11 +292,41 @@ class Session:
                   for pid in pids]
         goal = reduce(lambda rest, check: Struct(",", (check, rest)),
                       reversed(checks))
-        return self._prove_isolated(sigma, goal)
+        return self._vet(sigma, goal, chain)
 
-    def _call_allowed(self, sigma: PolicySet, g: Term) -> bool:
-        """Every active policy must accept the system call `g`."""
-        return self._prove_isolated(sigma, Struct("valid_systemCall", (g,)))
+    def _call_allowed(self, sigma: PolicySet, g: Term, chain=(),
+                      text: str | None = None) -> bool:
+        """Every active policy must accept the system call `g` (printed as
+        `text`, when the caller has printed it already)."""
+        return self._vet(sigma, Struct("valid_systemCall", (g,)), chain,
+                         text and f"valid_systemCall({text})")
+
+    def _vet(self, sigma, goal: Term, chain, text: str | None = None) -> bool:
+        """`_prove_isolated`, reusing the session's verdict for a variant
+        of `goal` under the same policies while the clauses that proof read
+        are unchanged. A reused verdict replays the proof's guard hook
+        calls and leaves one `vet` event in place of the proof's events.
+        Only a pure proof that raised nothing and left no notice is kept."""
+        sigma = tuple(sigma)
+        key = (sigma, variant_key(goal))
+        kept = self.verdicts.get(key)
+        if kept is not None:
+            kept.replay(self.hooks)
+            self.audit.emit("vet", ("allow: " if kept.allowed else "deny: ")
+                            + (text or syntax.to_text(goal)), chain, sigma)
+            return kept.allowed
+        reads = policy_reads(self.store, sigma, goal)
+        if reads is None:
+            return self._prove_isolated(sigma, goal)
+        live, mark = self.hooks, len(self.audit.events)
+        self.hooks = recorder = Recorder(live)
+        try:
+            allowed = self._prove_isolated(sigma, goal)
+        finally:
+            self.hooks = live
+        if all(ev.kind != "notice" for ev in self.audit.events[mark:]):
+            self.verdicts.put(key, Verdict(allowed, reads, recorder.steps))
+        return allowed
 
     def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term) -> bool:
         """One solution of `goal` in the composition where every given
@@ -311,9 +345,10 @@ class Session:
         if not sigma:
             yield from self._run_builtin(ctx, g, s, chain)
             return
-        if not self._call_allowed(sigma, g):
+        text = syntax.to_text(g)
+        if not self._call_allowed(sigma, g, chain, text):
             return
-        self.audit.emit("syscall", syntax.to_text(g), chain, sigma)
+        self.audit.emit("syscall", text, chain, sigma)
         run = Struct("call_system", (g,))
         for s_inner in self.context_switch((), sigma[-1], run):
             yield s.compose(s_inner)

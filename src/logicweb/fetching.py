@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -66,6 +67,21 @@ def _file_response(url: str, path: Path) -> HttpResponse:
     return HttpResponse(url, url, 200, _default_headers(body), body)
 
 
+def _linked_out(root: Path, rel: str) -> bool:
+    """Whether a symbolic link below `root` takes `root/rel` out of it. Only
+    a path through a link is resolved, so most fetches pay one `lstat` per
+    segment."""
+    step = str(root)
+    for part in rel.split("/"):
+        step = os.path.join(step, part)
+        if os.path.islink(step):
+            try:
+                return not (root / rel).resolve().is_relative_to(root.resolve())
+            except (OSError, RuntimeError):     # such as a link loop
+                return True
+    return False
+
+
 def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
     """Resolve a URL to a response; raises FetchError on failure."""
     entry = cfg.pages.get(url)
@@ -84,6 +100,8 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
                 raise FetchError("status", f"path leaves its mount: {url}")
             if not rel or rel.endswith("/"):
                 rel += "index.html"
+            if _linked_out(root, rel):
+                raise FetchError("status", f"path leaves its mount: {url}")
             return _file_response(url, root / rel)
 
     try:

@@ -371,6 +371,10 @@ class LWProgram:
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self._index
 
+    def clauses_of(self, pred: tuple[str, int]) -> tuple[Clause, ...]:
+        """The predicate's clause bucket; `()` when it is undefined."""
+        return self._index.get(pred, ())
+
 
 class ProgramStore:
     """Downloaded programs, keyed by identifier. The store only grows."""

@@ -138,8 +138,9 @@ class PolicyRegistry:
 @dataclass(frozen=True)
 class AuditEvent:
     ts: float
-    kind: str                                  # syscall | fetch | switch | notice
-    detail: str                                # goal or id text
+    kind: str                                  # syscall | fetch | switch | vet | notice
+    detail: str                                # goal or id text; a vet's is
+                                               # `allow: GOAL` or `deny: GOAL`
     chain: tuple[ProgramExpression, ...] = ()  # contexts from the query root
     sigma: tuple[ProgramId, ...] = ()          # active policies, newest first
 

@@ -237,18 +237,23 @@ def random_world(rng: random.Random) -> World:
     return World(pages, policy_clauses, page_policy, page_urls[0], "go")
 
 
-def run_world(world: World) -> Session:
-    """Evaluate the world's query with security on; the audit trail stays
-    on the returned session."""
+def world_session(world: World) -> Session:
+    """A secured session over the world's pages and policy assignments."""
     registry = PolicyRegistry({"unknown": ProgramId.get(PERMISSIVE_URL)})
     for pol_url in world.policy_clauses:
         registry.register_policy(ProgramId.get(pol_url))
     for page_url, pol_url in world.page_policy.items():
         registry.assign(ProgramId.get(page_url), ProgramId.get(pol_url))
-    session = Session(registry,
-                      FetchConfig(pages=dict(world.pages), allow_network=False),
-                      EngineConfig(),
-                      hooks=Guard(GuardConfig(max_depth=200, max_clauses=5000)))
+    return Session(registry,
+                   FetchConfig(pages=dict(world.pages), allow_network=False),
+                   EngineConfig(),
+                   hooks=Guard(GuardConfig(max_depth=200, max_clauses=5000)))
+
+
+def run_world(world: World) -> Session:
+    """Evaluate the world's query with security on; the audit trail stays
+    on the returned session."""
+    session = world_session(world)
     goal, _ = parse_goal(world.query)
     for _ in session.run_query(ProgramId.get(world.main_url), goal):
         pass
@@ -276,6 +281,7 @@ class SafetyReport:
     syscall_events: int = 0
     fetch_events: int = 0
     switch_events: int = 0
+    vet_events: int = 0
     violations: list[str] = None
 
     def __post_init__(self):
@@ -289,7 +295,9 @@ def check_world(world: World, session: Session) -> SafetyReport:
     Every recorded system call and download must be provable under the
     policy of every non-policy program mentioned anywhere in the context
     sequence, and every switch must carry a policy set covering those
-    policies."""
+    policies. A reused verdict (a `vet` record) must be the one the
+    reference resolver reaches: allow exactly when every policy of its set
+    proves the goal."""
     ground = {ProgramId.get(url): naive.load(text)
               for url, text in world.policy_clauses.items()}
     page_pol = {ProgramId.get(page): ProgramId.get(pol)
@@ -326,6 +334,13 @@ def check_world(world: World, session: Session) -> SafetyReport:
                 if not naive.prove(ground[pol], goal):
                     report.violations.append(
                         f"download of {ev.detail} escaped {pol.serialize()}")
+        elif ev.kind == "vet":
+            report.vet_events += 1
+            verdict, _, text = ev.detail.partition(": ")
+            goal, _ = parse_term_text(text)
+            if (verdict == "allow") != all(naive.prove(ground[pol], goal)
+                                           for pol in ev.sigma):
+                report.violations.append(f"cached verdict {ev.detail} is wrong")
         elif ev.kind == "switch":
             report.switch_events += 1
             missing = chain_policies(ev.chain) - set(ev.sigma)

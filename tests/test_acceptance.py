@@ -211,6 +211,10 @@ def test_audit_trail_shows_no_illegal_operation_in_500_worlds(safety_runs):
     assert sum(r.fetch_events for r in reports) > 0
     escapes = [v for r in reports for v in r.violations if "escaped" in v]
     assert escapes == []
+    # verdicts the session reused agree with the reference resolver
+    assert sum(r.vet_events for r in reports) > 0
+    wrong = [v for r in reports for v in r.violations if "cached verdict" in v]
+    assert wrong == []
 
 
 def test_policy_set_covers_every_context_at_each_switch(safety_runs):

@@ -1,6 +1,8 @@
 """Behaviour of the built-in predicate table, driven through open sessions."""
 
 import os
+import time
+from pathlib import Path
 
 import pytest
 from conftest import HOME_URL, PERMISSIVE_URL, make_session
@@ -68,6 +70,28 @@ def test_system_runs_command(open_session, tmp_path):
     target = tmp_path / "made"
     assert run(open_session, f'system("touch {target}")') == [{}]
     assert target.exists()
+
+
+def _running(pid: int) -> bool:
+    """True while `pid` exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_system_kills_the_jobs_its_shell_leaves_behind(open_session, tmp_path):
+    pidfile = tmp_path / "pid"
+    assert run(open_session, f'system("sleep 30 & echo $! > {pidfile}")') == [{}]
+    pid = int(pidfile.read_text())
+    # SIGKILL is delivered asynchronously; a job left running would sleep 30 s
+    for _ in range(100):
+        if not _running(pid):
+            break
+        time.sleep(0.01)
+    assert not _running(pid)
 
 
 def test_report_deletion_notice(open_session, capsys):

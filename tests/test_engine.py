@@ -1,15 +1,23 @@
 """Core evaluation: composition operators, control constructs, and the
 security-mode differences in switching and system calls."""
 
+import random
+from pathlib import Path
+
+import genfix
 import pytest
 from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
                       make_session, policy_page)
 from logicweb import engine
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
-from logicweb.model import Clause, LWProgram, ProgramId
+from logicweb.guards import (Guard, GuardConfig, GuardTermination,
+                             guarded_solve)
+from logicweb.model import (Clause, Encapsulation, Intersection, LWProgram,
+                            ProgramId, parse_goal)
 from logicweb.syntax import to_text
 from logicweb.terms import Atom, Num, Struct
+from logicweb.verdicts import Verdict, variant_key
 
 MAIN = "http://progs.example/main.html"
 A = "http://progs.example/a.html"
@@ -412,3 +420,212 @@ def test_keyed_selection_keeps_the_clauses_it_started_with():
         "1", "1", "0", "3", "9", "9", "9"]
     assert in_policy("p(a, X)") == ["1", "0", "9", "9", "9"]
     assert in_policy("p(c, X)") == ["0"]
+
+
+# ---------------------------------------------------------------- the verdict memo
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MEMO_URL = "http://policies.example.org/memo.html"
+
+
+def plain_vetting(monkeypatch):
+    """Every vet proves its goal, as before the memo."""
+    monkeypatch.setattr(engine.Session, "_vet",
+                        lambda self, sigma, goal, chain, text=None:
+                        self._prove_isolated(sigma, goal))
+
+
+def counting_proofs(monkeypatch):
+    proofs = []
+    prove = engine.Session._prove_isolated
+
+    def counted(self, pids, goal):
+        proofs.append(to_text(goal))
+        return prove(self, pids, goal)
+
+    monkeypatch.setattr(engine.Session, "_prove_isolated", counted)
+    return proofs
+
+
+def trail(session):
+    """Syscall and fetch events outside the vetting proofs, which a reused
+    verdict replaces with one `vet` event."""
+    return [(ev.kind, ev.detail, ev.chain, ev.sigma) for ev in session.audit.events
+            if ev.kind in ("syscall", "fetch")
+            and not (len(ev.chain) == 2
+                     and isinstance(ev.chain[1], (Encapsulation, Intersection)))]
+
+
+def memo_session(clauses, main="", **kw):
+    """A secured session whose main program runs under a policy made of
+    `clauses`, plus a permissive `valid_program` and, unless `clauses` has
+    one, a plain `call_system`."""
+    if "call_system" not in clauses:
+        clauses += "call_system(C) :- built_ins:call_builtin(C).\n"
+    s = sess({MAIN: main, MEMO_URL: "valid_program(_, _).\n" + clauses},
+             security=True, default_policy=MEMO_URL, **kw)
+    # the policy is in the store before the first vet, so that vet can be kept
+    assert count(s, f'lw(get, "{MEMO_URL}") #> true') == 1
+    return s
+
+
+def test_variant_key_numbers_variables_by_first_occurrence():
+    def key(text):
+        return variant_key(parse_goal(text)[0])
+
+    assert key("p(X, Y, X)") == key("p(A, B, A)")
+    assert key("p(X, Y, X)") != key("p(A, B, B)")
+    assert key("p(1)") != key("p(1.0)")
+    assert key("p(a)") != key('p("a")')
+    assert key("p(f(a))") != key("p(f(a, a))")
+
+
+def test_a_reused_verdict_replaces_the_proof_with_one_vet_event(monkeypatch):
+    s = memo_session("valid_systemCall(C) :- contains(\"ab\", \"a\").\n")
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(3):
+        assert count(s, 'contains("xy", "x")') == 1
+    assert len(proofs) == 1
+    vets = s.audit.of_kind("vet")
+    assert [ev.detail for ev in vets] == [
+        'allow: valid_systemCall(contains("xy", "x"))'] * 2
+    assert vets[0].sigma == (ProgramId.get(MEMO_URL),)
+    assert vets[0].chain[-1] == ProgramId.get(MAIN)
+
+
+def test_a_verdict_is_dropped_when_a_clause_it_read_changes():
+    # the first call spends the token, so the same call then is refused
+    s = memo_session("token(yes).\n"
+                     "valid_systemCall(_) :- token(yes).\n"
+                     "call_system(C) :- retract(token(_)), assert(token(no)), "
+                     "built_ins:call_builtin(C).\n")
+    assert count(s, 'contains("ab", "a"), contains("ab", "a")') == 0
+    assert count(s, 'contains("ab", "a")') == 0
+
+
+def test_a_verdict_survives_changes_to_predicates_it_never_read(monkeypatch):
+    s = memo_session("calls(0).\n"
+                     "valid_systemCall(_) :- check.\n"
+                     "check.\n"
+                     "call_system(C) :- retract(calls(K)), K1 is K + 1, "
+                     "assert(calls(K1)), built_ins:call_builtin(C).\n")
+    proofs = counting_proofs(monkeypatch)
+    assert count(s, 'contains("ab", "a"), contains("ab", "a")') == 1
+    assert count(s, 'contains("ab", "a")') == 1
+    assert proofs == ['valid_systemCall(contains("ab", "a"))']
+    assert q(s, f'lw(get, "{MEMO_URL}") #> calls(X)') == ["3"]
+
+
+@pytest.mark.parametrize("form", [
+    f'program_exists(lw(get, "{MAIN}"))',      # a built-in that is not pure
+    "G = true, G",                             # a variable goal
+    f'lw(get, "{MEMO_URL}") #> true',          # a switch
+    "built_ins:builtin(contains(_, _))",       # a qualified goal
+    "assert(seen(x))",
+    "(retract(seen(x)) ; true)",
+])
+def test_an_impure_policy_is_proved_on_every_call(monkeypatch, form):
+    s = memo_session(f"valid_systemCall(_) :- check.\ncheck :- {form}.\n")
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(2):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 2
+    assert s.audit.of_kind("vet") == []
+
+
+def test_a_proof_that_leaves_a_notice_is_not_kept(monkeypatch):
+    s = memo_session('valid_systemCall(_) :- (contains(1, "a") ; true).\n')
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(2):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 2
+
+
+# the vet of contains/2 is made at a greater depth, and after more clauses,
+# for every answer
+GUARDED_MAIN = """\
+go(X) :- member(X, [1, 2, 3]), down(X).
+down(0) :- contains("ab", "a").
+down(N) :- N > 0, M is N - 1, down(M).
+"""
+
+
+def guarded_run(**caps):
+    s = memo_session("valid_systemCall(_) :- check.\ncheck.\n", main=GUARDED_MAIN,
+                     guard=Guard(GuardConfig(**caps)))
+    goal, varmap = parse_goal("go(X)")
+    out = guarded_solve(s, ProgramId.get(MAIN), goal)
+    answers = [to_text(sol.subst.apply(varmap["X"])) for sol in out.solutions]
+    return answers, out.termination and out.termination.reason, trail(s)
+
+
+@pytest.mark.parametrize("cap", ["max_depth", "max_clauses"])
+def test_a_guard_stops_a_reused_verdict_where_it_stops_the_proof(monkeypatch, cap):
+    stops = []
+    replay = Verdict.replay
+
+    def watched(self, hooks):
+        try:
+            replay(self, hooks)
+        except GuardTermination as exc:
+            stops.append(exc.reason)
+            raise
+
+    monkeypatch.setattr(Verdict, "replay", watched)
+    limits = range(1, 10) if cap == "max_depth" else range(1, 76)
+    cached = [guarded_run(**{cap: n}) for n in limits]
+    assert stops            # some caps fell inside a reused verdict
+    plain_vetting(monkeypatch)
+    assert cached == [guarded_run(**{cap: n}) for n in limits]
+
+
+def test_the_memo_changes_nothing_in_500_worlds(monkeypatch):
+    def runs():
+        out = []
+        for seed in range(500):
+            world = genfix.random_world(random.Random(seed))
+            s = genfix.world_session(world)
+            got = guarded_solve(s, ProgramId.get(world.main_url),
+                                parse_goal(world.query)[0])
+            out.append((len(got.solutions),
+                        got.termination and got.termination.reason, trail(s)))
+        return out
+
+    cached = runs()
+    plain_vetting(monkeypatch)
+    assert cached == runs()
+
+
+def test_the_memo_changes_nothing_on_the_benchmark_chains(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    def runs():
+        s = workloads.chain_session(security=True)
+        out = []
+        for n in (1, 4, 2, 4):
+            for path, _refuse in workloads.CHAINS.values():
+                out.append(workloads.solve_outcome(s, workloads.SYS + path[0],
+                                                   f"run({n}, X)"))
+        return out, trail(s)
+
+    cached = runs()
+    plain_vetting(monkeypatch)
+    assert cached == runs()
+
+
+def test_a_warm_benchmark_pass_proves_few_of_its_vets(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    wl = workloads.SecuredSyscalls(seed=1, workdir=tmp_path)
+    wl.warm_up()
+    vets = []
+    vet = engine.Session._vet
+    monkeypatch.setattr(engine.Session, "_vet",
+                        lambda self, *args: vets.append(1) or vet(self, *args))
+    proofs = counting_proofs(monkeypatch)
+    assert [wl.run(query) for query in wl.queries] == [
+        query.expected for query in wl.queries]
+    assert len(vets) > 2500
+    assert len(proofs) <= 450

@@ -79,6 +79,23 @@ def test_mount_refuses_a_path_that_leaves_its_directory(
     assert opened == []
 
 
+def test_mount_refuses_a_link_that_points_out_of_it(tmp_path):
+    root = tmp_path / "mount"
+    (root / "sub").mkdir(parents=True)
+    (tmp_path / "secret.html").write_text("secret", encoding="utf-8")
+    (root / "page.html").write_text("inside", encoding="utf-8")
+    (root / "out.html").symlink_to(tmp_path / "secret.html")
+    (root / "sub" / "up").symlink_to(tmp_path, target_is_directory=True)
+    (root / "sub" / "in.html").symlink_to(root / "page.html")
+    (root / "loop.html").symlink_to(root / "loop.html")
+    cfg = FetchConfig(mounts=[("http://site.example/", root)])
+    for rest in ("out.html", "sub/up/secret.html", "loop.html"):
+        with pytest.raises(FetchError, match="path leaves its mount") as info:
+            fetch_response("http://site.example/" + rest, cfg)
+        assert info.value.reason == "status"
+    assert fetch_response("http://site.example/sub/in.html", cfg).body == "inside"
+
+
 def test_mount_keeps_decoded_slashes_and_nul_inside(tmp_path):
     (tmp_path / "etc").mkdir()
     (tmp_path / "etc" / "passwd").write_text("inside", encoding="utf-8")
