@@ -124,16 +124,18 @@ def _bi_system(args, rt):
     except OSError as exc:
         rt.notice(f"system/1 failed: {exc}")
         return
+    delay = 0.0005
     try:
-        while True:
-            try:
-                proc.wait(timeout=0.02)
-                break
-            except subprocess.TimeoutExpired:
-                hooks.check_now()
-                if ceiling is not None and time.monotonic() > ceiling:
-                    rt.notice(f"system/1 failed: {cmd!r} ran past 30 seconds")
-                    return
+        # the exited shell stays unreaped until its group is killed, so its
+        # pid, which names the group, cannot pass to another process first
+        while os.waitid(os.P_PID, proc.pid,
+                        os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+            hooks.check_now()
+            if ceiling is not None and time.monotonic() > ceiling:
+                rt.notice(f"system/1 failed: {cmd!r} ran past 30 seconds")
+                return
+            time.sleep(delay)
+            delay = min(delay * 2, 0.02)
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)

@@ -29,7 +29,7 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify)
-from .verdicts import Recorder, Verdict, VerdictMemo, policy_reads, variant_key
+from .verdicts import Recorder, Verdict, VerdictMemo, variant_key
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -292,22 +292,25 @@ class Session:
                   for pid in pids]
         goal = reduce(lambda rest, check: Struct(",", (check, rest)),
                       reversed(checks))
-        return self._vet(sigma, goal, chain)
+        return self._prove_isolated(sigma, goal, chain)
 
     def _call_allowed(self, sigma: PolicySet, g: Term, chain=(),
                       text: str | None = None) -> bool:
         """Every active policy must accept the system call `g` (printed as
         `text`, when the caller has printed it already)."""
-        return self._vet(sigma, Struct("valid_systemCall", (g,)), chain,
-                         text and f"valid_systemCall({text})")
+        return self._prove_isolated(sigma, Struct("valid_systemCall", (g,)), chain,
+                                    text and f"valid_systemCall({text})")
 
-    def _vet(self, sigma, goal: Term, chain, text: str | None = None) -> bool:
-        """`_prove_isolated`, reusing the session's verdict for a variant
-        of `goal` under the same policies while the clauses that proof read
-        are unchanged. A reused verdict replays the proof's guard hook
+    def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term, chain=(),
+                        text: str | None = None) -> bool:
+        """Whether every given policy proves `goal` (the vet of a call or a
+        switch made in `chain`; `text` is `goal` printed, when the caller
+        has printed it). The session reuses its verdict for a variant of
+        `goal` under the same policies while the clauses that proof read
+        are unchanged: a reused verdict replays the proof's guard hook
         calls and leaves one `vet` event in place of the proof's events.
         Only a pure proof that raised nothing and left no notice is kept."""
-        sigma = tuple(sigma)
+        sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)
         if kept is not None:
@@ -315,25 +318,25 @@ class Session:
             self.audit.emit("vet", ("allow: " if kept.allowed else "deny: ")
                             + (text or syntax.to_text(goal)), chain, sigma)
             return kept.allowed
-        reads = policy_reads(self.store, sigma, goal)
+        reads = self.verdicts.pure_reads(self.store, sigma, goal)
         if reads is None:
-            return self._prove_isolated(sigma, goal)
+            return self._prove(sigma, goal)
         live, mark = self.hooks, len(self.audit.events)
         self.hooks = recorder = Recorder(live)
         try:
-            allowed = self._prove_isolated(sigma, goal)
+            allowed = self._prove(sigma, goal)
         finally:
             self.hooks = live
         if all(ev.kind != "notice" for ev in self.audit.events[mark:]):
             self.verdicts.put(key, Verdict(allowed, reads, recorder.steps))
         return allowed
 
-    def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term) -> bool:
+    def _prove(self, sigma: PolicySet, goal: Term) -> bool:
         """One solution of `goal` in the composition where every given
         policy must agree (the encapsulated policies, intersected left to
         right), from a pristine derivation state: no policies, empty
         context, fresh chain."""
-        expr = reduce(Intersection, (Encapsulation(p) for p in pids))
+        expr = reduce(Intersection, (Encapsulation(p) for p in sigma))
         for _ in self.context_switch((), expr, goal):
             return True
         return False

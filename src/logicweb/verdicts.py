@@ -6,7 +6,8 @@ each policy calls only control constructs, its policy's own predicates and
 the pure built-ins below. It is reused for a variant of the goal under the
 same policy tuple while the clauses of those predicates are the very ones
 the proof read. So `assert` and `retract` on any other predicate, such as a
-policy's call counter, leave it valid.
+policy's call counter, leave it valid. A policy found impure is proved
+every time, but is not walked again until a clause the walk read changes.
 
 The guards must see a reused verdict as they saw the proof: its hook calls
 are recorded and replayed against the live hooks, so a depth, clause,
@@ -19,7 +20,7 @@ from .builtins import TABLE
 from .guards import EngineHooks
 from .terms import Atom, Struct, Term, Var, functor_of
 
-# reused verdicts kept per session; the oldest goes first
+# verdicts, and policy walks, kept per session; the oldest goes first
 MAX_ENTRIES = 4096
 
 PURE_BUILTINS = frozenset(
@@ -75,13 +76,12 @@ def user_calls(body: Term) -> list[tuple[str, int]] | None:
     return out
 
 
-def policy_reads(store, pids, goal: Term) -> list | None:
-    """For each policy, the clause buckets of every predicate reachable from
-    `goal`, as (program, predicate, clauses) triples; None when a policy is
-    not in the store yet or some reachable body is impure."""
-    roots = user_calls(goal)
-    if roots is None:
-        return None
+def policy_reads(store, pids, roots) -> tuple[bool, list] | None:
+    """Walk, in each policy, the predicates reachable from `roots`: whether
+    every body met is pure, and the clause buckets read on the way as
+    (program, predicate, clauses) triples; None when a policy is not in the
+    store yet. The walk stops at the first impure body, so the same buckets
+    lead it to the same one again."""
     reads = []
     for pid in pids:
         program = store.get(pid)
@@ -99,9 +99,19 @@ def policy_reads(store, pids, goal: Term) -> list | None:
             for clause in bucket:
                 called = user_calls(clause.body)
                 if called is None:
-                    return None
+                    return False, reads
                 todo.extend(called)
-    return reads
+    return True, reads
+
+
+def unchanged(reads) -> bool:
+    """Whether every bucket read still holds the very same clauses. An
+    unchanged program still has the very same bucket tuples."""
+    for program, pred, bucket in reads:
+        now = program.clauses_of(pred)
+        if now is not bucket and now != bucket:
+            return False
+    return True
 
 
 class Recorder(EngineHooks):
@@ -140,10 +150,6 @@ class Verdict:
         self.reads = reads
         self.steps = steps
 
-    def still_valid(self) -> bool:
-        return all(program.clauses_of(pred) == bucket
-                   for program, pred, bucket in self.reads)
-
     def replay(self, hooks: EngineHooks) -> None:
         """Make the recorded hook calls again, each token the proof was
         given standing for the one the live hooks give now."""
@@ -161,20 +167,43 @@ class Verdict:
 
 
 class VerdictMemo:
-    """Verdicts keyed by (policy tuple, variant key of the goal)."""
+    """Verdicts keyed by (policy tuple, variant key of the goal), and the
+    outcome of each policy walk keyed by (policy tuple, predicates the goal
+    calls), so a policy found impure is not walked again until a clause the
+    walk read changes."""
 
     def __init__(self):
         self._entries: dict[tuple, Verdict] = {}
+        self._walks: dict[tuple, tuple[bool, list]] = {}
 
     def get(self, key) -> Verdict | None:
         verdict = self._entries.get(key)
-        if verdict is not None and verdict.still_valid():
+        if verdict is not None and unchanged(verdict.reads):
             return verdict
         return None
 
     def put(self, key, verdict: Verdict) -> None:
-        entries = self._entries
-        entries.pop(key, None)
-        if len(entries) >= MAX_ENTRIES:
-            del entries[next(iter(entries))]
-        entries[key] = verdict
+        _put(self._entries, key, verdict)
+
+    def pure_reads(self, store, pids: tuple, goal: Term) -> list | None:
+        """The buckets a proof of `goal` under `pids` may read, when every
+        reachable body is pure and every policy is in the store; else None."""
+        roots = user_calls(goal)
+        if roots is None:
+            return None
+        key = (pids, tuple(roots))
+        walk = self._walks.get(key)
+        if walk is None or not unchanged(walk[1]):
+            walk = policy_reads(store, pids, roots)
+            if walk is None:
+                return None
+            _put(self._walks, key, walk)
+        pure, reads = walk
+        return reads if pure else None
+
+
+def _put(entries: dict, key, value) -> None:
+    entries.pop(key, None)
+    if len(entries) >= MAX_ENTRIES:
+        del entries[next(iter(entries))]
+    entries[key] = value

@@ -8,7 +8,7 @@ import genfix
 import pytest
 from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
                       make_session, policy_page)
-from logicweb import engine
+from logicweb import engine, verdicts
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (Guard, GuardConfig, GuardTermination,
@@ -430,21 +430,33 @@ MEMO_URL = "http://policies.example.org/memo.html"
 
 def plain_vetting(monkeypatch):
     """Every vet proves its goal, as before the memo."""
-    monkeypatch.setattr(engine.Session, "_vet",
-                        lambda self, sigma, goal, chain, text=None:
-                        self._prove_isolated(sigma, goal))
+    monkeypatch.setattr(engine.Session, "_prove_isolated",
+                        lambda self, pids, goal, chain=(), text=None:
+                        self._prove(tuple(pids), goal))
 
 
 def counting_proofs(monkeypatch):
     proofs = []
-    prove = engine.Session._prove_isolated
+    prove = engine.Session._prove
 
-    def counted(self, pids, goal):
+    def counted(self, sigma, goal):
         proofs.append(to_text(goal))
-        return prove(self, pids, goal)
+        return prove(self, sigma, goal)
 
-    monkeypatch.setattr(engine.Session, "_prove_isolated", counted)
+    monkeypatch.setattr(engine.Session, "_prove", counted)
     return proofs
+
+
+def counting_walks(monkeypatch):
+    walks = []
+    walk = verdicts.policy_reads
+
+    def counted(store, pids, roots):
+        walks.append(roots)
+        return walk(store, pids, roots)
+
+    monkeypatch.setattr(verdicts, "policy_reads", counted)
+    return walks
 
 
 def trail(session):
@@ -527,9 +539,27 @@ def test_a_verdict_survives_changes_to_predicates_it_never_read(monkeypatch):
 def test_an_impure_policy_is_proved_on_every_call(monkeypatch, form):
     s = memo_session(f"valid_systemCall(_) :- check.\ncheck :- {form}.\n")
     proofs = counting_proofs(monkeypatch)
+    walks = counting_walks(monkeypatch)
     for _ in range(2):
         assert count(s, 'contains("ab", "a")') == 1
     assert len(proofs) == 2
+    assert len(walks) == 1
+    assert s.audit.of_kind("vet") == []
+
+
+def test_a_policy_is_walked_again_when_a_clause_it_read_changes(monkeypatch):
+    # the first call turns `check` impure, so later calls are proved
+    s = memo_session("valid_systemCall(_) :- check.\n"
+                     "check.\n"
+                     "call_system(C) :- (retract(check) -> "
+                     "assert((check :- assert(seen(x)))) ; true), "
+                     "built_ins:call_builtin(C).\n")
+    proofs = counting_proofs(monkeypatch)
+    walks = counting_walks(monkeypatch)
+    for _ in range(3):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 3
+    assert len(walks) == 2
     assert s.audit.of_kind("vet") == []
 
 
@@ -621,8 +651,8 @@ def test_a_warm_benchmark_pass_proves_few_of_its_vets(monkeypatch, tmp_path):
     wl = workloads.SecuredSyscalls(seed=1, workdir=tmp_path)
     wl.warm_up()
     vets = []
-    vet = engine.Session._vet
-    monkeypatch.setattr(engine.Session, "_vet",
+    vet = engine.Session._prove_isolated
+    monkeypatch.setattr(engine.Session, "_prove_isolated",
                         lambda self, *args: vets.append(1) or vet(self, *args))
     proofs = counting_proofs(monkeypatch)
     assert [wl.run(query) for query in wl.queries] == [
