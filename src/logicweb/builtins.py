@@ -193,7 +193,7 @@ def _bi_assert(args, rt):
     except Exception as exc:
         rt.notice(f"assert/1: {exc}")
         return
-    prog.replace(prog.clauses + (clause,))
+    prog.add(clause)
     yield EMPTY_SUBST
 
 
@@ -205,12 +205,20 @@ def _bi_retract(args, rt):
         rt.notice("retract/1: only policy programs may change their clauses")
         return
     # a fact's clause term is its head, so a bare pattern matches facts and
-    # a ':-'/2 pattern matches rules
+    # a ':-'/2 pattern matches rules; only a variable head can match clauses
+    # of more than one predicate
     pattern = args[0]
-    for i, clause in enumerate(prog.clauses):
+    head = (pattern.args[0] if isinstance(pattern, Struct)
+            and pattern.functor == ":-" and len(pattern.args) == 2 else pattern)
+    if isinstance(head, Var):
+        clauses = prog.clauses
+    else:
+        pred = functor_of(head)
+        clauses = prog.clauses_of(pred) if pred else ()
+    for clause in clauses:
         s = unify(pattern, clause_to_term(clause))
         if s is not None:
-            prog.replace(prog.clauses[:i] + prog.clauses[i + 1:])
+            prog.remove(clause)
             yield s
             return
 

@@ -9,6 +9,8 @@ usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -51,7 +53,8 @@ _GUARD_HELP = {"timeout_ms": "abort the query after N milliseconds",
 def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--registry", metavar="FILE", help="policy registry")
     p.add_argument("--keystore", metavar="FILE", help="signer public keys")
-    p.add_argument("--mount", action="append", default=[], metavar="PREFIX=DIR",
+    # None, not []: a cached parser puts its default object in every namespace
+    p.add_argument("--mount", action="append", default=None, metavar="PREFIX=DIR",
                    help="serve URLs under PREFIX (file:/// too) from DIR; repeatable")
     p.add_argument("--store-dir", metavar="DIR", help="persistent program cache")
     p.add_argument("--no-security", action="store_true",
@@ -60,8 +63,8 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
                    help="honour trusted-prefix lines in the registry")
     p.add_argument("--offline", action="store_true",
                    help="never touch the network")
-    p.add_argument("--http-timeout", type=float, default=FetchConfig.timeout,
-                   metavar="SECS")
+    p.add_argument("--http-timeout", type=_timeout_seconds,
+                   default=FetchConfig.timeout, metavar="SECS")
     # one flag per guard setting, named and defaulted by GuardConfig
     for f in fields(GuardConfig):
         flag = "--" + f.name.replace("_", "-")
@@ -78,6 +81,19 @@ def _non_negative(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return n
+
+
+# socket timeouts overflow a little above 9.2e9 s
+MAX_HTTP_TIMEOUT = 1e9
+
+
+def _timeout_seconds(text: str) -> float:
+    secs = float(text)
+    if not (math.isfinite(secs) and 0 < secs <= MAX_HTTP_TIMEOUT):
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds above 0 and at most "
+            f"{MAX_HTTP_TIMEOUT:g}: {text}")
+    return secs
 
 
 def _parse_mounts(specs: list[str]) -> list[tuple[str, Path]]:
@@ -104,7 +120,7 @@ def _build_session(args) -> Session:
         registry = PolicyRegistry({"unknown": NO_POLICY}, keystore=keystore)
 
     fetch_cfg = FetchConfig(
-        mounts=_parse_mounts(args.mount),
+        mounts=_parse_mounts(args.mount or []),
         timeout=args.http_timeout,
         allow_network=not args.offline,
     )
@@ -249,7 +265,10 @@ def cmd_sign(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lw` parser, built once per process: parsing leaves no state in
+    it, so every call of `main` shares it."""
     p = _Parser(prog="lw",
                 description="Run goals against logic programs on the web.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

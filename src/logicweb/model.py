@@ -331,49 +331,88 @@ def first_arg_key(t: Term):
     return None if isinstance(t, Var) else t
 
 
+def _index_predicate(clauses: tuple[Clause, ...]) -> tuple:
+    """One predicate's index entry: (its clauses in program order, the
+    positions in them of the clauses whose first argument has each key, the
+    positions of those whose first argument is a variable)."""
+    keyed: dict = {}
+    free = []
+    for i, c in enumerate(clauses):
+        if isinstance(c.head, Struct):
+            key = first_arg_key(c.head.args[0])
+            if key is None:
+                free.append(i)
+            else:
+                keyed.setdefault(key, []).append(i)
+    return clauses, {k: tuple(v) for k, v in keyed.items()}, tuple(free)
+
+
+def _without(clauses: tuple[Clause, ...], clause: Clause) -> tuple[Clause, ...]:
+    i = next(i for i, c in enumerate(clauses) if c is clause)
+    return clauses[:i] + clauses[i + 1:]
+
+
 @dataclass
 class LWProgram:
+    """A program's clauses, indexed per predicate. `add` and `remove` build
+    new tuples for the one predicate they change, so a selection already
+    running keeps its clauses (the logical update view) and every other
+    predicate keeps the very same bucket."""
+
     id: ProgramId
-    clauses: tuple[Clause, ...]   # set only through `replace`, never edited
+    clauses: tuple[Clause, ...]   # set only by the methods below, never edited
 
     def __post_init__(self):
         self.replace(self.clauses)
 
     def replace(self, clauses: Iterable[Clause]) -> None:
-        """Install a new clause tuple and index it, each clause once:
-        (name, arity) holds a predicate's clauses, (name, arity, key) the
-        positions of those whose first argument has that key, and
-        (name, arity, None) of those whose first argument is a variable.
-        Every bucket is a new tuple, so a selection already running keeps
-        its clauses (the logical update view)."""
+        """Install a new clause tuple and index every predicate anew."""
         self.clauses = tuple(clauses)
-        index: dict[tuple, list] = {}
-        for i, c in enumerate(self.clauses):
-            pred = functor_of(c.head)
-            index.setdefault(pred, []).append(c)
-            if pred[1]:
-                index.setdefault(pred + (first_arg_key(c.head.args[0]),), []).append(i)
-        self._index: dict[tuple, tuple] = {k: tuple(v) for k, v in index.items()}
+        buckets: dict[tuple[str, int], list[Clause]] = {}
+        for c in self.clauses:
+            buckets.setdefault(functor_of(c.head), []).append(c)
+        self._index: dict[tuple[str, int], tuple] = {
+            pred: _index_predicate(tuple(cs)) for pred, cs in buckets.items()}
+
+    def add(self, clause: Clause) -> None:
+        """Append `clause`, re-indexing its predicate alone."""
+        self.clauses += (clause,)
+        pred = functor_of(clause.head)
+        self._index[pred] = _index_predicate(self.clauses_of(pred) + (clause,))
+
+    def remove(self, clause: Clause) -> None:
+        """Remove the first occurrence of this very clause object,
+        re-indexing its predicate alone."""
+        self.clauses = _without(self.clauses, clause)
+        pred = functor_of(clause.head)
+        rest = _without(self.clauses_of(pred), clause)
+        if rest:
+            self._index[pred] = _index_predicate(rest)
+        else:
+            del self._index[pred]
 
     def candidates(self, goal: Term, s: Substitution) -> tuple[Clause, ...]:
         """The clauses whose heads may unify with `goal` (an atom or compound,
         its arguments read through `s`), in clause order."""
-        pred = functor_of(goal)
-        key = first_arg_key(s.walk(goal.args[0])) if pred[1] else None
+        entry = self._index.get(functor_of(goal))
+        if entry is None:
+            return ()
+        clauses, keyed, free = entry
+        key = first_arg_key(s.walk(goal.args[0])) if keyed else None
         if key is None:
-            return self._index.get(pred, ())
-        keyed = self._index.get(pred + (key,), ())
-        free = self._index.get(pred + (None,), ())
+            return clauses
+        hit = keyed.get(key, ())
         # two ascending runs, which the sort merges in one pass
-        positions = sorted(keyed + free) if keyed and free else keyed or free
-        return tuple(map(self.clauses.__getitem__, positions))
+        positions = sorted(hit + free) if hit and free else hit or free
+        return tuple(map(clauses.__getitem__, positions))
 
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self._index
 
     def clauses_of(self, pred: tuple[str, int]) -> tuple[Clause, ...]:
         """The predicate's clause bucket; `()` when it is undefined."""
-        return self._index.get(pred, ())
+        entry = self._index.get(pred)
+        return entry[0] if entry else ()
 
 
 class ProgramStore:

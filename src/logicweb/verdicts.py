@@ -105,8 +105,8 @@ def policy_reads(store, pids, roots) -> tuple[bool, list] | None:
 
 
 def unchanged(reads) -> bool:
-    """Whether every bucket read still holds the very same clauses. An
-    unchanged program still has the very same bucket tuples."""
+    """Whether every bucket read still holds the very same clauses. A
+    predicate no `assert` or `retract` changed keeps its very bucket tuple."""
     for program, pred, bucket in reads:
         now = program.clauses_of(pred)
         if now is not bucket and now != bucket:

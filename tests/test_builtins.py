@@ -8,7 +8,7 @@ import pytest
 from conftest import HOME_URL, PERMISSIVE_URL, make_session
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
-from logicweb.model import LWProgram, ProgramId, parse_program
+from logicweb.model import LWProgram, ProgramId, clause_text, parse_program
 from logicweb.syntax import to_text
 from logicweb.terms import Num, Str, Var
 
@@ -286,6 +286,63 @@ def test_stateful_policy_counter(pages):
     assert in_policy("bump") == [{}]
     assert in_policy("counter(N)") == [{"N": Num(1)}]
     assert in_policy("retract(counter(5))") == []
+
+
+LEDGER = ("first(1).\n"
+          "valid_program(_, _).\n"
+          "valid_systemCall(_).\n"
+          "call_system(G) :- built_ins:call_builtin(G).\n"
+          "calls(0).\n"
+          "rule(a).\n"
+          "rule(b) :- first(1).\n"
+          "last(1).\n")
+
+
+@pytest.fixture
+def ledger(pages):
+    """A session whose default policy is LEDGER, a runner of goals inside
+    it, and its stored program once fetched."""
+    from conftest import policy_page
+    url = "http://policies.example.org/ledger.html"
+    pages = dict(pages)
+    pages[url] = PageEntry(policy_page("Ledger", LEDGER))
+    session = make_session(pages, default_policy=url)
+
+    def in_policy(goal):
+        return solutions(session, HOME_URL, f'lw(get, "{url}") #> ({goal})')
+
+    assert in_policy("calls(0)") == [{}]
+    return in_policy, session.store.get(ProgramId.get(url))
+
+
+def test_assert_keeps_the_buckets_of_other_predicates(ledger):
+    in_policy, prog = ledger
+    valid = prog.clauses_of(("valid_systemCall", 1))
+    assert in_policy("retract(calls(0)), assert(calls(1))") == [{}]
+    assert prog.clauses_of(("valid_systemCall", 1)) is valid
+    assert in_policy("calls(N)") == [{"N": Num(1)}]
+
+
+def test_retract_with_a_variable_takes_the_first_clause(ledger):
+    in_policy, prog = ledger
+    before = prog.clauses
+    (got,) = in_policy("retract(X)")
+    assert clause_text(before[0]) == to_text(got["X"]) + "."
+    assert prog.clauses == before[1:]
+
+
+def test_retract_of_a_rule_pattern_leaves_the_facts(ledger):
+    in_policy, prog = ledger
+    assert texts(in_policy("retract((rule(X) :- B))"), "X") == ["b"]
+    assert texts(in_policy("rule(X)"), "X") == ["a"]
+    assert in_policy("retract((rule(X) :- B))") == []
+
+
+def test_retract_of_the_last_clause_undefines_the_predicate(ledger):
+    in_policy, prog = ledger
+    assert in_policy("retract(last(1))") == [{}]
+    assert not prog.defines("last", 1)
+    assert [c for c in prog.clauses if c.head.functor == "last"] == []
 
 
 def test_unknown_predicate_just_fails(open_session):

@@ -1,9 +1,13 @@
 """The command line front end, driven in-process through main()."""
 
+import socket
+
 import pytest
 from conftest import policy_page
-from logicweb.cli import main
+from logicweb import cli
+from logicweb.cli import build_parser, main
 from logicweb.engine import Session
+from logicweb.guards import GuardConfig
 from logicweb.signatures import KeyStore, authenticate
 
 SITE = "http://site.test/"
@@ -178,6 +182,58 @@ def test_argparse_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 3
+
+
+@pytest.mark.parametrize("secs", ["0", "-1", "nan", "inf", "1e10", "soon"])
+def test_bad_http_timeout_is_a_usage_error(capsys, monkeypatch, secs):
+    def no_connection(*args):
+        raise AssertionError("a usage error opened a connection")
+    monkeypatch.setattr(socket.socket, "connect", no_connection)
+    with pytest.raises(SystemExit) as info:
+        main(["query", "http://127.0.0.1:9/x.html", "p", "--no-security",
+              "--http-timeout", secs])
+    assert info.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "--http-timeout" in err
+    assert "Traceback" not in err
+
+
+# ------------------------------------------------------ the shared parser
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_call_inherits_no_flag_from_the_one_before(site, capsys,
+                                                     monkeypatch):
+    d, _ = site
+    seen = []
+    real = cli._build_session
+    monkeypatch.setattr(cli, "_build_session",
+                        lambda args: seen.append(vars(args)) or real(args))
+    code, out, _ = run_cli(capsys, "query", SITE + "index.html", "p(X)",
+                           "--mount", f"{SITE}={d}", "--no-loop-check",
+                           "--max-depth", "3", "--offline", "--no-security")
+    assert (code, out.splitlines()) == (0, ["X = 1", "X = 2"])
+    # without the mount the page cannot be fetched offline
+    code, out, _ = run_cli(capsys, "query", SITE + "index.html", "p(X)",
+                           "--offline", "--no-security")
+    assert (code, out) == (1, "")
+    first, second = ((a["mount"], a["loop_check"], a["max_depth"])
+                     for a in seen)
+    assert first == ([f"{SITE}={d}"], False, 3)
+    defaults = GuardConfig()
+    assert second == (None, defaults.loop_check, defaults.max_depth)
+
+
+def test_usage_errors_and_queries_interleave(site, capsys):
+    query = ["query", SITE + "index.html", "p(X)", *base(site)]
+    assert run_cli(capsys, *query)[:2] == (0, "X = 1\nX = 2\n")
+    with pytest.raises(SystemExit) as info:
+        main([*query, "--limit", "-1"])
+    assert info.value.code == 3
+    capsys.readouterr()
+    assert run_cli(capsys, *query)[:2] == (0, "X = 1\nX = 2\n")
 
 
 @pytest.mark.parametrize("goal, expected", [("q", 2), ("r", 0)])

@@ -273,7 +273,11 @@ def test_index_holds_each_clause_once():
     # linear in the clause count
     text = "".join(f"p(k{i}).\np(_).\n" for i in range(300)) + "go.\n"
     prog = LWProgram(ME, parse_program(text))
-    assert sum(map(len, prog._index.values())) == 2 * len(prog.clauses) - 1
+    # per predicate: its clauses, and one position for each clause with a
+    # first argument, either under its key or among the variable-first ones
+    size = sum(len(clauses) + sum(map(len, keyed.values())) + len(free)
+               for clauses, keyed, free in prog._index.values())
+    assert size == 2 * len(prog.clauses) - 1
     goal, _ = parse_goal("p(k7)")
     # p(k7) is clause 14; the variable-first ones are the odd positions
     assert prog.candidates(goal, EMPTY_SUBST) == tuple(
@@ -290,3 +294,26 @@ def test_replace_reindexes_and_keeps_the_old_buckets():
         "p(X, 2).", "p(b, 3)."]
     prog.replace(prog.clauses[1:])
     assert not prog.defines("q", 2) and prog.defines("p", 2)
+
+
+@given(_indexed_cases(), st.lists(st.integers(0, 20), max_size=6),
+       st.lists(st.sampled_from(FIRST_ARGS), max_size=4))
+@settings(max_examples=100)
+def test_add_and_remove_index_as_a_fresh_program_does(case, drops, firsts):
+    text, _, _, _ = case
+    prog = LWProgram(ME, parse_program(text))
+    for first in firsts:
+        prog.add(parse_program(f"p({first}, new).")[0])
+    for drop in drops:
+        if prog.clauses:
+            prog.remove(prog.clauses[drop % len(prog.clauses)])
+    assert prog._index == LWProgram(ME, prog.clauses)._index
+
+
+def test_add_and_remove_keep_every_other_bucket():
+    prog = LWProgram(ME, parse_program("p(a).\nq(b).\nq(c)."))
+    p_bucket = prog.clauses_of(("p", 1))
+    prog.add(parse_program("q(d).")[0])
+    prog.remove(prog.clauses_of(("q", 1))[0])
+    assert prog.clauses_of(("p", 1)) is p_bucket
+    assert [clause_text(c) for c in prog.clauses] == ["p(a).", "q(c).", "q(d)."]
