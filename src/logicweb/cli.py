@@ -135,12 +135,10 @@ def _build_session(args) -> Session:
             # programs cached by a run without security have no policy yet
             for program in session.store.programs():
                 session.registry.assign_policy(program.id, "")
-        session._cli_store_dir = args.store_dir
     return session
 
 
-def _flush_store(session: Session) -> None:
-    store_dir = getattr(session, "_cli_store_dir", None)
+def _flush_store(session: Session, store_dir: str | None) -> None:
     if store_dir:
         save_store(store_dir, session.store, session.registry)
 
@@ -158,7 +156,7 @@ def cmd_query(args) -> int:
                                 limit=args.limit)
     finally:
         session.close_streams()
-    _flush_store(session)
+    _flush_store(session, args.store_dir)
 
     qvars = list(varmap.values())
     for sol in outcome.solutions:
@@ -168,6 +166,8 @@ def cmd_query(args) -> int:
         else:
             print("true")
     if args.trace:
+        if session.audit.dropped:
+            print(f"# {session.audit.dropped} earlier events dropped")
         for line in session.audit.lines():
             print(line)
     if outcome.terminated:
@@ -184,7 +184,7 @@ def cmd_fetch(args) -> int:
         print(f"fetch failed ({exc.reason}): {exc.detail}", file=sys.stderr)
         return EXIT_NO
     finally:
-        _flush_store(session)
+        _flush_store(session, args.store_dir)
     for clause in program.clauses:
         print(clause_text(clause))
     return EXIT_OK

@@ -19,7 +19,6 @@ from functools import reduce
 from typing import Iterable, Iterator
 
 from . import builtins as bi
-from . import syntax
 from .fetching import FetchConfig, add_programs
 from .guards import EngineHooks
 from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
@@ -294,40 +293,37 @@ class Session:
                       reversed(checks))
         return self._prove_isolated(sigma, goal, chain)
 
-    def _call_allowed(self, sigma: PolicySet, g: Term, chain=(),
-                      text: str | None = None) -> bool:
-        """Every active policy must accept the system call `g` (printed as
-        `text`, when the caller has printed it already)."""
-        return self._prove_isolated(sigma, Struct("valid_systemCall", (g,)), chain,
-                                    text and f"valid_systemCall({text})")
+    def _call_allowed(self, sigma: PolicySet, g: Term, chain=()) -> bool:
+        """Every active policy must accept the system call `g`."""
+        return self._prove_isolated(sigma, Struct("valid_systemCall", (g,)), chain)
 
-    def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term, chain=(),
-                        text: str | None = None) -> bool:
+    def _prove_isolated(self, pids: Iterable[ProgramId], goal: Term,
+                        chain=()) -> bool:
         """Whether every given policy proves `goal` (the vet of a call or a
-        switch made in `chain`; `text` is `goal` printed, when the caller
-        has printed it). The session reuses its verdict for a variant of
-        `goal` under the same policies while the clauses that proof read
-        are unchanged: a reused verdict replays the proof's guard hook
-        calls and leaves one `vet` event in place of the proof's events.
-        Only a pure proof that raised nothing and left no notice is kept."""
+        switch made in `chain`). The session reuses its verdict for a
+        variant of `goal` under the same policies while the clauses that
+        proof read are unchanged: a reused verdict replays the proof's guard
+        hook calls and leaves one `vet` event in place of the proof's
+        events. Only a pure proof that raised nothing and left no notice is
+        kept."""
         sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)
         if kept is not None:
             kept.replay(self.hooks)
-            self.audit.emit("vet", ("allow: " if kept.allowed else "deny: ")
-                            + (text or syntax.to_text(goal)), chain, sigma)
+            self.audit.emit("vet", goal, chain, sigma,
+                            "allow: " if kept.allowed else "deny: ")
             return kept.allowed
         reads = self.verdicts.pure_reads(self.store, sigma, goal)
         if reads is None:
             return self._prove(sigma, goal)
-        live, mark = self.hooks, len(self.audit.events)
+        live, notices = self.hooks, self.audit.notices
         self.hooks = recorder = Recorder(live)
         try:
             allowed = self._prove(sigma, goal)
         finally:
             self.hooks = live
-        if all(ev.kind != "notice" for ev in self.audit.events[mark:]):
+        if self.audit.notices == notices:
             self.verdicts.put(key, Verdict(allowed, reads, recorder.steps))
         return allowed
 
@@ -348,10 +344,9 @@ class Session:
         if not sigma:
             yield from self._run_builtin(ctx, g, s, chain)
             return
-        text = syntax.to_text(g)
-        if not self._call_allowed(sigma, g, chain, text):
+        if not self._call_allowed(sigma, g, chain):
             return
-        self.audit.emit("syscall", text, chain, sigma)
+        self.audit.emit("syscall", g, chain, sigma)
         run = Struct("call_system", (g,))
         for s_inner in self.context_switch((), sigma[-1], run):
             yield s.compose(s_inner)
@@ -359,7 +354,7 @@ class Session:
     def _run_builtin(self, ctx, g: Term, s, chain):
         """Run the built-in `g` directly, with no policy active, and merge
         each of its answers into `s`."""
-        self.audit.emit("syscall", syntax.to_text(g), chain, ())
+        self.audit.emit("syscall", g, chain, ())
         rt = bi.BuiltinCall(self, ctx)
         for delta in bi.call_builtin(g, rt):
             yield s.compose(delta)

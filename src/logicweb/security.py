@@ -5,20 +5,22 @@ time, chosen by: trusted URL prefix (when enabled), else the verified signer
 of a signed page, else the untrusted default. Policy programs themselves are
 never assigned policies. The audit log records fetches and system calls with
 the context chain and active policy set, so a session can be re-checked
-after the fact.
+after the fact. It keeps the newest `MAX_EVENTS` events, counts the older
+ones as dropped, and prints a goal only when its event is read.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import deque
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import signatures
 from .model import ProgramExpression, ProgramId, expr_text
 from .signatures import KeyStore, UNKNOWN_SIGNER
-from .syntax import read_text
+from .syntax import read_text, to_text
+from .terms import Term
 
 
 class RegistryError(Exception):
@@ -135,14 +137,21 @@ class PolicyRegistry:
 
 # ---------------------------------------------------------------- audit
 
-@dataclass(frozen=True)
-class AuditEvent:
+class AuditEvent(NamedTuple):
     ts: float
     kind: str                                  # syscall | fetch | switch | vet | notice
-    detail: str                                # goal or id text; a vet's is
-                                               # `allow: GOAL` or `deny: GOAL`
+    subject: str | Term                        # id or message text, or the goal
     chain: tuple[ProgramExpression, ...] = ()  # contexts from the query root
     sigma: tuple[ProgramId, ...] = ()          # active policies, newest first
+    prefix: str = ""                           # a vet's `allow: ` or `deny: `
+
+    @property
+    def detail(self) -> str:
+        """The subject as text, printed when read; a vet's is `allow: GOAL`
+        or `deny: GOAL`."""
+        subject = self.subject
+        return self.prefix + (subject if isinstance(subject, str)
+                              else to_text(subject))
 
     def format_line(self) -> str:
         chain = " -> ".join(expr_text(e) for e in self.chain) or "-"
@@ -150,17 +159,31 @@ class AuditEvent:
         return f"{self.ts:.6f} {self.kind} {self.detail} | context: {chain} | policies: {sigma}"
 
 
+# events an audit log keeps; older ones are dropped and counted
+MAX_EVENTS = 10_000
+
+
 class AuditLog:
-    """Always-on in-memory event trail."""
+    """Always-on in-memory event trail that keeps the newest `MAX_EVENTS`
+    events and counts every one emitted, dropped and of kind `notice`."""
 
     def __init__(self):
-        self.events: list[AuditEvent] = []
+        self.events: deque[AuditEvent] = deque(maxlen=MAX_EVENTS)
+        self.emitted = 0
+        self.dropped = 0
+        self.notices = 0
 
-    def emit(self, kind: str, detail: str,
+    def emit(self, kind: str, subject: str | Term,
              chain: tuple[ProgramExpression, ...] = (),
-             sigma: tuple[ProgramId, ...] = ()) -> AuditEvent:
-        ev = AuditEvent(time.time(), kind, detail, chain, sigma)
-        self.events.append(ev)
+             sigma: tuple[ProgramId, ...] = (), prefix: str = "") -> AuditEvent:
+        events = self.events
+        if len(events) == events.maxlen:
+            self.dropped += 1
+        if kind == "notice":
+            self.notices += 1
+        self.emitted += 1
+        ev = AuditEvent(time.time(), kind, subject, chain, sigma, prefix)
+        events.append(ev)
         return ev
 
     def lines(self) -> list[str]:

@@ -4,7 +4,7 @@ import socket
 
 import pytest
 from conftest import policy_page
-from logicweb import cli
+from logicweb import cli, security
 from logicweb.cli import build_parser, main
 from logicweb.engine import Session
 from logicweb.guards import GuardConfig
@@ -148,6 +148,19 @@ def test_trace_appends_audit_lines(site, capsys):
     assert lines[0] == "true"
     assert any(" fetch " in ln and "| policies:" in ln for ln in lines[1:])
     assert any(" switch " in ln for ln in lines[1:])
+
+
+def test_trace_reports_the_events_the_trail_dropped(site, capsys, monkeypatch):
+    monkeypatch.setattr(security, "MAX_EVENTS", 2)
+    code, out, _ = run_cli(capsys, "trace", SITE + "index.html", "greet(hi)",
+                           *base(site))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "true"
+    dropped = int(lines[1].removeprefix("# ").removesuffix(" earlier events dropped"))
+    assert dropped > 0
+    assert len(lines[2:]) == 2
+    assert all(" | context: " in ln for ln in lines[2:])
 
 
 # ---------------------------------------------------------------- errors

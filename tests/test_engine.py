@@ -8,15 +8,15 @@ import genfix
 import pytest
 from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
                       make_session, policy_page)
-from logicweb import engine, verdicts
+from logicweb import engine, security, verdicts
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (Guard, GuardConfig, GuardTermination,
                              guarded_solve)
 from logicweb.model import (Clause, Encapsulation, Intersection, LWProgram,
                             ProgramId, parse_goal)
-from logicweb.syntax import to_text
-from logicweb.terms import Atom, Num, Struct
+from logicweb.syntax import parse_term_text, to_text
+from logicweb.terms import Atom, Num, Struct, variant
 from logicweb.verdicts import Verdict, variant_key
 
 MAIN = "http://progs.example/main.html"
@@ -26,6 +26,7 @@ C = "http://progs.example/c.html"
 REJECT_URL = "http://policies.example.org/reject.html"
 BINDER_URL = "http://policies.example.org/binder.html"
 SECOND_URL = "http://policies.example.org/second.html"
+THIRD_URL = "http://policies.example.org/third.html"
 
 REJECT_CLAUSES = ("valid_program(_, _) :- fail.\n"
                   "valid_systemCall(_).\n"
@@ -431,7 +432,7 @@ MEMO_URL = "http://policies.example.org/memo.html"
 def plain_vetting(monkeypatch):
     """Every vet proves its goal, as before the memo."""
     monkeypatch.setattr(engine.Session, "_prove_isolated",
-                        lambda self, pids, goal, chain=(), text=None:
+                        lambda self, pids, goal, chain=():
                         self._prove(tuple(pids), goal))
 
 
@@ -569,6 +570,46 @@ def test_a_proof_that_leaves_a_notice_is_not_kept(monkeypatch):
     for _ in range(2):
         assert count(s, 'contains("ab", "a")') == 1
     assert len(proofs) == 2
+
+
+def test_a_notice_is_seen_after_the_audit_trail_wraps(monkeypatch):
+    monkeypatch.setattr(security, "MAX_EVENTS", 3)
+    s = memo_session('valid_systemCall(_) :- (contains(1, "a") ; true).\n')
+    assert s.audit.dropped > 0
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(2):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 2
+    call = parse_goal('contains("ab", "a")')[0]
+    key = ((ProgramId.get(MEMO_URL),),
+           variant_key(Struct("valid_systemCall", (call,))))
+    assert s.verdicts.get(key) is None
+    assert len(s.audit.events) == 3
+
+
+def test_syscall_and_vet_details_print_their_goals_through_three_policies():
+    pol2, pol3 = ProgramId.get(SECOND_URL), ProgramId.get(THIRD_URL)
+    s = sess({MAIN: f'go :- "{A}" #> step.\n',
+              A: f'step :- "{B}" #> work.\n',
+              B: 'work :- contains("a\\"b", "\\""), X is -3 * 2, '
+                 "append([a, 'B c'], [1.5], L), X < 0.\n",
+              SECOND_URL: PERMISSIVE_CLAUSES, THIRD_URL: PERMISSIVE_CLAUSES},
+             security=True)
+    s.registry.register_policy(pol2)
+    s.registry.register_policy(pol3)
+    s.registry.assign(ProgramId.get(A), pol2)
+    s.registry.assign(ProgramId.get(B), pol3)
+    for _ in range(2):
+        assert count(s, "go") == 1
+    events = s.audit.of_kind("syscall") + s.audit.of_kind("vet")
+    assert {ev.kind for ev in events} == {"syscall", "vet"}
+    assert max(len(ev.sigma) for ev in events) == 3
+    assert 'contains("a\\"b", "\\"")' in {ev.detail for ev in events}
+    for ev in events:
+        text = to_text(ev.subject)
+        assert ev.detail == ev.prefix + text
+        assert ev.prefix == ("allow: " if ev.kind == "vet" else "")
+        assert variant(parse_term_text(text)[0], ev.subject)
 
 
 # the vet of contains/2 is made at a greater depth, and after more clauses,

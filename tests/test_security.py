@@ -5,8 +5,8 @@ import pytest
 from logicweb.engine import Session
 from logicweb.fetching import FetchConfig
 from logicweb.model import LWProgram, ProgramId
-from logicweb.security import (AuditLog, PolicyRegistry, RegistryError,
-                               UNKNOWN_SIGNER)
+from logicweb.security import (MAX_EVENTS, AuditLog, PolicyRegistry,
+                               RegistryError, UNKNOWN_SIGNER)
 from logicweb.signatures import KeyStore, generate_keypair, sign_page
 
 DEFAULT = ProgramId.get("http://pol.example/default.html")
@@ -149,3 +149,22 @@ def test_audit_log_collects_and_formats():
 def test_audit_line_placeholders_when_empty():
     line = AuditLog().emit("notice", "hello").format_line()
     assert "| context: - | policies: -" in line
+
+
+def test_audit_log_keeps_the_newest_events_and_counts_the_dropped():
+    log = AuditLog()
+    k = 7
+    for i in range(MAX_EVENTS + k):
+        log.emit("notice", f"n{i}")
+    assert len(log.events) == MAX_EVENTS
+    assert [ev.detail for ev in (log.events[0], log.events[-1])] == [
+        f"n{k}", f"n{MAX_EVENTS + k - 1}"]
+    assert (log.emitted, log.dropped, log.notices) == (
+        MAX_EVENTS + k, k, MAX_EVENTS + k)
+
+
+def test_audit_events_are_immutable():
+    ev = AuditLog().emit("notice", "hello")
+    for attr in ("kind", "subject", "detail", "chain"):
+        with pytest.raises(AttributeError):
+            setattr(ev, attr, "changed")
