@@ -10,7 +10,7 @@ from .engine import (Barrier, Engine, EngineConfig, EngineError, Session,
 from .fetching import (FetchConfig, FetchError, PageEntry, add_programs,
                        download, fetch_response, load_store, save_store)
 from .guards import (EngineHooks, Guard, GuardConfig, GuardOutcome,
-                     GuardTermination, check_loop, guarded_solve)
+                     GuardTermination, guarded_solve)
 from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     ExpressionError, Intersection, LWProgram,
                     ProgramExpression, ProgramId, ProgramStore, Restriction,

@@ -27,8 +27,8 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     Union, expids, expr_from_term, parse_goal, rename_clause)
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
-                    Term, Var, functor_of, unify)
-from .verdicts import Recorder, Verdict, VerdictMemo, variant_key
+                    Term, Var, functor_of, unify, variant_key)
+from .verdicts import Recorder, Verdict, VerdictMemo
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program

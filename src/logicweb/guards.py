@@ -2,9 +2,12 @@
 
 The engine reports goal entry/exit, clause applications, and program
 installs; a Guard keeps an ancestor stack and counters and aborts the
-derivation with GuardTermination when a bound is crossed. Aborts unwind
-the generator stack, so answers already produced stay valid and the
-session remains usable afterwards.
+derivation with GuardTermination when a bound is crossed. The loop check
+keys each live goal by its context and the variant key of the goal, so a
+goal is a loop exactly when its key is already live: one set lookup, in
+time linear in the goal's size. Aborts unwind the generator stack, so
+answers already produced stay valid and the session remains usable
+afterwards.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .model import leaves
-from .terms import Term, variant
+# `variant` stays importable here for tools that patch it by this name
+from .terms import Term, variant, variant_key  # noqa: F401
 
 LOOP_FOUND = "loop_found"
 DEPTH_EXCEEDED = "depth_exceeded"
@@ -84,7 +88,10 @@ class Guard(EngineHooks):
                  clock: Callable[[], float] = time.monotonic):
         self.config = config or GuardConfig()
         self.clock = clock
-        self.ancestors: list[tuple[object, Term]] = []
+        # one entry per live goal: its loop key, or None with the check off
+        self.ancestors: list[tuple | None] = []
+        # the keys in `ancestors`; the check stops before one enters twice
+        self._live: set[tuple] = set()
         self.clauses_applied = 0
         self.programs_created = 0
         self.deadline: Optional[float] = None
@@ -99,6 +106,7 @@ class Guard(EngineHooks):
         """Reset the per-query state. The program count is per session and
         survives across queries; the clause count does not."""
         self.ancestors.clear()
+        self._live.clear()
         self.clauses_applied = 0
         self.deadline = None
         if self.config.timeout_ms is not None:
@@ -110,15 +118,20 @@ class Guard(EngineHooks):
 
     def enter_goal(self, ctx, goal: Term) -> int:
         self.check_now()
-        if self.config.loop_check and check_loop(self.ancestors, ctx, goal):
-            self._stop(LOOP_FOUND)
+        key = None
+        if self.config.loop_check:
+            key = (ctx, variant_key(goal))
+            if key in self._live:
+                self._stop(LOOP_FOUND)
         if self.config.max_context_size is not None:
             if self._sized[0] is not ctx:
                 self._sized = (ctx, context_size(ctx))
             if self._sized[1] > self.config.max_context_size:
                 self._stop(LOOP_FOUND)
         token = len(self.ancestors)
-        self.ancestors.append((ctx, goal))
+        self.ancestors.append(key)
+        if key is not None:
+            self._live.add(key)
         if (self.config.max_depth is not None
                 and len(self.ancestors) > self.config.max_depth):
             self._stop(DEPTH_EXCEEDED)
@@ -126,6 +139,7 @@ class Guard(EngineHooks):
 
     def exit_goal(self, token: int) -> None:
         # Also sheds frames left behind by abandoned branches.
+        self._live.difference_update(self.ancestors[token:])
         del self.ancestors[token:]
 
     def on_clause_applied(self) -> None:
@@ -144,13 +158,6 @@ class Guard(EngineHooks):
 
     def _stop(self, reason: str) -> None:
         raise GuardTermination(reason, MESSAGES[reason])
-
-
-def check_loop(ancestors, ctx, goal: Term) -> bool:
-    """True when some ancestor ran a variant of this goal in a structurally
-    equal context."""
-    return any(prev_ctx == ctx and variant(prev_goal, goal)
-               for prev_ctx, prev_goal in ancestors)
 
 
 @dataclass

@@ -363,11 +363,7 @@ class LWProgram:
     clauses: tuple[Clause, ...]   # set only by the methods below, never edited
 
     def __post_init__(self):
-        self.replace(self.clauses)
-
-    def replace(self, clauses: Iterable[Clause]) -> None:
-        """Install a new clause tuple and index every predicate anew."""
-        self.clauses = tuple(clauses)
+        self.clauses = tuple(self.clauses)
         buckets: dict[tuple[str, int], list[Clause]] = {}
         for c in self.clauses:
             buckets.setdefault(functor_of(c.head), []).append(c)

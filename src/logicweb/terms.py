@@ -228,25 +228,31 @@ def rename_apart(t: Term, mapping: dict[int, Var] | None = None) -> Term:
     return go(t)
 
 
+def variant_key(t: Term) -> tuple:
+    """A flat, hashable key, equal for two terms exactly when they are
+    variants. The term is read in prefix order: a variable becomes the
+    number of its first occurrence, a compound becomes (functor, arity)
+    followed by its arguments, and any other term stays itself."""
+    numbers: dict[int, int] = {}
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        # exact types: the key is built for every goal the guard sees
+        kind = type(u)
+        if kind is Struct:
+            out.append((u.functor, len(u.args)))
+            stack.extend(u.args[::-1])
+        elif kind is Var:
+            out.append(numbers.setdefault(u.id, len(numbers)))
+        else:
+            out.append(u)
+    return tuple(out)
+
+
 def variant(t1: Term, t2: Term) -> bool:
     """True when the terms are equal up to a bijective renaming of variables."""
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        if isinstance(a, Var) and isinstance(b, Var):
-            if fwd.setdefault(a.id, b.id) != b.id:
-                return False
-            if bwd.setdefault(b.id, a.id) != a.id:
-                return False
-        elif isinstance(a, Struct) and isinstance(b, Struct):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(a.args, b.args))
-        elif type(a) is not type(b) or a != b:
-            return False
-    return True
+    return variant_key(t1) == variant_key(t2)
 
 
 def term_variables(t: Term) -> list[Var]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .builtins import TABLE
 from .guards import EngineHooks
-from .terms import Atom, Struct, Term, Var, functor_of
+from .terms import Atom, Struct, Term, functor_of
 
 # verdicts, and policy walks, kept per session; the oldest goes first
 MAX_ENTRIES = 4096
@@ -33,21 +33,6 @@ _CONTROL_ATOMS = ("!", "true", "fail", "false")
 _ESCAPES = (("#>", 2), (":", 2))        # a switch and a `built_ins:` goal
 
 _ENTER, _EXIT, _CLAUSE, _CHECK = range(4)
-
-
-def variant_key(t: Term):
-    """A hashable key equal for two terms exactly when they are variants:
-    variables are numbered in first-occurrence order."""
-    numbers: dict[int, int] = {}
-
-    def go(u):
-        if isinstance(u, Var):
-            return numbers.setdefault(u.id, len(numbers))
-        if isinstance(u, Struct):
-            return (u.functor, *map(go, u.args))
-        return u
-
-    return go(t)
 
 
 def user_calls(body: Term) -> list[tuple[str, int]] | None:

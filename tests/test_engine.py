@@ -16,8 +16,8 @@ from logicweb.guards import (Guard, GuardConfig, GuardTermination,
 from logicweb.model import (Clause, Encapsulation, Intersection, LWProgram,
                             ProgramId, parse_goal)
 from logicweb.syntax import parse_term_text, to_text
-from logicweb.terms import Atom, Num, Struct, variant
-from logicweb.verdicts import Verdict, variant_key
+from logicweb.terms import Atom, Num, Struct, variant, variant_key
+from logicweb.verdicts import Verdict
 
 MAIN = "http://progs.example/main.html"
 A = "http://progs.example/a.html"

@@ -1,6 +1,7 @@
 """Resource guards: loop detection, depth, clause and program budgets,
 timeouts, and the ancestor-stack bookkeeping they depend on."""
 
+import random
 import subprocess
 import time
 
@@ -11,11 +12,14 @@ from logicweb.fetching import PageEntry
 from logicweb.guards import (CLAUSE_COUNT_EXCEEDED, DEPTH_EXCEEDED, Guard,
                              GuardConfig, GuardOutcome, GuardTermination,
                              LOOP_FOUND, MESSAGES, PROGRAM_COUNT_EXCEEDED,
-                             TIMED_OUT, check_loop, guarded_solve)
+                             TIMED_OUT, guarded_solve)
 from logicweb.model import ProgramId, parse_goal
 from logicweb.syntax import to_text
+from logicweb.terms import Atom, Num, Str, Struct, fresh_var
+from loop_reference import check_loop
 
 MAIN = "http://progs.example/main.html"
+OTHER = "http://progs.example/other.html"
 
 
 def sess(progs, guard=None, **kw):
@@ -233,12 +237,102 @@ def test_abort_leaves_an_audit_notice():
     assert "query aborted: loop found" in notes
 
 
+def _stops(guard, ctx, goal):
+    """Whether the guard stops this goal as a loop; else it is pushed."""
+    try:
+        guard.enter_goal(ctx, goal)
+    except GuardTermination as exc:
+        assert exc.reason == LOOP_FOUND
+        return True
+    return False
+
+
 def test_check_loop_requires_equal_context_and_variant_goal():
+    ctx, elsewhere = ProgramId.get(MAIN), ProgramId.get(OTHER)
     t, _ = parse_goal("p(X, X)")
+    renamed, _ = parse_goal("p(Y, Y)")
     other, _ = parse_goal("p(A, B)")
-    assert check_loop([("ctx", t)], "ctx", t)
-    assert not check_loop([("ctx", t)], "elsewhere", t)
-    assert not check_loop([("ctx", other)], "ctx", t)
+
+    def loops(ancestor, ancestor_ctx, goal, goal_ctx):
+        guard = Guard(GuardConfig(max_depth=None))
+        guard.start()
+        assert not _stops(guard, ancestor_ctx, ancestor)
+        return _stops(guard, goal_ctx, goal)
+
+    assert loops(t, ctx, t, ctx)
+    assert loops(t, ctx, renamed, ctx)
+    assert not loops(t, ctx, t, elsewhere)
+    assert not loops(other, ctx, t, ctx)
+
+
+def test_keyed_loop_check_agrees_with_the_ancestor_scan():
+    # random pushes and exits, some at tokens already shed, against the
+    # reference scan over the same live ancestors
+    rng = random.Random(5)
+    ctxs = (ProgramId.get(MAIN), ProgramId.get(OTHER))
+    x, y = fresh_var("X"), fresh_var("Y")
+    leaves = (x, y, Num(1), Num(1.0), Atom("a"), Str("a"))
+
+    def arg():
+        leaf = rng.choice(leaves)
+        return Struct("f", (leaf,)) if rng.random() < 0.2 else leaf
+
+    def goal():
+        return Struct(rng.choice("pq"),
+                      tuple(arg() for _ in range(rng.choice((1, 1, 2)))))
+
+    guard = Guard(GuardConfig(max_depth=None, max_clauses=None,
+                              max_context_size=None))
+    stops = 0
+    for _ in range(400):
+        guard.start()
+        live, tokens = [], []
+        for _ in range(50):
+            if rng.random() < 0.6:
+                ctx, g = rng.choice(ctxs), goal()
+                expected = check_loop(live, ctx, g)
+                assert _stops(guard, ctx, g) == expected
+                if expected:
+                    stops += 1
+                else:
+                    tokens.append(len(live))
+                    live.append((ctx, g))
+            elif tokens:
+                token = rng.choice(tokens)
+                guard.exit_goal(token)
+                del live[token:]
+            assert guard.depth == len(live)
+    assert stops >= 200
+
+
+LEN = "len([], 0).\nlen([_|T], N) :- len(T, M), N is M + 1.\n"
+
+
+def test_loop_check_costs_a_bounded_factor_on_list_recursion():
+    # each goal holds the rest of the list: a check that compared it with
+    # every ancestor would be cubic in the length
+    items = ", ".join(str(i) for i in range(200))
+    progs = {MAIN: f"big([{items}]).\n" + LEN}
+
+    def best(loop_check):
+        times = []
+        for _ in range(3):
+            s = sess(progs, guard=Guard(GuardConfig(
+                loop_check=loop_check, max_depth=None, max_clauses=None)))
+            start = time.perf_counter()
+            out = run(s, "big(L), len(L, N)")
+            times.append(time.perf_counter() - start)
+            assert not out.terminated and len(out.solutions) == 1
+        return min(times)
+
+    assert best(True) < 5 * best(False)
+
+
+def test_int_and_float_goals_are_not_variants():
+    s = sess({MAIN: 'p(1) :- p(1.0).\np(1.0).\nq(a) :- q("a").\nq("a").\n'})
+    for goal in ("p(1)", "q(a)"):
+        out = run(s, goal)
+        assert not out.terminated and len(out.solutions) == 1
 
 
 def test_messages_table_is_total():

@@ -285,15 +285,20 @@ def test_index_holds_each_clause_once():
 
 
 def test_replace_reindexes_and_keeps_the_old_buckets():
-    prog = LWProgram(ME, parse_program("p(a, 1).\np(X, 2)."))
+    # a program's clauses are replaced by building a program from new ones;
+    # the old program, and a selection already made from it, keep theirs
+    old = LWProgram(ME, parse_program("q(z, 0).\np(a, 1).\np(X, 2)."))
+    assert isinstance(old.clauses, tuple)
     goal, _ = parse_goal("p(b, N)")
-    before = prog.candidates(goal, EMPTY_SUBST)
-    prog.replace(prog.clauses + tuple(parse_program("p(b, 3).")))
+    before = old.candidates(goal, EMPTY_SUBST)
+    new = LWProgram(ME, old.clauses + tuple(parse_program("p(b, 3).")))
     assert [clause_text(c) for c in before] == ["p(X, 2)."]
-    assert [clause_text(c) for c in prog.candidates(goal, EMPTY_SUBST)] == [
+    assert old.candidates(goal, EMPTY_SUBST) == before
+    assert [clause_text(c) for c in new.candidates(goal, EMPTY_SUBST)] == [
         "p(X, 2).", "p(b, 3)."]
-    prog.replace(prog.clauses[1:])
-    assert not prog.defines("q", 2) and prog.defines("p", 2)
+    shorter = LWProgram(ME, new.clauses[1:])
+    assert not shorter.defines("q", 2) and shorter.defines("p", 2)
+    assert old.defines("q", 2)
 
 
 @given(_indexed_cases(), st.lists(st.integers(0, 20), max_size=6),

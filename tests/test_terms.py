@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Substitution,
                             Var, fresh_var, list_items, make_list, occurs_in,
                             rename_apart, struct, term_variables, unify,
-                            variant)
+                            variant, variant_key)
 
 
 def test_fresh_vars_are_distinct():
@@ -129,6 +129,36 @@ def test_variant():
     assert not variant(struct("f", x), struct("g", x))
     assert variant(Atom("a"), Atom("a"))
     assert not variant(Num(1), Num(2))
+    # a variable's number in the key is no number term
+    assert not variant(struct("f", x), struct("f", Num(0)))
+
+
+def test_variant_key_is_flat_and_in_prefix_order():
+    x, y = fresh_var("X"), fresh_var("Y")
+    assert variant_key(struct("p", y, struct("f", x, y), Atom("a"))) == (
+        ("p", 3), 0, ("f", 2), 1, 0, Atom("a"))
+    assert variant_key(Num(1)) == (Num(1),)
+    # the arities keep nesting apart: f(g(a), b) against f(g(a, b))
+    assert (variant_key(struct("f", struct("g", Atom("a")), Atom("b")))
+            != variant_key(struct("f", struct("g", Atom("a"), Atom("b")))))
+
+
+def test_variant_key_and_variant_take_deep_terms():
+    n = 100_000
+    x, y = fresh_var("X"), fresh_var("Y")
+    # a long list whose elements share two variables
+    long_x = make_list([x, Num(1), fresh_var("Z")] * (n // 3 + 1))
+    long_y = make_list([y, Num(1), fresh_var("W")] * (n // 3 + 1))
+    assert variant(long_x, long_y)
+    assert variant_key(long_x) == variant_key(long_y)
+    # a term n levels deep
+    deep_x, deep_y = x, y
+    for _ in range(n):
+        deep_x = Struct("f", (deep_x,))
+        deep_y = Struct("f", (deep_y,))
+    assert len(variant_key(deep_x)) == n + 1
+    assert variant(deep_x, deep_y)
+    assert not variant(deep_x, Struct("f", (deep_y,)))
 
 
 def test_list_round_trip():
