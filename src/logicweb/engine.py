@@ -302,10 +302,10 @@ class Session:
         """Whether every given policy proves `goal` (the vet of a call or a
         switch made in `chain`). The session reuses its verdict for a
         variant of `goal` under the same policies while the clauses that
-        proof read are unchanged: a reused verdict replays the proof's guard
-        hook calls and leaves one `vet` event in place of the proof's
-        events. Only a pure proof that raised nothing and left no notice is
-        kept."""
+        proof read are unchanged: a reused verdict makes the proof's guard
+        hook calls again, in one step when the hooks admit their summary,
+        and leaves one `vet` event in place of the proof's events. Only a
+        pure proof that raised nothing and left no notice is kept."""
         sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)

@@ -5,9 +5,13 @@ installs; a Guard keeps an ancestor stack and counters and aborts the
 derivation with GuardTermination when a bound is crossed. The loop check
 keys each live goal by its context and the variant key of the goal, so a
 goal is a loop exactly when its key is already live: one set lookup, in
-time linear in the goal's size. Aborts unwind the generator stack, so
-answers already produced stay valid and the session remains usable
-afterwards.
+time linear in the goal's size. A reused policy verdict (`verdicts`) is
+offered to `admits` as a summary of its proof, which a Guard checks
+against its live state in one step; when the summary would cross a bound,
+the verdict replays its proof's hook calls one by one instead, so the stop
+falls at its exact point with its reason. Aborts unwind the generator
+stack, so answers already produced stay valid and the session remains
+usable afterwards.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .model import leaves
+from .model import EmptyProgram, ProgramId, leaves
 # `variant` stays importable here for tools that patch it by this name
 from .terms import Term, variant, variant_key  # noqa: F401
 
@@ -43,6 +47,15 @@ class GuardTermination(Exception):
         self.message = message
 
 
+class ProofSummary(NamedTuple):
+    """What replaying a kept proof's hook calls can stop on: it exits every
+    goal it enters, so only these meet the live state."""
+    clauses: int            # clauses applied
+    deepest: int            # the deepest goal, relative to the proof's start
+    largest: int            # the largest context size entered
+    keys: frozenset         # the (context, variant key) of every goal entered
+
+
 class EngineHooks:
     """Do-nothing hook set; the engine calls these at its checkpoints."""
 
@@ -64,6 +77,11 @@ class EngineHooks:
     def check_now(self) -> None:
         pass
 
+    def admits(self, summary: ProofSummary) -> bool:
+        """Whether the hook calls of a kept proof summed up by `summary`
+        may be taken as made, in place of making them one by one."""
+        return False
+
 
 @dataclass
 class GuardConfig:
@@ -80,6 +98,8 @@ class GuardConfig:
 
 def context_size(ctx) -> int:
     """Number of leaves (program ids and empty programs) in a context expression."""
+    if isinstance(ctx, (ProgramId, EmptyProgram)):
+        return 1
     return sum(1 for _ in leaves(ctx))
 
 
@@ -155,6 +175,27 @@ class Guard(EngineHooks):
         if (self.config.max_programs is not None
                 and self.programs_created > self.config.max_programs):
             self._stop(PROGRAM_COUNT_EXCEEDED)
+
+    def admits(self, summary: ProofSummary) -> bool:
+        """Take a kept proof's hook calls as made when, from the live state,
+        none of them would stop: one clock check stands for theirs, and the
+        clause count advances by theirs. A proof that raised no stop keeps
+        its goals' order and relative depths on replay, so only the live
+        depth, clause count and loop keys can make it stop now."""
+        self.check_now()
+        config = self.config
+        clauses = self.clauses_applied + summary.clauses
+        if ((config.max_depth is not None
+             and len(self.ancestors) + summary.deepest > config.max_depth)
+                or (config.max_clauses is not None
+                    and clauses > config.max_clauses)
+                or (config.max_context_size is not None
+                    and summary.largest > config.max_context_size)
+                or (config.loop_check
+                    and not self._live.isdisjoint(summary.keys))):
+            return False
+        self.clauses_applied = clauses
+        return True
 
     def _stop(self, reason: str) -> None:
         raise GuardTermination(reason, MESSAGES[reason])

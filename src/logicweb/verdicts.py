@@ -10,15 +10,20 @@ policy's call counter, leave it valid. A policy found impure is proved
 every time, but is not walked again until a clause the walk read changes.
 
 The guards must see a reused verdict as they saw the proof: its hook calls
-are recorded and replayed against the live hooks, so a depth, clause,
-loop or time stop falls at the same point with the same reason.
+are recorded, and on its first reuse summed up as the clauses it applied,
+its deepest relative depth, its largest context and the loop keys it
+entered. When the live hooks admit that summary, the reuse is one guard
+step; when they do not (the proof would cross a bound from the live
+state, or the hooks are not a guard), the calls are replayed one by one,
+so a depth, clause, loop or time stop falls at the same point with the
+same reason.
 """
 
 from __future__ import annotations
 
 from .builtins import TABLE
-from .guards import EngineHooks
-from .terms import Atom, Struct, Term, functor_of
+from .guards import EngineHooks, ProofSummary, context_size
+from .terms import Atom, Struct, Term, functor_of, variant_key
 
 # verdicts, and policy walks, kept per session; the oldest goes first
 MAX_ENTRIES = 4096
@@ -33,6 +38,7 @@ _CONTROL_ATOMS = ("!", "true", "fail", "false")
 _ESCAPES = (("#>", 2), (":", 2))        # a switch and a `built_ins:` goal
 
 _ENTER, _EXIT, _CLAUSE, _CHECK = range(4)
+_UNSUMMED = object()
 
 
 def user_calls(body: Term) -> list[tuple[str, int]] | None:
@@ -127,17 +133,47 @@ class Recorder(EngineHooks):
         self.steps.append((_CHECK,))
 
 
+def summarize(steps: list[tuple]) -> ProofSummary | None:
+    """The summary of recorded hook calls, or None when they do not exit
+    every goal they enter. A guard's token is the depth its goal entered
+    at, and an exit returns to it."""
+    depth_at = {}
+    depth = deepest = largest = clauses = 0
+    keys = set()
+    for step in steps:
+        op = step[0]
+        if op == _ENTER:
+            keys.add((step[1], variant_key(step[2])))
+            largest = max(largest, context_size(step[1]))
+            depth_at[step[3]] = depth
+            depth += 1
+            deepest = max(deepest, depth)
+        elif op == _EXIT:
+            depth = depth_at[step[1]]
+        elif op == _CLAUSE:
+            clauses += 1
+    if depth:
+        return None
+    return ProofSummary(clauses, deepest, largest, frozenset(keys))
+
+
 class Verdict:
-    __slots__ = ("allowed", "reads", "steps")
+    __slots__ = ("allowed", "reads", "steps", "summary")
 
     def __init__(self, allowed: bool, reads: list, steps: list[tuple]):
         self.allowed = allowed
         self.reads = reads
         self.steps = steps
+        self.summary = _UNSUMMED      # built on first reuse
 
     def replay(self, hooks: EngineHooks) -> None:
         """Make the recorded hook calls again, each token the proof was
-        given standing for the one the live hooks give now."""
+        given standing for the one the live hooks give now, unless the
+        hooks admit the proof's summary in one step."""
+        if self.summary is _UNSUMMED:
+            self.summary = summarize(self.steps)
+        if self.summary is not None and hooks.admits(self.summary):
+            return
         tokens = {}
         for step in self.steps:
             op = step[0]

@@ -650,6 +650,143 @@ def test_a_guard_stops_a_reused_verdict_where_it_stops_the_proof(monkeypatch, ca
     assert cached == [guarded_run(**{cap: n}) for n in limits]
 
 
+def test_a_live_variant_of_a_goal_in_a_kept_proof_stops_its_reuse(monkeypatch):
+    # the first query keeps the verdict, whose proof enters `check` in the
+    # policy; the second runs `check` there itself, so reusing the verdict
+    # for the call in its body meets a live variant of that goal
+    policy = 'valid_systemCall(_) :- check.\ncheck :- contains("ab", "a").\n'
+    queries = ['contains("ab", "a")', f'lw(get, "{MEMO_URL}") #> check']
+
+    stop = Guard._stop
+
+    def runs():
+        stops = []
+
+        def seen(self, reason):
+            stops.append((reason, len(self.ancestors), self.clauses_applied))
+            stop(self, reason)
+
+        monkeypatch.setattr(Guard, "_stop", seen)
+        s = memo_session(policy)
+        outs = [guarded_solve(s, ProgramId.get(MAIN), parse_goal(g)[0])
+                for g in queries]
+        return [(len(out.solutions), out.termination and out.termination.reason)
+                for out in outs], stops, trail(s)
+
+    admitted, replay_stops = [], []
+    admits, replay = Guard.admits, Verdict.replay
+
+    def judged(self, summary):
+        admitted.append(admits(self, summary))
+        return admitted[-1]
+
+    def watched(self, hooks):
+        try:
+            replay(self, hooks)
+        except GuardTermination as exc:
+            replay_stops.append(exc.reason)
+            raise
+
+    monkeypatch.setattr(Guard, "admits", judged)
+    monkeypatch.setattr(Verdict, "replay", watched)
+    cached = runs()
+    assert cached[0] == [(1, None), (0, "loop_found")]
+    assert admitted == [False] and replay_stops == ["loop_found"]
+    plain_vetting(monkeypatch)
+    assert cached == runs()
+
+
+class StepGuard(Guard):
+    """A guard that has every kept proof replayed step by step."""
+
+    def admits(self, summary):
+        return False
+
+
+def kept_verdicts(monkeypatch):
+    """The verdicts kept on the benchmark chains and in 120 worlds."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    kept = []
+    put = verdicts.VerdictMemo.put
+    monkeypatch.setattr(verdicts.VerdictMemo, "put",
+                        lambda self, key, verdict:
+                        kept.append(verdict) or put(self, key, verdict))
+    s = workloads.chain_session(security=True)
+    for n in (1, 3):
+        for path, _refuse in workloads.CHAINS.values():
+            workloads.solve_outcome(s, workloads.SYS + path[0], f"run({n}, X)")
+    for seed in range(120):
+        genfix.run_world(genfix.random_world(random.Random(seed)))
+    return kept
+
+
+def test_an_admitted_summary_ends_where_its_step_replay_ends(monkeypatch):
+    kept = kept_verdicts(monkeypatch)
+    summaries = [verdicts.summarize(v.steps) for v in kept]
+    assert len(kept) > 100 and None not in summaries
+    pool = sorted({key for summary in summaries for key in summary.keys}, key=repr)
+    rng = random.Random(18)
+    seen = []
+
+    def replay_state(guard):
+        return guard.clauses_applied, list(guard.ancestors), set(guard._live)
+
+    for verdict, summary in zip(kept, summaries):
+        for _ in range(12):
+            depth, clauses = rng.randint(0, 5), rng.randint(0, 40)
+            loop_check = rng.random() < 0.8
+            live = rng.sample(pool, depth)
+            if loop_check and depth and rng.random() < 0.3:
+                live[rng.randrange(depth)] = rng.choice(sorted(summary.keys, key=repr))
+            caps = dict(
+                loop_check=loop_check,
+                max_depth=rng.choice([None, max(depth, depth + summary.deepest
+                                                + rng.randint(-2, 1))]),
+                max_clauses=rng.choice([None, max(clauses, clauses + summary.clauses
+                                                  + rng.randint(-2, 1))]),
+                max_context_size=rng.choice([None, 100, summary.largest,
+                                             max(1, summary.largest - 1)]),
+                timeout_ms=rng.choice([None] * 9 + [1]))
+            late = caps["timeout_ms"] is not None
+
+            def guard(cls):
+                now = [0.0]
+                g = cls(GuardConfig(**caps), clock=lambda: now[0])
+                g.start()
+                now[0] = 1.0 if late else 0.0
+                g.ancestors = list(live) if loop_check else [None] * depth
+                g._live = set(live) if loop_check else set()
+                g.clauses_applied = clauses
+                return g
+
+            fast, step = guard(Guard), guard(StepGuard)
+            try:
+                verdict.replay(step)
+                want = replay_state(step)
+            except GuardTermination as exc:
+                want = exc.reason
+            try:
+                admitted = fast.admits(summary)
+            except GuardTermination as exc:
+                assert exc.reason == want == "timed_out"
+                seen.append(want)
+                continue
+            if admitted:
+                assert replay_state(fast) == want
+                seen.append("admitted")
+                continue
+            assert isinstance(want, str)            # the summary would stop
+            fallback = guard(Guard)
+            with pytest.raises(GuardTermination) as stopped:
+                verdict.replay(fallback)
+            assert stopped.value.reason == want
+            seen.append(want)
+    assert set(seen) == {"admitted", "loop_found", "depth_exceeded",
+                         "clause_count_exceeded", "timed_out"}
+
+
 def test_the_memo_changes_nothing_in_500_worlds(monkeypatch):
     def runs():
         out = []

@@ -7,13 +7,15 @@ import time
 
 import pytest
 from conftest import PERMISSIVE_URL, base_pages, make_session, policy_page
+from logicweb import guards, model
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (CLAUSE_COUNT_EXCEEDED, DEPTH_EXCEEDED, Guard,
                              GuardConfig, GuardOutcome, GuardTermination,
                              LOOP_FOUND, MESSAGES, PROGRAM_COUNT_EXCEEDED,
-                             TIMED_OUT, guarded_solve)
-from logicweb.model import ProgramId, parse_goal
+                             TIMED_OUT, context_size, guarded_solve)
+from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ProgramId,
+                            Restriction, Union, parse_goal)
 from logicweb.syntax import to_text
 from logicweb.terms import Atom, Num, Str, Struct, fresh_var
 from loop_reference import check_loop
@@ -197,6 +199,14 @@ def test_context_size_cap_reports_loop():
                                      max_context_size=8)))
     out = run(s, "g")
     assert out.termination.reason == LOOP_FOUND
+
+
+def test_context_size_counts_leaves_and_takes_one_id_at_sight(monkeypatch):
+    main, other = ProgramId.get(MAIN), ProgramId.get(OTHER)
+    expr = Restriction(Union(Encapsulation(main), EMPTY_PROGRAM), other)
+    assert context_size(expr) == len(list(model.leaves(expr))) == 3
+    monkeypatch.setattr(guards, "leaves", None)
+    assert context_size(main) == context_size(EMPTY_PROGRAM) == 1
 
 
 def test_answers_before_the_trip_are_kept():
