@@ -72,8 +72,8 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, action=argparse.BooleanOptionalAction,
                            default=f.default, help=_GUARD_HELP.get(f.name))
         else:
-            p.add_argument(flag, type=int, default=f.default, metavar="N",
-                           help=_GUARD_HELP.get(f.name))
+            p.add_argument(flag, type=_non_negative, default=f.default,
+                           metavar="N", help=_GUARD_HELP.get(f.name))
 
 
 def _non_negative(text: str) -> int:

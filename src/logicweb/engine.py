@@ -302,15 +302,15 @@ class Session:
         """Whether every given policy proves `goal` (the vet of a call or a
         switch made in `chain`). The session reuses its verdict for a
         variant of `goal` under the same policies while the clauses that
-        proof read are unchanged: a reused verdict makes the proof's guard
-        hook calls again, in one step when the hooks admit their summary,
-        and leaves one `vet` event in place of the proof's events. Only a
-        pure proof that raised nothing and left no notice is kept."""
+        proof read are unchanged and the hooks admit the proof's summary;
+        a reuse leaves one `vet` event in place of the proof's events. A
+        refused reuse proves the goal again, which then stops where it
+        stops without the memo. Only a pure proof that raised nothing,
+        exited every goal it entered and left no notice is kept."""
         sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)
-        if kept is not None:
-            kept.replay(self.hooks)
+        if kept is not None and self.hooks.admits(kept.summary):
             self.audit.emit("vet", goal, chain, sigma,
                             "allow: " if kept.allowed else "deny: ")
             return kept.allowed
@@ -323,8 +323,9 @@ class Session:
             allowed = self._prove(sigma, goal)
         finally:
             self.hooks = live
-        if self.audit.notices == notices:
-            self.verdicts.put(key, Verdict(allowed, reads, recorder.steps))
+        summary = recorder.summary()
+        if summary is not None and self.audit.notices == notices:
+            self.verdicts.put(key, Verdict(allowed, reads, summary))
         return allowed
 
     def _prove(self, sigma: PolicySet, goal: Term) -> bool:

@@ -8,10 +8,10 @@ goal is a loop exactly when its key is already live: one set lookup, in
 time linear in the goal's size. A reused policy verdict (`verdicts`) is
 offered to `admits` as a summary of its proof, which a Guard checks
 against its live state in one step; when the summary would cross a bound,
-the verdict replays its proof's hook calls one by one instead, so the stop
-falls at its exact point with its reason. Aborts unwind the generator
-stack, so answers already produced stay valid and the session remains
-usable afterwards.
+the guard refuses it and the goal is proved again, so the stop falls at
+its exact point with its reason. Aborts unwind the generator stack, so
+answers already produced stay valid and the session remains usable
+afterwards.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ class GuardTermination(Exception):
 
 
 class ProofSummary(NamedTuple):
-    """What replaying a kept proof's hook calls can stop on: it exits every
-    goal it enters, so only these meet the live state."""
+    """What a kept proof's hook calls can stop on when its goal is proved
+    again: the proof exits every goal it enters, so only these meet the
+    live state."""
     clauses: int            # clauses applied
     deepest: int            # the deepest goal, relative to the proof's start
     largest: int            # the largest context size entered
@@ -79,8 +80,9 @@ class EngineHooks:
 
     def admits(self, summary: ProofSummary) -> bool:
         """Whether the hook calls of a kept proof summed up by `summary`
-        may be taken as made, in place of making them one by one."""
-        return False
+        may be taken as made, in place of proving its goal again. Hooks
+        that do nothing have no bound to cross."""
+        return True
 
 
 @dataclass
@@ -179,9 +181,9 @@ class Guard(EngineHooks):
     def admits(self, summary: ProofSummary) -> bool:
         """Take a kept proof's hook calls as made when, from the live state,
         none of them would stop: one clock check stands for theirs, and the
-        clause count advances by theirs. A proof that raised no stop keeps
-        its goals' order and relative depths on replay, so only the live
-        depth, clause count and loop keys can make it stop now."""
+        clause count advances by theirs. A proof that raised no stop makes
+        the same calls when proved again, so only the live depth, clause
+        count and loop keys can make it stop now."""
         self.check_now()
         config = self.config
         clauses = self.clauses_applied + summary.clauses

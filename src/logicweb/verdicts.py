@@ -9,17 +9,18 @@ the proof read. So `assert` and `retract` on any other predicate, such as a
 policy's call counter, leave it valid. A policy found impure is proved
 every time, but is not walked again until a clause the walk read changes.
 
-The guards must see a reused verdict as they saw the proof: its hook calls
-are recorded, and on its first reuse summed up as the clauses it applied,
-its deepest relative depth, its largest context and the loop keys it
-entered. When the live hooks admit that summary, the reuse is one guard
-step; when they do not (the proof would cross a bound from the live
-state, or the hooks are not a guard), the calls are replayed one by one,
-so a depth, clause, loop or time stop falls at the same point with the
-same reason.
+The guards must see a reused verdict as they saw the proof. While the
+proof runs, a `Recorder` sums up its hook calls: the clauses it applies,
+its deepest goal, its largest context and the loop keys of the goals it
+enters. A verdict keeps only that summary. The live hooks admit it in one
+step, or refuse it when the proof would cross a bound from the live state;
+then the goal is proved again, so the stop falls at the same point with
+the same reason.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .builtins import TABLE
 from .guards import EngineHooks, ProofSummary, context_size
@@ -36,9 +37,6 @@ PURE_BUILTINS = frozenset(
 _CONNECTIVES = (",", ";", "->")
 _CONTROL_ATOMS = ("!", "true", "fail", "false")
 _ESCAPES = (("#>", 2), (":", 2))        # a switch and a `built_ins:` goal
-
-_ENTER, _EXIT, _CLAUSE, _CHECK = range(4)
-_UNSUMMED = object()
 
 
 def user_calls(body: Term) -> list[tuple[str, int]] | None:
@@ -106,85 +104,53 @@ def unchanged(reads) -> bool:
 
 
 class Recorder(EngineHooks):
-    """Forwards every hook call to the live hooks and records it."""
+    """Forwards every hook call to the live hooks and sums up the proof
+    that makes them. Its tokens index its own stack of open goals, each
+    holding the live hooks' token, so the sum does not depend on which
+    hooks are live."""
 
     def __init__(self, live: EngineHooks):
         self.live = live
-        self.steps: list[tuple] = []
+        self.live_tokens: list[int] = []
+        self.clauses = self.deepest = self.largest = 0
+        self.keys: set[tuple] = set()
 
     def enter_goal(self, ctx, goal: Term) -> int:
-        token = self.live.enter_goal(ctx, goal)
-        self.steps.append((_ENTER, ctx, goal, token))
+        token = len(self.live_tokens)
+        self.live_tokens.append(self.live.enter_goal(ctx, goal))
+        self.deepest = max(self.deepest, token + 1)
+        self.largest = max(self.largest, context_size(ctx))
+        self.keys.add((ctx, variant_key(goal)))
         return token
 
     def exit_goal(self, token: int) -> None:
-        self.live.exit_goal(token)
-        self.steps.append((_EXIT, token))
+        # a goal an outer exit already shed has nothing left to exit
+        if token < len(self.live_tokens):
+            self.live.exit_goal(self.live_tokens[token])
+            del self.live_tokens[token:]
 
     def on_clause_applied(self) -> None:
         self.live.on_clause_applied()
-        self.steps.append((_CLAUSE,))
+        self.clauses += 1
 
     def on_program_created(self, pid) -> None:
         self.live.on_program_created(pid)
 
     def check_now(self) -> None:
         self.live.check_now()
-        self.steps.append((_CHECK,))
+
+    def summary(self) -> ProofSummary | None:
+        """The summary of the proof, or None when it left a goal open."""
+        if self.live_tokens:
+            return None
+        return ProofSummary(self.clauses, self.deepest, self.largest,
+                            frozenset(self.keys))
 
 
-def summarize(steps: list[tuple]) -> ProofSummary | None:
-    """The summary of recorded hook calls, or None when they do not exit
-    every goal they enter. A guard's token is the depth its goal entered
-    at, and an exit returns to it."""
-    depth_at = {}
-    depth = deepest = largest = clauses = 0
-    keys = set()
-    for step in steps:
-        op = step[0]
-        if op == _ENTER:
-            keys.add((step[1], variant_key(step[2])))
-            largest = max(largest, context_size(step[1]))
-            depth_at[step[3]] = depth
-            depth += 1
-            deepest = max(deepest, depth)
-        elif op == _EXIT:
-            depth = depth_at[step[1]]
-        elif op == _CLAUSE:
-            clauses += 1
-    if depth:
-        return None
-    return ProofSummary(clauses, deepest, largest, frozenset(keys))
-
-
-class Verdict:
-    __slots__ = ("allowed", "reads", "steps", "summary")
-
-    def __init__(self, allowed: bool, reads: list, steps: list[tuple]):
-        self.allowed = allowed
-        self.reads = reads
-        self.steps = steps
-        self.summary = _UNSUMMED      # built on first reuse
-
-    def replay(self, hooks: EngineHooks) -> None:
-        """Make the recorded hook calls again, each token the proof was
-        given standing for the one the live hooks give now, unless the
-        hooks admit the proof's summary in one step."""
-        if self.summary is _UNSUMMED:
-            self.summary = summarize(self.steps)
-        if self.summary is not None and hooks.admits(self.summary):
-            return
-        tokens = {}
-        for step in self.steps:
-            op = step[0]
-            if op == _ENTER:
-                tokens[step[3]] = hooks.enter_goal(step[1], step[2])
-            elif op == _EXIT:
-                hooks.exit_goal(tokens[step[1]])
-            elif op == _CLAUSE:
-                hooks.on_clause_applied()
-            else:
-                hooks.check_now()
+class Verdict(NamedTuple):
+    allowed: bool
+    reads: list
+    summary: ProofSummary
 
 
 class VerdictMemo:

@@ -117,6 +117,19 @@ def test_negative_limit_is_a_usage_error(site, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--max-depth", "--max-clauses", "--max-programs",
+                                  "--max-context-size", "--timeout-ms"])
+def test_a_negative_guard_cap_is_a_usage_error(site, capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["query", SITE + "index.html", "p(X)", flag, "-3", "--no-security",
+              *base(site)])
+    assert info.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err and "must not be negative" in err
+    assert "Traceback" not in err
+
+
 def test_guard_stop_exit_two(site, capsys):
     code, out, err = run_cli(capsys, "query", SITE + "index.html", "loop",
                              *base(site))

@@ -3,9 +3,11 @@ security-mode differences in switching and system calls."""
 
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import genfix
 import pytest
+import verdict_reference
 from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
                       make_session, policy_page)
 from logicweb import engine, security, verdicts
@@ -17,7 +19,6 @@ from logicweb.model import (Clause, Encapsulation, Intersection, LWProgram,
                             ProgramId, parse_goal)
 from logicweb.syntax import parse_term_text, to_text
 from logicweb.terms import Atom, Num, Struct, variant, variant_key
-from logicweb.verdicts import Verdict
 
 MAIN = "http://progs.example/main.html"
 A = "http://progs.example/a.html"
@@ -572,6 +573,20 @@ def test_a_proof_that_leaves_a_notice_is_not_kept(monkeypatch):
     assert len(proofs) == 2
 
 
+def test_a_proof_that_leaves_a_goal_open_is_not_kept(monkeypatch):
+    class Unclosed(verdicts.Recorder):
+        # the live hooks see every exit, but the sum keeps every goal open
+        def exit_goal(self, token):
+            self.live.exit_goal(self.live_tokens[token])
+
+    monkeypatch.setattr(engine, "Recorder", Unclosed)
+    s = memo_session("valid_systemCall(_) :- check.\ncheck.\n")
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(2):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 2
+
+
 def test_a_notice_is_seen_after_the_audit_trail_wraps(monkeypatch):
     monkeypatch.setattr(security, "MAX_EVENTS", 3)
     s = memo_session('valid_systemCall(_) :- (contains(1, "a") ; true).\n')
@@ -630,22 +645,44 @@ def guarded_run(**caps):
     return answers, out.termination and out.termination.reason, trail(s)
 
 
+def test_a_recorder_sums_up_the_goals_it_entered_and_exited():
+    ctx = ProgramId.get(MEMO_URL)
+    both = Intersection(Encapsulation(ctx), Encapsulation(ProgramId.get(MAIN)))
+    guard = Guard()
+    guard.start()
+    guard.enter_goal(ctx, Atom("live"))
+    recorder = verdicts.Recorder(guard)
+    outer = recorder.enter_goal(both, parse_goal("p(X)")[0])
+    inner = recorder.enter_goal(ctx, parse_goal("q(Y, Y)")[0])
+    recorder.on_clause_applied()
+    assert guard.depth == 3 and recorder.summary() is None
+    recorder.exit_goal(outer)
+    recorder.exit_goal(inner)           # shed already, by the outer exit
+    assert guard.depth == 1
+    assert recorder.summary() == (1, 2, 2, frozenset(
+        [(both, variant_key(parse_goal("p(A)")[0])),
+         (ctx, variant_key(parse_goal("q(B, B)")[0]))]))
+
+
+def admissions(monkeypatch):
+    """Whether the guard admitted each kept verdict offered to it."""
+    admitted = []
+    admits = Guard.admits
+
+    def judged(self, summary):
+        admitted.append(admits(self, summary))
+        return admitted[-1]
+
+    monkeypatch.setattr(Guard, "admits", judged)
+    return admitted
+
+
 @pytest.mark.parametrize("cap", ["max_depth", "max_clauses"])
 def test_a_guard_stops_a_reused_verdict_where_it_stops_the_proof(monkeypatch, cap):
-    stops = []
-    replay = Verdict.replay
-
-    def watched(self, hooks):
-        try:
-            replay(self, hooks)
-        except GuardTermination as exc:
-            stops.append(exc.reason)
-            raise
-
-    monkeypatch.setattr(Verdict, "replay", watched)
+    admitted = admissions(monkeypatch)
     limits = range(1, 10) if cap == "max_depth" else range(1, 76)
     cached = [guarded_run(**{cap: n}) for n in limits]
-    assert stops            # some caps fell inside a reused verdict
+    assert False in admitted        # some caps fell inside a kept proof
     plain_vetting(monkeypatch)
     assert cached == [guarded_run(**{cap: n}) for n in limits]
 
@@ -673,46 +710,47 @@ def test_a_live_variant_of_a_goal_in_a_kept_proof_stops_its_reuse(monkeypatch):
         return [(len(out.solutions), out.termination and out.termination.reason)
                 for out in outs], stops, trail(s)
 
-    admitted, replay_stops = [], []
-    admits, replay = Guard.admits, Verdict.replay
-
-    def judged(self, summary):
-        admitted.append(admits(self, summary))
-        return admitted[-1]
-
-    def watched(self, hooks):
-        try:
-            replay(self, hooks)
-        except GuardTermination as exc:
-            replay_stops.append(exc.reason)
-            raise
-
-    monkeypatch.setattr(Guard, "admits", judged)
-    monkeypatch.setattr(Verdict, "replay", watched)
+    admitted = admissions(monkeypatch)
     cached = runs()
     assert cached[0] == [(1, None), (0, "loop_found")]
-    assert admitted == [False] and replay_stops == ["loop_found"]
+    assert admitted == [False]
     plain_vetting(monkeypatch)
     assert cached == runs()
 
 
-class StepGuard(Guard):
-    """A guard that has every kept proof replayed step by step."""
-
-    def admits(self, summary):
-        return False
+class Kept(NamedTuple):
+    verdict: verdicts.Verdict
+    steps: list             # the hook calls its proof made, as recorded
+    session: engine.Session
+    sigma: tuple
+    goal: object
 
 
 def kept_verdicts(monkeypatch):
-    """The verdicts kept on the benchmark chains and in 120 worlds."""
+    """The verdicts kept on the benchmark chains and in 120 worlds, each
+    with the hook calls its proof made and where it was proved."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    kept = []
-    put = verdicts.VerdictMemo.put
-    monkeypatch.setattr(verdicts.VerdictMemo, "put",
-                        lambda self, key, verdict:
-                        kept.append(verdict) or put(self, key, verdict))
+    kept, recorders, proofs = [], [], []
+
+    def recorder(live):
+        recorders.append(verdict_reference.StepRecorder(live))
+        return verdicts.Recorder(recorders[-1])
+
+    prove, put = engine.Session._prove, verdicts.VerdictMemo.put
+
+    def proved(self, sigma, goal):
+        proofs.append((self, sigma, goal))
+        return prove(self, sigma, goal)
+
+    def keep(self, key, verdict):
+        kept.append(Kept(verdict, recorders[-1].steps, *proofs[-1]))
+        put(self, key, verdict)
+
+    monkeypatch.setattr(engine, "Recorder", recorder)
+    monkeypatch.setattr(engine.Session, "_prove", proved)
+    monkeypatch.setattr(verdicts.VerdictMemo, "put", keep)
     s = workloads.chain_session(security=True)
     for n in (1, 3):
         for path, _refuse in workloads.CHAINS.values():
@@ -724,16 +762,19 @@ def kept_verdicts(monkeypatch):
 
 def test_an_admitted_summary_ends_where_its_step_replay_ends(monkeypatch):
     kept = kept_verdicts(monkeypatch)
-    summaries = [verdicts.summarize(v.steps) for v in kept]
-    assert len(kept) > 100 and None not in summaries
-    pool = sorted({key for summary in summaries for key in summary.keys}, key=repr)
+    assert len(kept) > 100
+    for k in kept:
+        assert k.verdict.summary == verdict_reference.summarize(k.steps)
+    pool = sorted({key for k in kept for key in k.verdict.summary.keys}, key=repr)
     rng = random.Random(18)
     seen = []
+    reproved = 0
 
     def replay_state(guard):
         return guard.clauses_applied, list(guard.ancestors), set(guard._live)
 
-    for verdict, summary in zip(kept, summaries):
+    for k in kept:
+        summary = k.verdict.summary
         for _ in range(12):
             depth, clauses = rng.randint(0, 5), rng.randint(0, 40)
             loop_check = rng.random() < 0.8
@@ -751,9 +792,9 @@ def test_an_admitted_summary_ends_where_its_step_replay_ends(monkeypatch):
                 timeout_ms=rng.choice([None] * 9 + [1]))
             late = caps["timeout_ms"] is not None
 
-            def guard(cls):
+            def guard():
                 now = [0.0]
-                g = cls(GuardConfig(**caps), clock=lambda: now[0])
+                g = Guard(GuardConfig(**caps), clock=lambda: now[0])
                 g.start()
                 now[0] = 1.0 if late else 0.0
                 g.ancestors = list(live) if loop_check else [None] * depth
@@ -761,9 +802,9 @@ def test_an_admitted_summary_ends_where_its_step_replay_ends(monkeypatch):
                 g.clauses_applied = clauses
                 return g
 
-            fast, step = guard(Guard), guard(StepGuard)
+            fast, step = guard(), guard()
             try:
-                verdict.replay(step)
+                verdict_reference.replay(k.steps, step)
                 want = replay_state(step)
             except GuardTermination as exc:
                 want = exc.reason
@@ -778,13 +819,23 @@ def test_an_admitted_summary_ends_where_its_step_replay_ends(monkeypatch):
                 seen.append("admitted")
                 continue
             assert isinstance(want, str)            # the summary would stop
-            fallback = guard(Guard)
-            with pytest.raises(GuardTermination) as stopped:
-                verdict.replay(fallback)
-            assert stopped.value.reason == want
             seen.append(want)
+            key = (k.sigma, variant_key(k.goal))
+            if k.session.verdicts.get(key) is not k.verdict:
+                continue                # dropped since: it is not offered
+            # a refused reuse proves the goal again, which stops as the
+            # reference replay does
+            live_hooks, k.session.hooks = k.session.hooks, guard()
+            try:
+                with pytest.raises(GuardTermination) as stopped:
+                    k.session._prove_isolated(k.sigma, k.goal)
+            finally:
+                k.session.hooks = live_hooks
+            assert stopped.value.reason == want
+            reproved += 1
     assert set(seen) == {"admitted", "loop_found", "depth_exceeded",
                          "clause_count_exceeded", "timed_out"}
+    assert reproved > 100
 
 
 def test_the_memo_changes_nothing_in_500_worlds(monkeypatch):
