@@ -24,6 +24,6 @@ from .signatures import (KeyStore, SignatureError, SignedPage, authenticate,
                          generate_keypair, is_signed, sign_page, split_signed)
 from .syntax import ParseError, parse_term_text, to_text
 from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
-                    fresh_var, make_list, term_variables, unify, variant)
+                    fresh_var, make_list, unify, variant)
 
 __version__ = "0.1.0"

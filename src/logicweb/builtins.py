@@ -22,6 +22,8 @@ from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
                     EMPTY_SUBST, functor_of, list_items, make_list,
                     rename_apart, unify)
 
+UNTIMED_CEILING_S = 30  # the longest system/1 or sleep/1 runs with no guard deadline
+
 # (name, arity) -> implementation, called with the arguments and a BuiltinCall
 TABLE: dict[tuple[str, int], Callable] = {}
 
@@ -84,7 +86,7 @@ def _bi_open(args, rt):
         return
     try:
         handle = open(path, "r" if mode.name == "read" else "w", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the name
         rt.notice(f"open/3 failed: {exc}")
         return
     n = rt.session.new_stream(handle)
@@ -108,20 +110,21 @@ def _bi_close(args, rt):
 @_register("system", 1)
 def _bi_system(args, rt):
     """system(Command): run a shell command, succeed on exit 0. A guard
-    stop kills the command; with no guard deadline it may run 30 s. Jobs
-    the shell leaves in the background are killed when it exits, except
-    one that moved to a session of its own (`setsid`)."""
+    stop kills the command; with no deadline it runs `UNTIMED_CEILING_S` at
+    most. Jobs the shell leaves in the background are killed when it exits,
+    except one that moved to a session of its own (`setsid`)."""
     cmd = _text(args[0])
     if cmd is None:
         rt.notice("system/1: command must be an atom or string")
         return
     hooks = rt.session.hooks
-    ceiling = time.monotonic() + 30 if getattr(hooks, "deadline", None) is None else None
+    ceiling = (time.monotonic() + UNTIMED_CEILING_S
+               if getattr(hooks, "deadline", None) is None else None)
     try:
         # its own process group, so that killing it reaches the shell's children
         proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL, start_new_session=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the command
         rt.notice(f"system/1 failed: {exc}")
         return
     delay = 0.0005
@@ -132,7 +135,7 @@ def _bi_system(args, rt):
                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
             hooks.check_now()
             if ceiling is not None and time.monotonic() > ceiling:
-                rt.notice(f"system/1 failed: {cmd!r} ran past 30 seconds")
+                rt.notice(f"system/1 failed: {cmd!r} ran past {UNTIMED_CEILING_S} seconds")
                 return
             time.sleep(delay)
             delay = min(delay * 2, 0.02)
@@ -164,17 +167,23 @@ def _bi_report_deletion(args, rt):
 
 @_register("sleep", 1)
 def _bi_sleep(args, rt):
-    """sleep(Millis): cooperative pause, wakes early on guard stop"""
+    """sleep(Millis): cooperative pause, wakes early on guard stop; with no
+    guard deadline it may last `UNTIMED_CEILING_S`"""
     if not isinstance(args[0], Num):
         rt.notice("sleep/1: milliseconds must be a number")
         return
-    remaining = float(args[0].value) / 1000.0
+    hooks, millis = rt.session.hooks, args[0].value
+    if millis > UNTIMED_CEILING_S * 1000 and getattr(hooks, "deadline", None) is None:
+        rt.notice(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
+        return
+    # past the float range, only the deadline ends the pause
+    remaining = millis / 1000.0 if millis < 1e300 else math.inf
     while remaining > 0:
-        rt.session.hooks.check_now()
+        hooks.check_now()
         step = min(0.02, remaining)
         time.sleep(step)
         remaining -= step
-    rt.session.hooks.check_now()
+    hooks.check_now()
     yield EMPTY_SUBST
 
 

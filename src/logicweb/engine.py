@@ -28,7 +28,7 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify, variant_key)
-from .verdicts import Recorder, Verdict, VerdictMemo
+from .verdicts import Verdict, VerdictMemo
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -306,7 +306,8 @@ class Session:
         a reuse leaves one `vet` event in place of the proof's events. A
         refused reuse proves the goal again, which then stops where it
         stops without the memo. Only a pure proof that raised nothing,
-        exited every goal it entered and left no notice is kept."""
+        exited every goal it entered and left no notice is kept, with the
+        summary the hooks made of it while they watched it."""
         sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)
@@ -317,13 +318,11 @@ class Session:
         reads = self.verdicts.pure_reads(self.store, sigma, goal)
         if reads is None:
             return self._prove(sigma, goal)
-        live, notices = self.hooks, self.audit.notices
-        self.hooks = recorder = Recorder(live)
-        try:
-            allowed = self._prove(sigma, goal)
-        finally:
-            self.hooks = live
-        summary = recorder.summary()
+        notices = self.audit.notices
+        # a kept proof vets nothing, so watches never nest
+        self.hooks.watch()
+        allowed = self._prove(sigma, goal)
+        summary = self.hooks.summary()
         if summary is not None and self.audit.notices == notices:
             self.verdicts.put(key, Verdict(allowed, reads, summary))
         return allowed

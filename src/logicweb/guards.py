@@ -5,13 +5,14 @@ installs; a Guard keeps an ancestor stack and counters and aborts the
 derivation with GuardTermination when a bound is crossed. The loop check
 keys each live goal by its context and the variant key of the goal, so a
 goal is a loop exactly when its key is already live: one set lookup, in
-time linear in the goal's size. A reused policy verdict (`verdicts`) is
-offered to `admits` as a summary of its proof, which a Guard checks
-against its live state in one step; when the summary would cross a bound,
-the guard refuses it and the goal is proved again, so the stop falls at
-its exact point with its reason. Aborts unwind the generator stack, so
-answers already produced stay valid and the session remains usable
-afterwards.
+time linear in the goal's size. A policy verdict the session may keep
+(`verdicts`) is proved under `watch`, and the Guard sums up the goals it
+enters and the clauses it applies while that proof runs. A reused verdict
+is offered to `admits` as that summary, which a Guard checks against its
+live state in one step; when the summary would cross a bound, the guard
+refuses it and the goal is proved again, so the stop falls at its exact
+point with its reason. Aborts unwind the generator stack, so answers
+already produced stay valid and the session remains usable afterwards.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ class EngineHooks:
     def check_now(self) -> None:
         pass
 
+    def watch(self) -> None:
+        """Begin to sum up the proof about to run."""
+
+    def summary(self) -> ProofSummary | None:
+        """End the watch: the summary of the proof watched, or None when a
+        goal it entered is still live. Hooks that do nothing have no bound
+        to cross."""
+        return ProofSummary(0, 0, 0, frozenset())
+
     def admits(self, summary: ProofSummary) -> bool:
         """Whether the hook calls of a kept proof summed up by `summary`
         may be taken as made, in place of proving its goal again. Hooks
@@ -119,6 +129,11 @@ class Guard(EngineHooks):
         self.deadline: Optional[float] = None
         # contexts are immutable: a size stays valid while the object does
         self._sized: tuple[object, int] = (None, 0)
+        # while a proof is watched: the depth and clause count it began at,
+        # and its deepest goal, largest context and loop keys so far
+        self._watch: tuple[int, int] | None = None
+        self._deepest = self._largest = 0
+        self._keys: set[tuple] = set()
 
     @property
     def depth(self) -> int:
@@ -130,6 +145,7 @@ class Guard(EngineHooks):
         self.ancestors.clear()
         self._live.clear()
         self.clauses_applied = 0
+        self._watch = None
         self.deadline = None
         if self.config.timeout_ms is not None:
             self.deadline = self.clock() + self.config.timeout_ms / 1000.0
@@ -157,6 +173,13 @@ class Guard(EngineHooks):
         if (self.config.max_depth is not None
                 and len(self.ancestors) > self.config.max_depth):
             self._stop(DEPTH_EXCEEDED)
+        if self._watch is not None:
+            # the summary holds every key and size, whichever checks are on
+            if self._sized[0] is not ctx:
+                self._sized = (ctx, context_size(ctx))
+            self._keys.add(key or (ctx, variant_key(goal)))
+            self._largest = max(self._largest, self._sized[1])
+            self._deepest = max(self._deepest, token + 1 - self._watch[0])
         return token
 
     def exit_goal(self, token: int) -> None:
@@ -177,6 +200,19 @@ class Guard(EngineHooks):
         if (self.config.max_programs is not None
                 and self.programs_created > self.config.max_programs):
             self._stop(PROGRAM_COUNT_EXCEEDED)
+
+    def watch(self) -> None:
+        self._watch = (len(self.ancestors), self.clauses_applied)
+        self._deepest = self._largest = 0
+        self._keys = set()
+
+    def summary(self) -> ProofSummary | None:
+        depth, clauses = self._watch
+        self._watch = None
+        if len(self.ancestors) > depth:
+            return None
+        return ProofSummary(self.clauses_applied - clauses, self._deepest,
+                            self._largest, frozenset(self._keys))
 
     def admits(self, summary: ProofSummary) -> bool:
         """Take a kept proof's hook calls as made when, from the live state,

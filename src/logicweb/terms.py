@@ -253,21 +253,3 @@ def variant_key(t: Term) -> tuple:
 def variant(t1: Term, t2: Term) -> bool:
     """True when the terms are equal up to a bijective renaming of variables."""
     return variant_key(t1) == variant_key(t2)
-
-
-def term_variables(t: Term) -> list[Var]:
-    """Variables in left-to-right first-occurrence order."""
-    seen: dict[int, Var] = {}
-    order: list[Var] = []
-
-    def go(u: Term):
-        if isinstance(u, Var):
-            if u.id not in seen:
-                seen[u.id] = u
-                order.append(u)
-        elif isinstance(u, Struct):
-            for a in u.args:
-                go(a)
-
-    go(t)
-    return order

@@ -9,13 +9,14 @@ the proof read. So `assert` and `retract` on any other predicate, such as a
 policy's call counter, leave it valid. A policy found impure is proved
 every time, but is not walked again until a clause the walk read changes.
 
-The guards must see a reused verdict as they saw the proof. While the
-proof runs, a `Recorder` sums up its hook calls: the clauses it applies,
-its deepest goal, its largest context and the loop keys of the goals it
-enters. A verdict keeps only that summary. The live hooks admit it in one
-step, or refuse it when the proof would cross a bound from the live state;
-then the goal is proved again, so the stop falls at the same point with
-the same reason.
+The guards must see a reused verdict as they saw the proof. The session
+proves a goal it may keep under the hooks' `watch`, and the hooks sum up
+the proof: the clauses it applies, its deepest goal, its largest context
+and the loop keys of the goals it enters (`guards.ProofSummary`). A
+verdict keeps only that summary. The live hooks admit it in one step, or
+refuse it when the proof would cross a bound from the live state; then the
+goal is proved again, so the stop falls at the same point with the same
+reason.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .builtins import TABLE
-from .guards import EngineHooks, ProofSummary, context_size
-from .terms import Atom, Struct, Term, functor_of, variant_key
+from .guards import ProofSummary
+from .terms import Atom, Struct, Term, functor_of
 
 # verdicts, and policy walks, kept per session; the oldest goes first
 MAX_ENTRIES = 4096
@@ -101,50 +102,6 @@ def unchanged(reads) -> bool:
         if now is not bucket and now != bucket:
             return False
     return True
-
-
-class Recorder(EngineHooks):
-    """Forwards every hook call to the live hooks and sums up the proof
-    that makes them. Its tokens index its own stack of open goals, each
-    holding the live hooks' token, so the sum does not depend on which
-    hooks are live."""
-
-    def __init__(self, live: EngineHooks):
-        self.live = live
-        self.live_tokens: list[int] = []
-        self.clauses = self.deepest = self.largest = 0
-        self.keys: set[tuple] = set()
-
-    def enter_goal(self, ctx, goal: Term) -> int:
-        token = len(self.live_tokens)
-        self.live_tokens.append(self.live.enter_goal(ctx, goal))
-        self.deepest = max(self.deepest, token + 1)
-        self.largest = max(self.largest, context_size(ctx))
-        self.keys.add((ctx, variant_key(goal)))
-        return token
-
-    def exit_goal(self, token: int) -> None:
-        # a goal an outer exit already shed has nothing left to exit
-        if token < len(self.live_tokens):
-            self.live.exit_goal(self.live_tokens[token])
-            del self.live_tokens[token:]
-
-    def on_clause_applied(self) -> None:
-        self.live.on_clause_applied()
-        self.clauses += 1
-
-    def on_program_created(self, pid) -> None:
-        self.live.on_program_created(pid)
-
-    def check_now(self) -> None:
-        self.live.check_now()
-
-    def summary(self) -> ProofSummary | None:
-        """The summary of the proof, or None when it left a goal open."""
-        if self.live_tokens:
-            return None
-        return ProofSummary(self.clauses, self.deepest, self.largest,
-                            frozenset(self.keys))
 
 
 class Verdict(NamedTuple):

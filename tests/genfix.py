@@ -237,8 +237,9 @@ def random_world(rng: random.Random) -> World:
     return World(pages, policy_clauses, page_policy, page_urls[0], "go")
 
 
-def world_session(world: World) -> Session:
-    """A secured session over the world's pages and policy assignments."""
+def world_session(world: World, **guard) -> Session:
+    """A secured session over the world's pages and policy assignments;
+    `guard` sets fields of its guard's config."""
     registry = PolicyRegistry({"unknown": ProgramId.get(PERMISSIVE_URL)})
     for pol_url in world.policy_clauses:
         registry.register_policy(ProgramId.get(pol_url))
@@ -247,7 +248,8 @@ def world_session(world: World) -> Session:
     return Session(registry,
                    FetchConfig(pages=dict(world.pages), allow_network=False),
                    EngineConfig(),
-                   hooks=Guard(GuardConfig(max_depth=200, max_clauses=5000)))
+                   hooks=Guard(GuardConfig(max_depth=200, max_clauses=5000,
+                                           **guard)))
 
 
 def run_world(world: World) -> Session:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from conftest import HOME_URL, PERMISSIVE_URL, make_session
+from logicweb import builtins as bi
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
 from logicweb.model import LWProgram, ProgramId, clause_text, parse_program
@@ -174,6 +175,20 @@ def test_comparisons(open_session):
 
 def test_sleep_completes(open_session):
     assert run(open_session, "sleep(30)") == [{}]
+
+
+def test_sleep_past_the_ceiling_without_a_deadline_fails_at_once(open_session,
+                                                                 monkeypatch):
+    naps = []
+    monkeypatch.setattr(time, "sleep", naps.append)
+    millis = bi.UNTIMED_CEILING_S * 1000
+    assert run(open_session, f"sleep({millis + 1})") == []
+    assert run(open_session, "sleep(1.0e300)") == []
+    assert naps == []
+    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    assert len(notes) == 2 and all(n.startswith("sleep/1 failed") for n in notes)
+    assert run(open_session, f"sleep({millis})") == [{}]
+    assert sum(naps) == pytest.approx(bi.UNTIMED_CEILING_S)
 
 
 # ---------------------------------------------------------------- terms

@@ -574,13 +574,13 @@ def test_a_proof_that_leaves_a_notice_is_not_kept(monkeypatch):
 
 
 def test_a_proof_that_leaves_a_goal_open_is_not_kept(monkeypatch):
-    class Unclosed(verdicts.Recorder):
-        # the live hooks see every exit, but the sum keeps every goal open
+    class Unclosed(Guard):
+        # every goal a watched proof enters stays live past its end
         def exit_goal(self, token):
-            self.live.exit_goal(self.live_tokens[token])
+            if self._watch is None:
+                super().exit_goal(token)
 
-    monkeypatch.setattr(engine, "Recorder", Unclosed)
-    s = memo_session("valid_systemCall(_) :- check.\ncheck.\n")
+    s = memo_session("valid_systemCall(_) :- check.\ncheck.\n", guard=Unclosed())
     proofs = counting_proofs(monkeypatch)
     for _ in range(2):
         assert count(s, 'contains("ab", "a")') == 1
@@ -645,23 +645,32 @@ def guarded_run(**caps):
     return answers, out.termination and out.termination.reason, trail(s)
 
 
-def test_a_recorder_sums_up_the_goals_it_entered_and_exited():
+@pytest.mark.parametrize("config", [
+    GuardConfig(), GuardConfig(loop_check=False, max_context_size=None)],
+    ids=["checks_on", "checks_off"])
+def test_a_guard_sums_up_the_goals_a_watched_proof_entered_and_exited(config):
     ctx = ProgramId.get(MEMO_URL)
     both = Intersection(Encapsulation(ctx), Encapsulation(ProgramId.get(MAIN)))
-    guard = Guard()
+    guard = Guard(config)
     guard.start()
     guard.enter_goal(ctx, Atom("live"))
-    recorder = verdicts.Recorder(guard)
-    outer = recorder.enter_goal(both, parse_goal("p(X)")[0])
-    inner = recorder.enter_goal(ctx, parse_goal("q(Y, Y)")[0])
-    recorder.on_clause_applied()
-    assert guard.depth == 3 and recorder.summary() is None
-    recorder.exit_goal(outer)
-    recorder.exit_goal(inner)           # shed already, by the outer exit
+    guard.on_clause_applied()
+    guard.watch()
+    outer = guard.enter_goal(both, parse_goal("p(X)")[0])
+    inner = guard.enter_goal(ctx, parse_goal("q(Y, Y)")[0])
+    guard.on_clause_applied()
+    assert guard.depth == 3
+    guard.exit_goal(outer)
+    guard.exit_goal(inner)              # shed already, by the outer exit
     assert guard.depth == 1
-    assert recorder.summary() == (1, 2, 2, frozenset(
+    # the summary holds every key and size, whichever checks are on
+    assert guard.summary() == (1, 2, 2, frozenset(
         [(both, variant_key(parse_goal("p(A)")[0])),
          (ctx, variant_key(parse_goal("q(B, B)")[0]))]))
+    guard.watch()
+    guard.enter_goal(ctx, Atom("open"))
+    assert guard.summary() is None
+    assert guard.depth == 2
 
 
 def admissions(monkeypatch):
@@ -732,23 +741,23 @@ def kept_verdicts(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    kept, recorders, proofs = [], [], []
-
-    def recorder(live):
-        recorders.append(verdict_reference.StepRecorder(live))
-        return verdicts.Recorder(recorders[-1])
-
+    kept, last = [], {}
     prove, put = engine.Session._prove, verdicts.VerdictMemo.put
 
     def proved(self, sigma, goal):
-        proofs.append((self, sigma, goal))
-        return prove(self, sigma, goal)
+        # the live guard watches the proof through the recorder
+        live = self.hooks
+        self.hooks = recorder = verdict_reference.StepRecorder(live)
+        last["proof"] = (recorder.steps, self, sigma, goal)
+        try:
+            return prove(self, sigma, goal)
+        finally:
+            self.hooks = live
 
     def keep(self, key, verdict):
-        kept.append(Kept(verdict, recorders[-1].steps, *proofs[-1]))
+        kept.append(Kept(verdict, *last["proof"]))
         put(self, key, verdict)
 
-    monkeypatch.setattr(engine, "Recorder", recorder)
     monkeypatch.setattr(engine.Session, "_prove", proved)
     monkeypatch.setattr(verdicts.VerdictMemo, "put", keep)
     s = workloads.chain_session(security=True)
@@ -853,6 +862,29 @@ def test_the_memo_changes_nothing_in_500_worlds(monkeypatch):
     cached = runs()
     plain_vetting(monkeypatch)
     assert cached == runs()
+
+
+def test_the_memo_changes_nothing_with_the_loop_and_context_checks_off(monkeypatch):
+    proofs = counting_proofs(monkeypatch)
+
+    def runs():
+        out = []
+        del proofs[:]
+        for seed in range(200):
+            world = genfix.random_world(random.Random(seed))
+            s = genfix.world_session(world, loop_check=False,
+                                     max_context_size=None)
+            got = guarded_solve(s, ProgramId.get(world.main_url),
+                                parse_goal(world.query)[0])
+            out.append((len(got.solutions),
+                        got.termination and got.termination.reason, trail(s)))
+        return out, len(proofs)
+
+    cached, cached_proofs = runs()
+    plain_vetting(monkeypatch)
+    plain, plain_proofs = runs()
+    assert cached == plain
+    assert cached_proofs < plain_proofs
 
 
 def test_the_memo_changes_nothing_on_the_benchmark_chains(monkeypatch):

@@ -135,6 +135,12 @@ def test_timeout():
     assert out.termination.message == "time limit exceeded"
 
 
+def test_timeout_stops_a_sleep_past_the_float_range():
+    s = sess({MAIN: ""}, guard=Guard(GuardConfig(timeout_ms=50)))
+    out = run(s, "sleep(1" + "0" * 400 + ")")
+    assert out.termination.reason == TIMED_OUT
+
+
 def test_timeout_uses_injected_clock():
     # every guard checkpoint advances the fake clock half a second
     now = {"t": 0.0}

@@ -85,6 +85,17 @@ def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):
     assert err.startswith("error: bad goal: integer too long to print")
 
 
+# Python names no file and runs no command with a NUL in it
+@pytest.mark.parametrize("clause", ['p :- open("a\0b", read, S).\n',
+                                    'p :- system("true\0x").\n'],
+                         ids=["open", "system"])
+def test_a_nul_in_a_path_or_command_fails_with_a_notice(clause, tmp_path, capsys):
+    code = _lw_query(tmp_path, clause, "p", "trace")
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in out + err
+    assert "failed: embedded null byte" in out
+
+
 # each step squares the number, so sq(2, 14, Y) would make 2^16384, which
 # has 4933 decimal digits
 SQUARING = "sq(X, 0, X).\nsq(X, N, Y) :- N > 0, Z is X*X, M is N-1, sq(Z, M, Y).\n"

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Substitution,
                             Var, fresh_var, list_items, make_list, occurs_in,
-                            rename_apart, struct, term_variables, unify,
-                            variant, variant_key)
+                            rename_apart, struct, unify, variant, variant_key)
 
 
 def test_fresh_vars_are_distinct():
@@ -175,12 +174,6 @@ def test_list_items_partial_tail():
     items, tail = list_items(t)
     assert items == [Atom("a")]
     assert tail == x
-
-
-def test_term_variables_order():
-    x, y = fresh_var("X"), fresh_var("Y")
-    t = struct("f", y, struct("g", x, y))
-    assert term_variables(t) == [y, x]
 
 
 # ---------------------------------------------------------------- properties
