@@ -352,34 +352,56 @@ def _without(clauses: tuple[Clause, ...], clause: Clause) -> tuple[Clause, ...]:
     return clauses[:i] + clauses[i + 1:]
 
 
-@dataclass
+LINK = ("link", 2)
+
+
 class LWProgram:
     """A program's clauses, indexed per predicate. `add` and `remove` build
     new tuples for the one predicate they change, so a selection already
     running keeps its clauses (the logical update view) and every other
-    predicate keeps the very same bucket."""
+    predicate keeps the very same bucket. A page's `link/2` facts may come as
+    `links = (position, build)`: `build()` makes them on first use (a `link/2`
+    lookup, `clauses`, `remove`, or clauses that define `link/2` too); `add`
+    appends behind that position, so it needs them only to add a link."""
 
-    id: ProgramId
-    clauses: tuple[Clause, ...]   # set only by the methods below, never edited
-
-    def __post_init__(self):
-        self.clauses = tuple(self.clauses)
+    def __init__(self, id: ProgramId, clauses: Iterable[Clause], links=None):
+        self.id = id
+        self._clauses = tuple(clauses)
+        self._links = links
         buckets: dict[tuple[str, int], list[Clause]] = {}
-        for c in self.clauses:
+        for c in self._clauses:
             buckets.setdefault(functor_of(c.head), []).append(c)
         self._index: dict[tuple[str, int], tuple] = {
             pred: _index_predicate(tuple(cs)) for pred, cs in buckets.items()}
+        if links is not None and LINK in self._index:
+            self._build_links()
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        if self._links is not None:
+            self._build_links()
+        return self._clauses
+
+    def _build_links(self) -> None:
+        at, build = self._links
+        self._links = None
+        links = tuple(build())
+        if links:
+            self._clauses = self._clauses[:at] + links + self._clauses[at:]
+            self._index[LINK] = _index_predicate(links + self.clauses_of(LINK))
 
     def add(self, clause: Clause) -> None:
         """Append `clause`, re-indexing its predicate alone."""
-        self.clauses += (clause,)
+        self._clauses += (clause,)
         pred = functor_of(clause.head)
         self._index[pred] = _index_predicate(self.clauses_of(pred) + (clause,))
 
     def remove(self, clause: Clause) -> None:
         """Remove the first occurrence of this very clause object,
         re-indexing its predicate alone."""
-        self.clauses = _without(self.clauses, clause)
+        if self._links is not None:
+            self._build_links()
+        self._clauses = _without(self._clauses, clause)
         pred = functor_of(clause.head)
         rest = _without(self.clauses_of(pred), clause)
         if rest:
@@ -390,9 +412,12 @@ class LWProgram:
     def candidates(self, goal: Term, s: Substitution) -> tuple[Clause, ...]:
         """The clauses whose heads may unify with `goal` (an atom or compound,
         its arguments read through `s`), in clause order."""
-        entry = self._index.get(functor_of(goal))
+        entry = self._index.get(pred := functor_of(goal))
         if entry is None:
-            return ()
+            if self._links is None or pred != LINK:
+                return ()
+            self._build_links()
+            return self.candidates(goal, s)
         clauses, keyed, free = entry
         key = first_arg_key(s.walk(goal.args[0])) if keyed else None
         if key is None:
@@ -403,11 +428,14 @@ class LWProgram:
         return tuple(map(clauses.__getitem__, positions))
 
     def defines(self, name: str, arity: int) -> bool:
-        return (name, arity) in self._index
+        return bool(self.clauses_of((name, arity)))
 
     def clauses_of(self, pred: tuple[str, int]) -> tuple[Clause, ...]:
         """The predicate's clause bucket; `()` when it is undefined."""
         entry = self._index.get(pred)
+        if entry is None and self._links is not None and pred == LINK:
+            self._build_links()
+            entry = self._index.get(pred)
         return entry[0] if entry else ()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from html import unescape
 from typing import Callable
 from urllib.parse import urljoin
@@ -154,10 +155,23 @@ def url_resolver(base: str) -> Callable[[str], str]:
                          else urljoin(base, href))
 
 
+def link_facts(page_text: str, base: str, requested_url: str) -> list[Clause]:
+    """A `link(Label, URL)` fact per anchor, its href resolved against `base`;
+    an href that does not resolve is dropped with a warning, never raised."""
+    resolve = url_resolver(base)
+    facts = []
+    for label, href in extract_links(page_text):
+        try:
+            facts.append(Clause(Struct("link", (Str(label), Str(resolve(href))))))
+        except ValueError as exc:
+            log.warning("dropping link %r of %s: %s", href, requested_url, exc)
+    return facts
+
+
 def translate_page(resp: HttpResponse, pid: ProgramId) -> LWProgram:
     """The program named by `pid` from its response: header facts and the
     final URL, then for GET and POST the identity, page text, links and
-    embedded clauses."""
+    embedded clauses. The links are built on first use (`LWProgram`)."""
     clauses = [Clause(Struct("about", (Str(name.lower()), Str(value))))
                for name, value in resp.headers]
     clauses.append(Clause(Struct("actual_url", (Str(resp.final_url),))))
@@ -167,16 +181,11 @@ def translate_page(resp: HttpResponse, pid: ProgramId) -> LWProgram:
     clause_text, page_text = extract_lw_code(resp.body)
     clauses.append(Clause(Struct("my_id", (pid.method_term(), Str(pid.url)))))
     clauses.append(Clause(Struct("h_text", (Str(page_text),))))
-    resolve = url_resolver(resp.final_url)
-    for label, href in extract_links(page_text):
-        try:
-            clauses.append(Clause(Struct("link", (Str(label), Str(resolve(href))))))
-        except ValueError as exc:
-            log.warning("dropping link %r of %s: %s", href, resp.requested_url, exc)
-
+    links = (len(clauses), partial(link_facts, page_text, resp.final_url,
+                                   resp.requested_url))
     if clause_text.strip():
         try:
             clauses.extend(parse_program(clause_text))
         except Exception as exc:
             log.warning("dropping embedded clauses of %s: %s", resp.requested_url, exc)
-    return LWProgram(pid, clauses)
+    return LWProgram(pid, clauses, links)

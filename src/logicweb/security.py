@@ -188,6 +188,3 @@ class AuditLog:
 
     def lines(self) -> list[str]:
         return [ev.format_line() for ev in self.events]
-
-    def of_kind(self, kind: str) -> list[AuditEvent]:
-        return [ev for ev in self.events if ev.kind == kind]

@@ -71,10 +71,6 @@ def fresh_var(name: str = "_G") -> Var:
     return Var(name, fresh_var_id())
 
 
-def struct(functor: str, *args: Term) -> Struct:
-    return Struct(functor, tuple(args))
-
-
 def make_list(items, tail: Term = NIL) -> Term:
     """Build a cons-cell list term from a Python sequence."""
     out = tail

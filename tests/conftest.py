@@ -13,7 +13,8 @@ from logicweb.engine import EngineConfig, Session
 from logicweb.fetching import FetchConfig, PageEntry
 from logicweb.guards import Guard, GuardConfig
 from logicweb.model import ProgramId
-from logicweb.security import PolicyRegistry
+from logicweb.security import AuditEvent, AuditLog, PolicyRegistry
+from logicweb.terms import Struct, Term
 
 # ---------------------------------------------------------------- page URLs
 
@@ -225,6 +226,15 @@ def base_pages() -> dict[str, PageEntry]:
 
 # ---------------------------------------------------------------- builders
 
+def struct(functor: str, *args: Term) -> Struct:
+    return Struct(functor, tuple(args))
+
+
+def of_kind(log: AuditLog, kind: str) -> list[AuditEvent]:
+    """The events of one kind still in the log, oldest first."""
+    return [ev for ev in log.events if ev.kind == kind]
+
+
 def make_session(pages: dict[str, PageEntry] | None = None,
                  default_policy: str = PERMISSIVE_URL,
                  security: bool = True,
@@ -239,9 +249,24 @@ def make_session(pages: dict[str, PageEntry] | None = None,
     registry = PolicyRegistry(signer_map, keystore=keystore)
     fetch_cfg = FetchConfig(pages=dict(pages if pages is not None else base_pages()),
                             allow_network=False)
-    return Session(registry, fetch_cfg,
-                   EngineConfig(security_enabled=security),
-                   hooks=guard if guard is not None else Guard())
+    session = Session(registry, fetch_cfg,
+                      EngineConfig(security_enabled=security),
+                      hooks=guard if guard is not None else Guard())
+    _SESSIONS.append(session)
+    return session
+
+
+_SESSIONS: list[Session] = []
+
+
+@pytest.fixture(autouse=True)
+def close_session_streams():
+    """Streams that `open/3` opened outlive their query by design (the
+    descriptor-budget policy counts them across queries), so the sessions
+    `make_session` made close theirs when the test ends."""
+    yield
+    while _SESSIONS:
+        _SESSIONS.pop().close_streams()
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ import naive
 from conftest import (DANGEROUS_URL, DEPT_PAGE, DEPT_URL, DOMAIN_URL, F1_URL,
                       FDLIMIT_URL, HISTORICAL_URL, HOME_PAGE, HOME_URL,
                       OK_URL, PERMISSIVE_URL, RMIT_PAGE, RMIT_URL, SAFE_URL,
-                      base_pages, make_session, policy_page)
+                      base_pages, make_session, of_kind, policy_page)
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry, download
 from logicweb.guards import Guard, GuardConfig, guarded_solve
@@ -158,11 +158,11 @@ def test_three_trust_levels_enforce_their_nine_contracts(tmp_path, capsys):
     gone.write_text("doomed")
     assert len(solutions(sf, HOME_URL, f'system("rm {gone}")')) == 1
     assert not gone.exists()                                          # case 7
-    reports = [e.detail for e in sf.audit.of_kind("notice")
+    reports = [e.detail for e in of_kind(sf.audit, "notice")
                if e.detail.startswith("deletion-report")]
     assert reports == [f'deletion-report "rm {gone}"']                # case 8
     assert len(solutions(sf, HOME_URL, 'system("true")')) == 1
-    reports_after = [e.detail for e in sf.audit.of_kind("notice")
+    reports_after = [e.detail for e in of_kind(sf.audit, "notice")
                      if e.detail.startswith("deletion-report")]
     assert reports_after == reports                                   # case 9
 

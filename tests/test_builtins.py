@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import HOME_URL, PERMISSIVE_URL, make_session
+from conftest import HOME_URL, PERMISSIVE_URL, make_session, of_kind
 from logicweb import builtins as bi
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
@@ -50,7 +50,7 @@ def test_open_type_errors(open_session, tmp_path):
     assert run(open_session, "open(37, read, S)") == []
     assert run(open_session, f'open("{f}", read, already_bound)') == []
     assert run(open_session, f'open("{tmp_path}/absent", read, S)') == []
-    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert any("open" in n for n in notes)
 
 
@@ -97,7 +97,7 @@ def test_system_kills_the_jobs_its_shell_leaves_behind(open_session, tmp_path):
 
 def test_report_deletion_notice(open_session, capsys):
     assert run(open_session, 'report_deletion("rm /tmp/x")') == [{}]
-    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert any(n.startswith("deletion-report") and "rm /tmp/x" in n for n in notes)
     assert "rm /tmp/x" in capsys.readouterr().out
 
@@ -122,6 +122,12 @@ def test_append_strings(open_session):
     assert got == [{"Rest": Str("file")}]
     assert run(open_session, 'append("rm ", _, "rm -rf /")') == [{}]
     assert run(open_session, 'append("rm ", _, "ls")') == []
+
+
+def test_append_strings_with_the_whole_and_the_suffix_bound(open_session):
+    assert run(open_session, 'X = "abc", append(A, "bc", X)') == [
+        {"X": Str("abc"), "A": Str("a")}]
+    assert run(open_session, 'append(A, "x", "abc")') == []
 
 
 def test_append_string_enumeration(open_session):
@@ -151,13 +157,15 @@ HUGE = "1" + "0" * 400      # an int too large to convert to a float
 def test_is_evaluates(open_session):
     assert run(open_session, "X is 2 + 3 * 4") == [{"X": Num(14)}]
     assert run(open_session, "X is 7 - 2 - 1") == [{"X": Num(4)}]
+    assert run(open_session, "X is '-'(3)") == [{"X": Num(-3)}]
+    assert run(open_session, "X is '-'(2 - 5.5)") == [{"X": Num(3.5)}]
     assert run(open_session, "4 is 2 + 2") == [{}]
     assert run(open_session, "5 is 2 + 2") == []
     assert run(open_session, "X is foo + 1") == []
     assert run(open_session, "X is Y + 1") == []
     # no text reads back as an infinity, so is/2 refuses to make one
     assert run(open_session, "X is 1.0e300 * 1.0e300") == []
-    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert notes[-1] == "is/2: non-finite result: 1e+300 * 1e+300"
     assert run(open_session, f"X is 1.0 + {HUGE}") == []
 
@@ -185,7 +193,7 @@ def test_sleep_past_the_ceiling_without_a_deadline_fails_at_once(open_session,
     assert run(open_session, f"sleep({millis + 1})") == []
     assert run(open_session, "sleep(1.0e300)") == []
     assert naps == []
-    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert len(notes) == 2 and all(n.startswith("sleep/1 failed") for n in notes)
     assert run(open_session, f"sleep({millis})") == [{}]
     assert sum(naps) == pytest.approx(bi.UNTIMED_CEILING_S)
@@ -362,10 +370,10 @@ def test_retract_of_the_last_clause_undefines_the_predicate(ledger):
 
 def test_unknown_predicate_just_fails(open_session):
     assert run(open_session, "no_such_builtin(1, 2)") == []
-    assert open_session.audit.of_kind("notice") == []
+    assert of_kind(open_session.audit, "notice") == []
 
 
 def test_qualified_unknown_builtin_leaves_notice(open_session):
     assert run(open_session, "built_ins:call_builtin(no_such_builtin(1))") == []
-    notes = [e.detail for e in open_session.audit.of_kind("notice")]
+    notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert any("no_such_builtin" in n for n in notes)

@@ -8,8 +8,8 @@ from typing import NamedTuple
 import genfix
 import pytest
 import verdict_reference
-from conftest import (PERMISSIVE_CLAUSES, PERMISSIVE_URL, base_pages,
-                      make_session, policy_page)
+from conftest import (DEPT_URL, HOME_URL, PERMISSIVE_CLAUSES, PERMISSIVE_URL,
+                      RMIT_URL, base_pages, make_session, of_kind, policy_page)
 from logicweb import engine, security, verdicts
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
@@ -136,7 +136,7 @@ def test_empty_program_context():
 def test_switch_to_unfetchable_page_fails_quietly():
     s = sess({MAIN: ""})
     assert count(s, '"http://nowhere.example/" #> true') == 0
-    assert len(s.audit.of_kind("fetch")) >= 1
+    assert len(of_kind(s.audit, "fetch")) >= 1
 
 
 # ---------------------------------------------------------------- control
@@ -227,7 +227,7 @@ def test_policy_set_grows_and_dedupes_across_switches():
     s.registry.assign(ProgramId.get(A), second)
 
     list(solutions(s, MAIN, f'"{A}" #> p(X)'))
-    switches = [ev for ev in s.audit.of_kind("switch")
+    switches = [ev for ev in of_kind(s.audit, "switch")
                 if ev.sigma and len(ev.chain) > 1]
     assert switches[0].sigma == (perm,)
     assert switches[-1].sigma == (second, perm)
@@ -235,7 +235,7 @@ def test_policy_set_grows_and_dedupes_across_switches():
     # switching back into an already-active policy's program adds nothing
     s.audit.events.clear()
     list(solutions(s, MAIN, f'"{MAIN}" #> true'))
-    last = s.audit.of_kind("switch")[-1]
+    last = of_kind(s.audit, "switch")[-1]
     assert last.sigma == (perm,)
 
 
@@ -274,7 +274,7 @@ def test_qualified_builtins_need_an_empty_policy_set():
 def test_syscall_audit_records_chain_and_policies():
     s = sess({MAIN: 'go :- contains("ab", "a").\n'}, security=True)
     assert count(s, "go") == 1
-    events = s.audit.of_kind("syscall")
+    events = of_kind(s.audit, "syscall")
     # first the vetted user-level call, then its execution inside the policy
     assert [bool(ev.sigma) for ev in events] == [True, False]
     ev = events[0]
@@ -295,10 +295,10 @@ def test_a_switch_takes_its_programs_in_expression_order():
     s.registry.assign(ProgramId.get(B), pol_b)
 
     assert count(s, f'(lw(get, "{B}") + lw(get, "{A}")) #> g') == 2
-    fetched = [ev.detail for ev in s.audit.of_kind("fetch")]
+    fetched = [ev.detail for ev in of_kind(s.audit, "fetch")]
     b_text, a_text = ProgramId.get(B).serialize(), ProgramId.get(A).serialize()
     assert fetched.index(b_text) < fetched.index(a_text)
-    last = s.audit.of_kind("switch")[-1]
+    last = of_kind(s.audit, "switch")[-1]
     assert last.sigma == (pol_b, pol_a, ProgramId.get(PERMISSIVE_URL))
 
 
@@ -375,7 +375,7 @@ def test_a_builtin_goal_runs_once_under_encapsulation(capsys):
     assert count(s, f'@"{A}" #> display(hello)') == 1
     assert capsys.readouterr().out == "hello\n"
     # one vetted call, and one direct run inside the policy
-    assert len(s.audit.of_kind("syscall")) == 2
+    assert len(of_kind(s.audit, "syscall")) == 2
 
 
 def test_page_clauses_for_a_builtin_are_never_selected():
@@ -422,6 +422,17 @@ def test_keyed_selection_keeps_the_clauses_it_started_with():
         "1", "1", "0", "3", "9", "9", "9"]
     assert in_policy("p(a, X)") == ["1", "0", "9", "9", "9"]
     assert in_policy("p(c, X)") == ["0"]
+
+
+def test_the_trail_prints_intersection_and_restriction_contexts():
+    s = make_session(security=False)
+    pair = f'lw(get, "{DEPT_URL}") %s lw(get, "{RMIT_URL}")'
+    for op in "*/":
+        assert solutions(s, HOME_URL, f"({pair % op}) #> X = 1") == [{"X": Num(1)}]
+    lines = [line.split(" ", 1)[1] for line in s.audit.lines()
+             if " syscall " in line]
+    assert lines == [f"syscall X = 1 | context: empty -> lw(get, \"{HOME_URL}\") -> "
+                     f"{pair % op} | policies: -" for op in "*/"]
 
 
 # ---------------------------------------------------------------- the verdict memo
@@ -500,7 +511,7 @@ def test_a_reused_verdict_replaces_the_proof_with_one_vet_event(monkeypatch):
     for _ in range(3):
         assert count(s, 'contains("xy", "x")') == 1
     assert len(proofs) == 1
-    vets = s.audit.of_kind("vet")
+    vets = of_kind(s.audit, "vet")
     assert [ev.detail for ev in vets] == [
         'allow: valid_systemCall(contains("xy", "x"))'] * 2
     assert vets[0].sigma == (ProgramId.get(MEMO_URL),)
@@ -546,7 +557,7 @@ def test_an_impure_policy_is_proved_on_every_call(monkeypatch, form):
         assert count(s, 'contains("ab", "a")') == 1
     assert len(proofs) == 2
     assert len(walks) == 1
-    assert s.audit.of_kind("vet") == []
+    assert of_kind(s.audit, "vet") == []
 
 
 def test_a_policy_is_walked_again_when_a_clause_it_read_changes(monkeypatch):
@@ -562,7 +573,7 @@ def test_a_policy_is_walked_again_when_a_clause_it_read_changes(monkeypatch):
         assert count(s, 'contains("ab", "a")') == 1
     assert len(proofs) == 3
     assert len(walks) == 2
-    assert s.audit.of_kind("vet") == []
+    assert of_kind(s.audit, "vet") == []
 
 
 def test_a_proof_that_leaves_a_notice_is_not_kept(monkeypatch):
@@ -616,7 +627,7 @@ def test_syscall_and_vet_details_print_their_goals_through_three_policies():
     s.registry.assign(ProgramId.get(B), pol3)
     for _ in range(2):
         assert count(s, "go") == 1
-    events = s.audit.of_kind("syscall") + s.audit.of_kind("vet")
+    events = of_kind(s.audit, "syscall") + of_kind(s.audit, "vet")
     assert {ev.kind for ev in events} == {"syscall", "vet"}
     assert max(len(ev.sigma) for ev in events) == 3
     assert 'contains("a\\"b", "\\"")' in {ev.detail for ev in events}
@@ -903,6 +914,32 @@ def test_the_memo_changes_nothing_on_the_benchmark_chains(monkeypatch):
     cached = runs()
     plain_vetting(monkeypatch)
     assert cached == runs()
+
+
+def test_an_evicted_verdict_changes_nothing_on_the_benchmark_chains(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    puts = []
+    put = verdicts.VerdictMemo.put
+    monkeypatch.setattr(verdicts.VerdictMemo, "put",
+                        lambda memo, key, v: puts.append(key) or put(memo, key, v))
+    monkeypatch.setattr(verdicts, "MAX_ENTRIES", 3)
+
+    def runs():
+        s = workloads.chain_session(security=True)
+        out = []
+        for n in (1, 4, 2, 4):
+            for path, _refuse in workloads.CHAINS.values():
+                out.append(workloads.solve_outcome(s, workloads.SYS + path[0],
+                                                   f"run({n}, X)"))
+        assert len(s.verdicts._entries) <= 3 and len(s.verdicts._walks) <= 3
+        return out, trail(s)
+
+    evicting = runs()
+    assert len(set(puts)) > 3
+    plain_vetting(monkeypatch)
+    assert evicting == runs()
 
 
 def test_a_warm_benchmark_pass_proves_few_of_its_vets(monkeypatch, tmp_path):

@@ -1,7 +1,7 @@
 """Fetching, the in-memory page table, disk mounts, and the program cache."""
 
 import pytest
-from conftest import HOME_URL, PERMISSIVE_URL, make_session
+from conftest import HOME_URL, PERMISSIVE_URL, make_session, of_kind
 from logicweb import fetching
 from logicweb.fetching import (NO_POLICY, FetchConfig, FetchError, PageEntry,
                                add_programs, download, fetch_response,
@@ -126,7 +126,7 @@ def test_download_installs_and_assigns(pages):
     program = download(pid, session)
     assert program is session.store.get(pid)
     assert session.registry.pol(pid) == ProgramId.get(PERMISSIVE_URL)
-    fetches = session.audit.of_kind("fetch")
+    fetches = of_kind(session.audit, "fetch")
     assert [e.detail for e in fetches] == [pid.serialize()]
 
 
@@ -148,7 +148,7 @@ def test_download_failure_reports_reason(pages):
     assert info.value.reason == "network"
     assert pid not in session.store
     # the attempt still left a fetch event
-    assert len(session.audit.of_kind("fetch")) == 1
+    assert len(of_kind(session.audit, "fetch")) == 1
 
 
 def test_download_counts_toward_program_budget(pages):
@@ -168,7 +168,7 @@ def test_add_programs_fetches_in_stable_order(pages):
     a = ProgramId.get("http://www.cs.mu.oz.au/~f2")
     b = ProgramId.get("http://www.cs.mu.oz.au/~f1/")
     assert add_programs(session, [a, b, a])
-    fetched = [e.detail for e in session.audit.of_kind("fetch")]
+    fetched = [e.detail for e in of_kind(session.audit, "fetch")]
     assert fetched == [a.serialize(), b.serialize()]
 
 

@@ -6,7 +6,7 @@ import subprocess
 import time
 
 import pytest
-from conftest import PERMISSIVE_URL, base_pages, make_session, policy_page
+from conftest import PERMISSIVE_URL, base_pages, make_session, of_kind, policy_page
 from logicweb import guards, model
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
@@ -249,7 +249,7 @@ def test_guarded_solve_limit_zero_returns_no_answers():
 def test_abort_leaves_an_audit_notice():
     s = sess({MAIN: "loop :- loop.\n"})
     run(s, "loop")
-    notes = [e.detail for e in s.audit.of_kind("notice")]
+    notes = [e.detail for e in of_kind(s.audit, "notice")]
     assert "query aborted: loop found" in notes
 
 

@@ -1,6 +1,7 @@
 """Policy registry behaviour and the audit trail."""
 
 import pytest
+from conftest import of_kind
 
 from logicweb.engine import Session
 from logicweb.fetching import FetchConfig
@@ -138,8 +139,8 @@ def test_audit_log_collects_and_formats():
     ev = log.emit("syscall", "open(f, read, S)",
                   chain=(ProgramId.get("http://a/"),),
                   sigma=(DEFAULT,))
-    assert log.of_kind("syscall") == [ev]
-    assert log.of_kind("fetch") == []
+    assert of_kind(log, "syscall") == [ev]
+    assert of_kind(log, "fetch") == []
     line = ev.format_line()
     assert "syscall open(f, read, S)" in line
     assert 'lw(get, "http://a/")' in line

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import struct
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Substitution,
                             Var, fresh_var, list_items, make_list, occurs_in,
-                            rename_apart, struct, unify, variant, variant_key)
+                            rename_apart, unify, variant, variant_key)
 
 
 def test_fresh_vars_are_distinct():
