@@ -119,7 +119,7 @@ def _bi_system(args, rt):
         return
     hooks = rt.session.hooks
     ceiling = (time.monotonic() + UNTIMED_CEILING_S
-               if getattr(hooks, "deadline", None) is None else None)
+               if hooks.deadline is None else None)
     try:
         # its own process group, so that killing it reaches the shell's children
         proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
@@ -173,7 +173,7 @@ def _bi_sleep(args, rt):
         rt.notice("sleep/1: milliseconds must be a number")
         return
     hooks, millis = rt.session.hooks, args[0].value
-    if millis > UNTIMED_CEILING_S * 1000 and getattr(hooks, "deadline", None) is None:
+    if millis > UNTIMED_CEILING_S * 1000 and hooks.deadline is None:
         rt.notice(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
         return
     # past the float range, only the deadline ends the pause

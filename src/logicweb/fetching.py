@@ -64,7 +64,7 @@ def _file_response(url: str, path: Path) -> HttpResponse:
         body = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FetchError("status", f"cannot read fixture file {path}: {exc}") from exc
-    return HttpResponse(url, url, 200, _default_headers(body), body)
+    return HttpResponse(url, url, _default_headers(body), body)
 
 
 def _linked_out(root: Path, rel: str) -> bool:
@@ -89,8 +89,7 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
         if entry.status != 200:
             raise FetchError("status", f"status {entry.status} for {url}")
         headers = entry.headers if entry.headers is not None else _default_headers(entry.body)
-        return HttpResponse(url, entry.final_url or url, entry.status,
-                            headers, entry.body)
+        return HttpResponse(url, entry.final_url or url, headers, entry.body)
 
     for prefix, root in sorted(cfg.mounts, key=lambda m: -len(m[0])):
         if url.startswith(prefix):
@@ -143,7 +142,7 @@ def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
                            errors="replace")
     except (LookupError, ValueError):   # a charset Python cannot decode text with
         text = body.decode("utf-8", errors="replace")
-    return HttpResponse(url, resp.url, resp.status_code, list(resp.headers.items()), text)
+    return HttpResponse(url, resp.url, list(resp.headers.items()), text)
 
 
 def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:

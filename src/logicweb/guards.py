@@ -61,6 +61,9 @@ class ProofSummary(NamedTuple):
 class EngineHooks:
     """Do-nothing hook set; the engine calls these at its checkpoints."""
 
+    # the clock time the query must stop at; None when it has no limit
+    deadline: Optional[float] = None
+
     def start(self) -> None:
         pass
 
@@ -126,7 +129,6 @@ class Guard(EngineHooks):
         self._live: set[tuple] = set()
         self.clauses_applied = 0
         self.programs_created = 0
-        self.deadline: Optional[float] = None
         # contexts are immutable: a size stays valid while the object does
         self._sized: tuple[object, int] = (None, 0)
         # while a proof is watched: the depth and clause count it began at,

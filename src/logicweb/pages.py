@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from html import unescape
-from typing import Callable
 from urllib.parse import urljoin
 
 from .model import Clause, LWProgram, ProgramId, parse_program
@@ -26,7 +25,6 @@ log = logging.getLogger(__name__)
 class HttpResponse:
     requested_url: str
     final_url: str
-    status: int
     headers: list[tuple[str, str]] = field(default_factory=list)
     body: str = ""
 
@@ -141,28 +139,13 @@ def extract_links(html: str) -> list[tuple[str, str]]:
     return [(" ".join("".join(p).split()), h) for h, p in anchors]
 
 
-# one path segment with no dot-segment, scheme, query or fragment in it
-_SEGMENT_RE = re.compile(r"(?!\.\.?\Z)[\w.~-]+", re.ASCII)
-
-
-def url_resolver(base: str) -> Callable[[str], str]:
-    """href -> `urljoin(base, href)`; a plain one-segment href just extends the base's directory."""
-    try:
-        directory = urljoin(base, "x")[:-1]
-    except ValueError:
-        return lambda href: urljoin(base, href)
-    return lambda href: (directory + href if _SEGMENT_RE.fullmatch(href)
-                         else urljoin(base, href))
-
-
 def link_facts(page_text: str, base: str, requested_url: str) -> list[Clause]:
     """A `link(Label, URL)` fact per anchor, its href resolved against `base`;
     an href that does not resolve is dropped with a warning, never raised."""
-    resolve = url_resolver(base)
     facts = []
     for label, href in extract_links(page_text):
         try:
-            facts.append(Clause(Struct("link", (Str(label), Str(resolve(href))))))
+            facts.append(Clause(Struct("link", (Str(label), Str(urljoin(base, href))))))
         except ValueError as exc:
             log.warning("dropping link %r of %s: %s", href, requested_url, exc)
     return facts

@@ -95,11 +95,11 @@ def policy_reads(store, pids, roots) -> tuple[bool, list] | None:
 
 
 def unchanged(reads) -> bool:
-    """Whether every bucket read still holds the very same clauses. A
-    predicate no `assert` or `retract` changed keeps its very bucket tuple."""
+    """Whether every bucket read is still the very same tuple: a program
+    replaces a predicate's bucket only when `add`, `remove` or its link
+    build changes that predicate."""
     for program, pred, bucket in reads:
-        now = program.clauses_of(pred)
-        if now is not bucket and now != bucket:
+        if program.clauses_of(pred) is not bucket:
             return False
     return True
 

@@ -301,6 +301,21 @@ def test_fetch_head_prints_only_the_header_facts(site, capsys):
         f'actual_url("{SITE}index.html").']
 
 
+def test_fetch_output_and_store_files_of_a_page_are_the_same_every_time(
+        site, capsys, tmp_path):
+    d, _ = site
+    (d / "anon.html").write_text(policy_page("Anonymous", "reach(T, _) :- topic(T).\n"),
+                                 encoding="utf-8")
+    runs = []
+    for store in (tmp_path / "first", tmp_path / "second"):
+        code, out, _ = run_cli(capsys, "fetch", SITE + "anon.html", *base(site),
+                               "--store-dir", str(store))
+        runs.append((code, out, {p.name: p.read_text(encoding="utf-8")
+                                 for p in sorted(store.iterdir())}))
+    assert runs[0] == runs[1]
+    assert "reach(T, _G0) :- topic(T).\n" in runs[0][1]
+
+
 def test_fetch_failure(site, capsys):
     code, _, err = run_cli(capsys, "fetch", SITE + "absent.html", *base(site))
     assert code == 1

@@ -133,13 +133,21 @@ HOSTILE_PAGES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_PAGES))
-def test_hostile_page_ends_lw_query_cleanly(case, tmp_path, capsys):
+# `p(X)` alone never scans the page for anchors, since the `link/2` facts
+# are built on first use; the second goal reads them and keeps the answers
+READ_LINKS = "p(X), (link(_, _) -> true ; true)"
+
+
+@pytest.mark.parametrize("case, goal", [
+    pytest.param(case, goal, id=case + suffix)
+    for case in sorted(HOSTILE_PAGES)
+    for goal, suffix in (("p(X)", ""), (READ_LINKS, "-reading_links"))])
+def test_hostile_page_ends_lw_query_cleanly(case, goal, tmp_path, capsys):
     body, expected, seconds = HOSTILE_PAGES[case]
     page = tmp_path / "index.html"
     page.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
     start = time.monotonic()
-    code = main(["query", "http://hostile.example/", "p(X)", "--no-security",
+    code = main(["query", "http://hostile.example/", goal, "--no-security",
                  "--offline", "--mount", f"http://hostile.example/={tmp_path}"])
     elapsed = time.monotonic() - start
     out, err = capsys.readouterr()

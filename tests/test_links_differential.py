@@ -1,21 +1,19 @@
-"""Differential tests of the anchor scanner and the link resolver.
+"""Differential tests of the anchor scanner.
 
 `extract_links` must give the same (label, href) list as the standard
 library's `html.parser` (kept in `html_reference`) on generated HTML, on
-the fixture pages and on the benchmark's generated site; `url_resolver`
-must give what `urljoin` gives, or raise where it raises."""
+the fixture pages and on the benchmark's generated site."""
 
 import random
 import sys
 from pathlib import Path
-from urllib.parse import urljoin
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import base_pages
 from html_reference import reference_links
-from logicweb.pages import extract_links, extract_lw_code, url_resolver
+from logicweb.pages import extract_links, extract_lw_code
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -126,36 +124,3 @@ def test_extract_links_matches_html_parser_on_generated_site():
         _, text = extract_lw_code(page.html)
         links = extract_links(text)
         assert links and links == reference_links(text), url
-
-
-BASES = st.one_of(
-    st.builds("{}://{}{}{}{}".format,
-              st.sampled_from(["http", "https", "file", "ftp", "lw", "mailto", "HTTP"]),
-              st.sampled_from(["a.example", "", "u@h:80", "[::1]", "[::1"]),
-              st.sampled_from(["", "/", "/d/", "/d/p.html", "/d/..", "/./x",
-                               "/a/b/../c", "//x", "/p;q", "/d/."]),
-              st.sampled_from(["", "?q=1", "?"]),
-              st.sampled_from(["", "#f", "#"])),
-    st.sampled_from(["", "rel/page", "/abs", "?q", "#f", " http://a/b "]))
-HREFS = st.one_of(
-    st.text(st.sampled_from("ab.~-_9/:?#;%@ \t"), max_size=6),
-    st.sampled_from([".", "..", "...", ".x", "x.", "a..b", "x.html", "../x", "./x",
-                     "http://o.example/p", "//h/p", "mailto:m", "a:b", "?q",
-                     "#frag", "é", "x y", "\tx", "x\n", "", "http://[::1"]))
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError:
-        return ValueError
-
-
-@settings(max_examples=1000, deadline=None)
-@given(BASES, st.lists(HREFS, min_size=1, max_size=4))
-@example("http://a.example/d/p.html", ["x.html", "../x", "x.html"])
-@example("http://[::1", ["x.html"])
-def test_url_resolver_matches_urljoin(base, hrefs):
-    resolve = url_resolver(base)
-    for href in hrefs:
-        assert _outcome(resolve, href) == _outcome(urljoin, base, href)

@@ -65,7 +65,7 @@ PAGE = "http://site.example/page"
 
 def _resp(body, url=PAGE, final=None, headers=None):
     return HttpResponse(requested_url=url, final_url=final or url,
-                        status=200, headers=headers or [], body=body)
+                        headers=headers or [], body=body)
 
 
 def test_translate_page_fact_order():
