@@ -304,16 +304,7 @@ def clause_text(c: Clause) -> str:
     """The clause in canonical syntax. The variables `to_text` prints as
     `_G<id>` are numbered `_G0`, `_G1`, ... by first occurrence, so the text
     depends on the clause alone, not on what the process parsed before."""
-    numbers: dict[int, Var] = {}
-
-    def number(t: Term) -> Term:
-        if isinstance(t, Var) and (t.name == "_" or t.name.startswith("_G")):
-            return numbers.setdefault(t.id, Var("_G", len(numbers)))
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(map(number, t.args)))
-        return t
-
-    return syntax.to_text(number(clause_to_term(c))) + "."
+    return syntax.to_text(clause_to_term(c), names={}) + "."
 
 
 def parse_program(text: str) -> list[Clause]:

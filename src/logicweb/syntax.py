@@ -339,11 +339,18 @@ def int_printable(n: int) -> bool:
     return not limit or n.bit_length() <= 3 * limit or abs(n) < 10 ** limit
 
 
-def to_text(t: Term, max_prec: int = 1200) -> str:
-    """Canonical text; operators printed infix, lists in bracket sugar."""
+def to_text(t: Term, max_prec: int = 1200,
+            names: dict[int, int] | None = None) -> str:
+    """Canonical text; operators printed infix, lists in bracket sugar.
+
+    An anonymous variable prints as `_G<id>`. Given `names`, it prints as
+    `_G<n>` instead, where `n` numbers the anonymous variables by first
+    occurrence; `names` maps their ids to those numbers."""
     if isinstance(t, Var):
         if t.name == "_" or t.name.startswith("_G"):
-            return f"_G{t.id}"
+            if names is None:
+                return f"_G{t.id}"
+            return f"_G{names.setdefault(t.id, len(names))}"
         return t.name
     if isinstance(t, Atom):
         return _atom_text(t.name)
@@ -354,20 +361,20 @@ def to_text(t: Term, max_prec: int = 1200) -> str:
     assert isinstance(t, Struct)
     if t.functor == "." and len(t.args) == 2:
         items, tail = list_items(t)
-        inner = ", ".join(to_text(x, 999) for x in items)
+        inner = ", ".join(to_text(x, 999, names) for x in items)
         if isinstance(tail, Atom) and tail.name == "[]":
             return f"[{inner}]"
-        return f"[{inner}|{to_text(tail, 999)}]"
+        return f"[{inner}|{to_text(tail, 999, names)}]"
     if t.functor == "@" and len(t.args) == 1:
         prec, _ = PREFIX_OPS["@"]
-        body = f"@{to_text(t.args[0], prec)}"
+        body = f"@{to_text(t.args[0], prec, names)}"
         return body if prec <= max_prec else f"({body})"
     if len(t.args) == 2 and t.functor in INFIX_OPS:
         prec, fixity = INFIX_OPS[t.functor]
         lp = prec if fixity == "yfx" else prec - 1
         rp = prec if fixity == "xfy" else prec - 1
         sep = ", " if t.functor == "," else f" {t.functor} "
-        body = f"{to_text(t.args[0], lp)}{sep}{to_text(t.args[1], rp)}"
+        body = f"{to_text(t.args[0], lp, names)}{sep}{to_text(t.args[1], rp, names)}"
         return body if prec <= max_prec else f"({body})"
-    args = ", ".join(to_text(a, 999) for a in t.args)
+    args = ", ".join(to_text(a, 999, names) for a in t.args)
     return f"{_atom_text(t.functor)}({args})"

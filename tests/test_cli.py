@@ -316,6 +316,19 @@ def test_fetch_output_and_store_files_of_a_page_are_the_same_every_time(
     assert "reach(T, _G0) :- topic(T).\n" in runs[0][1]
 
 
+def test_fetch_prints_and_stores_a_clause_with_a_long_list(site, capsys, tmp_path):
+    d, _ = site
+    text = "big([" + ", ".join(map(str, range(2000))) + ", _])."
+    (d / "big.html").write_text(policy_page("Big", text + "\n"), encoding="utf-8")
+    store = tmp_path / "store"
+    code, out, _ = run_cli(capsys, "fetch", SITE + "big.html", *base(site),
+                           "--store-dir", str(store))
+    expected = text.replace("_]", "_G0]") + "\n"
+    assert code == 0
+    assert expected in out
+    assert any(expected in p.read_text(encoding="utf-8") for p in store.iterdir())
+
+
 def test_fetch_failure(site, capsys):
     code, _, err = run_cli(capsys, "fetch", SITE + "absent.html", *base(site))
     assert code == 1
