@@ -161,8 +161,10 @@ def cmd_query(args) -> int:
     qvars = list(varmap.values())
     for sol in outcome.solutions:
         if qvars:
-            print(", ".join(f"{v.name} = {syntax.to_text(sol.subst.apply(v))}"
-                            for v in qvars))
+            names = {}
+            print(", ".join(
+                f"{v.name} = {syntax.to_text(sol.subst.apply(v), names=names)}"
+                for v in qvars))
         else:
             print("true")
     if args.trace:

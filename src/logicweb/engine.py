@@ -28,7 +28,7 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify, variant_key)
-from .verdicts import Verdict, VerdictMemo
+from .verdicts import Verdict, VerdictMemo, pure_reads
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -315,7 +315,7 @@ class Session:
             self.audit.emit("vet", goal, chain, sigma,
                             "allow: " if kept.allowed else "deny: ")
             return kept.allowed
-        reads = self.verdicts.pure_reads(self.store, sigma, goal)
+        reads = pure_reads(self.store, sigma, goal)
         if reads is None:
             return self._prove(sigma, goal)
         notices = self.audit.notices

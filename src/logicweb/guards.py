@@ -253,13 +253,16 @@ class GuardOutcome:
 
 def guarded_solve(session, main, goal, limit: int | None = None) -> GuardOutcome:
     """Run a query to completion or to the first guard abort, keeping
-    whatever answers arrived first."""
+    whatever answers arrived first. A stop or an error closes the streams
+    the session holds open."""
     outcome = GuardOutcome()
     try:
         for sol in itertools.islice(session.run_query(main, goal), limit):
             outcome.solutions.append(sol)
-    except GuardTermination as exc:
-        outcome.termination = exc
+    except BaseException as exc:
         session.close_streams()
+        if not isinstance(exc, GuardTermination):
+            raise
+        outcome.termination = exc
         session.audit.emit("notice", f"query aborted: {exc.message}")
     return outcome

@@ -165,25 +165,26 @@ MAX_EVENTS = 10_000
 
 class AuditLog:
     """Always-on in-memory event trail that keeps the newest `MAX_EVENTS`
-    events and counts every one emitted, dropped and of kind `notice`."""
+    events and counts every one emitted and of kind `notice`."""
 
     def __init__(self):
         self.events: deque[AuditEvent] = deque(maxlen=MAX_EVENTS)
         self.emitted = 0
-        self.dropped = 0
         self.notices = 0
+
+    @property
+    def dropped(self) -> int:
+        """The events emitted that the trail no longer keeps."""
+        return self.emitted - len(self.events)
 
     def emit(self, kind: str, subject: str | Term,
              chain: tuple[ProgramExpression, ...] = (),
              sigma: tuple[ProgramId, ...] = (), prefix: str = "") -> AuditEvent:
-        events = self.events
-        if len(events) == events.maxlen:
-            self.dropped += 1
         if kind == "notice":
             self.notices += 1
         self.emitted += 1
         ev = AuditEvent(time.time(), kind, subject, chain, sigma, prefix)
-        events.append(ev)
+        self.events.append(ev)
         return ev
 
     def lines(self) -> list[str]:

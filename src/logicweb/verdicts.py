@@ -6,8 +6,8 @@ each policy calls only control constructs, its policy's own predicates and
 the pure built-ins below. It is reused for a variant of the goal under the
 same policy tuple while the clauses of those predicates are the very ones
 the proof read. So `assert` and `retract` on any other predicate, such as a
-policy's call counter, leave it valid. A policy found impure is proved
-every time, but is not walked again until a clause the walk read changes.
+policy's call counter, leave it valid. A policy found impure is walked and
+proved on every vet.
 
 The guards must see a reused verdict as they saw the proof. The session
 proves a goal it may keep under the hooks' `watch`, and the hooks sum up
@@ -27,7 +27,7 @@ from .builtins import TABLE
 from .guards import ProofSummary
 from .terms import Atom, Struct, Term, functor_of
 
-# verdicts, and policy walks, kept per session; the oldest goes first
+# verdicts kept per session; the oldest goes first
 MAX_ENTRIES = 4096
 
 PURE_BUILTINS = frozenset(
@@ -66,12 +66,14 @@ def user_calls(body: Term) -> list[tuple[str, int]] | None:
     return out
 
 
-def policy_reads(store, pids, roots) -> tuple[bool, list] | None:
-    """Walk, in each policy, the predicates reachable from `roots`: whether
-    every body met is pure, and the clause buckets read on the way as
-    (program, predicate, clauses) triples; None when a policy is not in the
-    store yet. The walk stops at the first impure body, so the same buckets
-    lead it to the same one again."""
+def pure_reads(store, pids, goal: Term) -> list | None:
+    """The clause buckets a proof of `goal` under `pids` may read, as
+    (program, predicate, clauses) triples: those of the predicates
+    reachable from the goal in each policy. None when a body met calls
+    more than pure resolution, or when a policy is not in the store yet."""
+    roots = user_calls(goal)
+    if roots is None:
+        return None
     reads = []
     for pid in pids:
         program = store.get(pid)
@@ -89,9 +91,9 @@ def policy_reads(store, pids, roots) -> tuple[bool, list] | None:
             for clause in bucket:
                 called = user_calls(clause.body)
                 if called is None:
-                    return False, reads
+                    return None
                 todo.extend(called)
-    return True, reads
+    return reads
 
 
 def unchanged(reads) -> bool:
@@ -111,14 +113,10 @@ class Verdict(NamedTuple):
 
 
 class VerdictMemo:
-    """Verdicts keyed by (policy tuple, variant key of the goal), and the
-    outcome of each policy walk keyed by (policy tuple, predicates the goal
-    calls), so a policy found impure is not walked again until a clause the
-    walk read changes."""
+    """Verdicts keyed by (policy tuple, variant key of the goal)."""
 
     def __init__(self):
         self._entries: dict[tuple, Verdict] = {}
-        self._walks: dict[tuple, tuple[bool, list]] = {}
 
     def get(self, key) -> Verdict | None:
         verdict = self._entries.get(key)
@@ -127,27 +125,8 @@ class VerdictMemo:
         return None
 
     def put(self, key, verdict: Verdict) -> None:
-        _put(self._entries, key, verdict)
-
-    def pure_reads(self, store, pids: tuple, goal: Term) -> list | None:
-        """The buckets a proof of `goal` under `pids` may read, when every
-        reachable body is pure and every policy is in the store; else None."""
-        roots = user_calls(goal)
-        if roots is None:
-            return None
-        key = (pids, tuple(roots))
-        walk = self._walks.get(key)
-        if walk is None or not unchanged(walk[1]):
-            walk = policy_reads(store, pids, roots)
-            if walk is None:
-                return None
-            _put(self._walks, key, walk)
-        pure, reads = walk
-        return reads if pure else None
-
-
-def _put(entries: dict, key, value) -> None:
-    entries.pop(key, None)
-    if len(entries) >= MAX_ENTRIES:
-        del entries[next(iter(entries))]
-    entries[key] = value
+        entries = self._entries
+        entries.pop(key, None)
+        if len(entries) >= MAX_ENTRIES:
+            del entries[next(iter(entries))]
+        entries[key] = verdict

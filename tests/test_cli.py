@@ -85,6 +85,15 @@ def test_multi_variable_bindings_on_one_line(site, capsys):
     assert out.splitlines() == ["X = 1, Y = hi"]
 
 
+def test_answers_print_their_anonymous_variables_the_same_every_time(site, capsys):
+    d, _ = site
+    (d / "anon.html").write_text(policy_page("Anonymous", "q(f(_)).\n"),
+                                 encoding="utf-8")
+    query = ("query", SITE + "anon.html", "q(X), q(Y)", *base(site))
+    runs = [run_cli(capsys, *query) for _ in range(2)]
+    assert runs[0] == runs[1] == (0, "X = f(_G0), Y = f(_G1)\n", "")
+
+
 def test_no_answers_prints_nothing_exit_one(site, capsys):
     code, out, _ = run_cli(capsys, "query", SITE + "index.html", "p(9)",
                            *base(site))

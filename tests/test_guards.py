@@ -8,7 +8,7 @@ import time
 import pytest
 from conftest import PERMISSIVE_URL, base_pages, make_session, of_kind, policy_page
 from logicweb import guards, model
-from logicweb.engine import solutions
+from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (CLAUSE_COUNT_EXCEEDED, DEPTH_EXCEEDED, Guard,
                              GuardConfig, GuardOutcome, GuardTermination,
@@ -179,6 +179,17 @@ def test_a_stop_closes_the_streams_the_query_opened(tmp_path):
     s.new_stream = lambda handle: handles.append(handle) or new_stream(handle)
     out = run(s, "q")
     assert out.termination.reason == DEPTH_EXCEEDED
+    assert len(handles) == 1 and handles[0].closed
+    assert s.streams == {}
+
+
+def test_an_error_closes_the_streams_the_query_opened(tmp_path):
+    s = sess({MAIN: ""})
+    handles = []
+    new_stream = s.new_stream
+    s.new_stream = lambda handle: handles.append(handle) or new_stream(handle)
+    with pytest.raises(EngineError):
+        run(s, f'open("{tmp_path / "out.txt"}", write, S), X #> true')
     assert len(handles) == 1 and handles[0].closed
     assert s.streams == {}
 
