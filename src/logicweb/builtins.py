@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import signal
-import subprocess
 import time
 from typing import Callable, Iterator, Optional
 
@@ -120,6 +118,8 @@ def _bi_system(args, rt):
     hooks = rt.session.hooks
     ceiling = (time.monotonic() + UNTIMED_CEILING_S
                if hooks.deadline is None else None)
+    import signal
+    import subprocess
     try:
         # its own process group, so that killing it reaches the shell's children
         proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,

@@ -12,7 +12,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import syntax
@@ -66,14 +65,14 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--http-timeout", type=_timeout_seconds,
                    default=FetchConfig.timeout, metavar="SECS")
     # one flag per guard setting, named and defaulted by GuardConfig
-    for f in fields(GuardConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
+    for name, default in GuardConfig._field_defaults.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(default, bool):
             p.add_argument(flag, action=argparse.BooleanOptionalAction,
-                           default=f.default, help=_GUARD_HELP.get(f.name))
+                           default=default, help=_GUARD_HELP.get(name))
         else:
-            p.add_argument(flag, type=_non_negative, default=f.default,
-                           metavar="N", help=_GUARD_HELP.get(f.name))
+            p.add_argument(flag, type=_non_negative, default=default,
+                           metavar="N", help=_GUARD_HELP.get(name))
 
 
 def _non_negative(text: str) -> int:
@@ -125,8 +124,7 @@ def _build_session(args) -> Session:
         allow_network=not args.offline,
     )
     config = EngineConfig(security_enabled=security)
-    guard = Guard(GuardConfig(**{f.name: getattr(args, f.name)
-                                 for f in fields(GuardConfig)}))
+    guard = Guard(GuardConfig(*[getattr(args, n) for n in GuardConfig._fields]))
     session = Session(registry, fetch_cfg, config, hooks=guard)
 
     if args.store_dir:

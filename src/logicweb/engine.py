@@ -14,9 +14,8 @@ clauses it was proved from stand (`verdicts`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import builtins as bi
 from .fetching import FetchConfig, add_programs
@@ -38,13 +37,11 @@ class EngineError(Exception):
     pass
 
 
-@dataclass
-class EngineConfig:
+class EngineConfig(NamedTuple):
     security_enabled: bool = True
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     subst: Substitution
 
 

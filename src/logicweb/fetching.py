@@ -9,34 +9,32 @@ untouched in that case.
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 from urllib.parse import unquote, urlsplit
 
 from .model import LWProgram, ProgramId, parse_program
 from .pages import HttpResponse, translate_page
-
-log = logging.getLogger(__name__)
 
 MAX_REDIRECTS = 5
 MAX_BODY_BYTES = 8 << 20          # a longer response body is refused
 NO_POLICY = ProgramId.get("lw:no-policy")   # named by unsecured runs, never stored
 
 
-@dataclass
 class FetchConfig:
-    pages: dict[str, "PageEntry"] = field(default_factory=dict)
-    mounts: list[tuple[str, Path]] = field(default_factory=list)
-    timeout: float = 10.0
-    allow_network: bool = True
+    timeout = 10.0      # seconds; the default `--http-timeout` too
+
+    def __init__(self, pages: dict[str, "PageEntry"] | None = None,
+                 mounts: list[tuple[str, Path]] | None = None,
+                 timeout: float = timeout, allow_network: bool = True):
+        self.pages = {} if pages is None else pages
+        self.mounts = [] if mounts is None else mounts
+        self.timeout = timeout
+        self.allow_network = allow_network
 
 
-@dataclass
-class PageEntry:
+class PageEntry(NamedTuple):
     body: str
     status: int = 200
     final_url: Optional[str] = None
@@ -177,7 +175,9 @@ def add_programs(session, pids, chain=(), sigma=()) -> bool:
         try:
             download(pid, session, chain, sigma)
         except FetchError as exc:
-            log.info("fetch failed for %s: %s", pid.serialize(), exc)
+            import logging
+            logging.getLogger(__name__).info(
+                "fetch failed for %s: %s", pid.serialize(), exc)
     return all(pid in session.store for pid in pids)
 
 
@@ -187,6 +187,7 @@ _ASSIGN_FILE = "_assignments"
 
 
 def _program_filename(pid: ProgramId) -> str:
+    import hashlib
     digest = hashlib.sha1(pid.serialize().encode("utf-8")).hexdigest()[:16]
     return f"{digest}.lwp"
 

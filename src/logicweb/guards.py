@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .model import EmptyProgram, ProgramId, leaves
@@ -98,8 +97,7 @@ class EngineHooks:
         return True
 
 
-@dataclass
-class GuardConfig:
+class GuardConfig(NamedTuple):
     max_depth: Optional[int] = 40
     loop_check: bool = True
     max_clauses: Optional[int] = 500
@@ -241,10 +239,11 @@ class Guard(EngineHooks):
         raise GuardTermination(reason, MESSAGES[reason])
 
 
-@dataclass
 class GuardOutcome:
-    solutions: list = field(default_factory=list)
-    termination: GuardTermination | None = None
+    def __init__(self, solutions: list | None = None,
+                 termination: GuardTermination | None = None):
+        self.solutions = [] if solutions is None else solutions
+        self.termination = termination
 
     @property
     def terminated(self) -> bool:

@@ -10,40 +10,48 @@ an expression at evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from . import syntax
-from .terms import (TRUE_ATOM, Atom, Str, Struct, Substitution, Term, Var,
-                    functor_of, make_list, list_items, rename_apart)
+from .terms import (TRUE_ATOM, Atom, Record, Str, Struct, Substitution, Term,
+                    Var, _set, functor_of, make_list, list_items, rename_apart)
 
 
 class ExpressionError(ValueError):
     """A term in context position does not denote a valid composition."""
 
 
-class ProgramExpression:
+class ProgramExpression(Record):
     __slots__ = ()
 
 
 # ---------------------------------------------------------------- identifiers
 
-@dataclass(frozen=True, order=False)
 class ProgramId(ProgramExpression):
-    """A program, named by how it was retrieved; also an expression leaf."""
+    """A program, named by how it was retrieved, post fields in order; also
+    an expression leaf. Its hash is computed once: ids key many dicts."""
 
-    method: str                                   # 'head' | 'get' | 'post'
-    url: str
-    post_fields: tuple[tuple[str, str], ...] = ()  # order-sensitive
+    __slots__ = ("method", "url", "post_fields", "_hash")
 
-    def __post_init__(self):
-        if self.method not in ("head", "get", "post"):
-            raise ExpressionError(f"bad retrieval method {self.method!r}")
-        if not self.url:
+    def __init__(self, method: str, url: str,
+                 post_fields: tuple[tuple[str, str], ...] = ()):
+        if method not in ("head", "get", "post"):
+            raise ExpressionError(f"bad retrieval method {method!r}")
+        if not url:
             raise ExpressionError("empty URL")
-        if self.method != "post" and self.post_fields:
+        if method != "post" and post_fields:
             raise ExpressionError("fields only make sense for post")
+        super().__init__(method, url, post_fields, hash((method, url, post_fields)))
+
+    def __eq__(self, other):
+        if type(other) is not ProgramId:
+            return NotImplemented
+        return (self.url == other.url and self.method == other.method
+                and self.post_fields == other.post_fields)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def head(cls, url: str) -> "ProgramId":
@@ -101,45 +109,40 @@ class ProgramId(ProgramExpression):
 
 # ---------------------------------------------------------------- clauses
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    head: Term
-    body: Term = TRUE_ATOM
+class Clause(Record):
+    __slots__ = ("head", "body")
+
+    def __init__(self, head: Term, body: Term = TRUE_ATOM):
+        _set(self, "head", head)
+        _set(self, "body", body)
 
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(frozen=True, slots=True)
 class EmptyProgram(ProgramExpression):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Union(ProgramExpression):
-    left: ProgramExpression
-    right: ProgramExpression
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Intersection(ProgramExpression):
-    left: ProgramExpression
-    right: ProgramExpression
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Restriction(ProgramExpression):
-    expr: ProgramExpression
-    prog: ProgramId
+    __slots__ = ("expr", "prog")
 
-    def __post_init__(self):
-        if not isinstance(self.prog, ProgramId):
+    def __init__(self, expr: ProgramExpression, prog: ProgramId):
+        if not isinstance(prog, ProgramId):
             raise ExpressionError(
                 "the right-hand side of a restriction must be a program identifier")
+        super().__init__(expr, prog)
 
 
-@dataclass(frozen=True, slots=True)
 class Encapsulation(ProgramExpression):
-    expr: ProgramExpression
+    __slots__ = ("expr",)
 
 
 EMPTY_PROGRAM = EmptyProgram()

@@ -8,24 +8,20 @@ A HEAD response yields only the header facts and the final URL.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from html import unescape
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from .model import Clause, LWProgram, ProgramId, parse_program
 from .terms import Str, Struct
 
-log = logging.getLogger(__name__)
 
-
-@dataclass
-class HttpResponse:
+class HttpResponse(NamedTuple):
     requested_url: str
     final_url: str
-    headers: list[tuple[str, str]] = field(default_factory=list)
+    headers: list[tuple[str, str]] | tuple = ()
     body: str = ""
 
 
@@ -147,7 +143,9 @@ def link_facts(page_text: str, base: str, requested_url: str) -> list[Clause]:
         try:
             facts.append(Clause(Struct("link", (Str(label), Str(urljoin(base, href))))))
         except ValueError as exc:
-            log.warning("dropping link %r of %s: %s", href, requested_url, exc)
+            import logging
+            logging.getLogger(__name__).warning(
+                "dropping link %r of %s: %s", href, requested_url, exc)
     return facts
 
 
@@ -170,5 +168,7 @@ def translate_page(resp: HttpResponse, pid: ProgramId) -> LWProgram:
         try:
             clauses.extend(parse_program(clause_text))
         except Exception as exc:
-            log.warning("dropping embedded clauses of %s: %s", resp.requested_url, exc)
+            import logging
+            logging.getLogger(__name__).warning(
+                "dropping embedded clauses of %s: %s", resp.requested_url, exc)
     return LWProgram(pid, clauses, links)

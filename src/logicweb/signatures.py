@@ -8,21 +8,17 @@ The signature covers a SHA-256 digest of every byte before the trailer
 plus the signer id, so altering any byte of the page, the claimed identity,
 or the trailer itself breaks verification. Verification is total: anything
 that fails to parse or verify folds to the `unknown` signer, which the
-policy registry maps to the untrusted default.
+policy registry maps to the untrusted default. `cryptography` and `hashlib`
+load on first use, so a process that meets no signed page never loads them.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey, Ed25519PublicKey)
 
 from .syntax import read_text
 
@@ -39,8 +35,7 @@ class SignatureError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SignedPage:
+class SignedPage(NamedTuple):
     html: str           # exactly the bytes that were digested
     signer: str         # claimed identity from the trailer
     signature: bytes
@@ -71,6 +66,7 @@ def split_signed(contents: str) -> SignedPage:
 
 
 def page_digest(html: str, signer: str) -> bytes:
+    import hashlib
     h = hashlib.sha256()
     h.update(html.encode("utf-8"))
     h.update(b"\x00")
@@ -113,10 +109,11 @@ class KeyStore:
 
 def generate_keypair() -> tuple[bytes, bytes]:
     """(private, public) raw Ed25519 key bytes."""
-    priv = Ed25519PrivateKey.generate()
-    pub = priv.public_key()
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
     from cryptography.hazmat.primitives.serialization import (
         Encoding, NoEncryption, PrivateFormat, PublicFormat)
+    priv = Ed25519PrivateKey.generate()
+    pub = priv.public_key()
     return (priv.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
             pub.public_bytes(Encoding.Raw, PublicFormat.Raw))
 
@@ -124,12 +121,15 @@ def generate_keypair() -> tuple[bytes, bytes]:
 def sign_page(html: str, private_key: bytes, signer: str) -> str:
     """Append a signature trailer; the digest covers `html` byte-exactly,
     together with the signer id."""
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
     key = Ed25519PrivateKey.from_private_bytes(private_key)
     sig = key.sign(page_digest(html, signer))
     return f"{html}{_MARKER}{signer} {base64.b64encode(sig).decode()} -->\n"
 
 
 def _verifies(public_key: bytes, signature: bytes, digest: bytes) -> bool:
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, digest)
         return True

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .terms import (Atom, Num, Str, Struct, Term, Var, fresh_var_id,
                     list_items, make_list)
@@ -36,8 +36,7 @@ def read_text(path: str | Path) -> str:
 
 # ---------------------------------------------------------------- tokens
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # NAME QATOM VAR NUM STR PUNCT OP END EOF
     text: str
     line: int

@@ -9,10 +9,11 @@ and `apply` dereferences all the way down.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import is_not
 from typing import Optional
 
 _var_ids = itertools.count(1)
+_set = object.__setattr__
 
 
 def fresh_var_id() -> int:
@@ -20,24 +21,70 @@ def fresh_var_id() -> int:
     return next(_var_ids)
 
 
-class Term:
+class Record:
+    """An immutable record whose fields are its class's `__slots__`: each is
+    set once, through its slot descriptor by `_set`, and `__setattr__`
+    refuses the rest. Two records of one class are equal with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Term(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
-    id: int
+    __slots__ = ("name", "id")
 
 
-@dataclass(frozen=True, slots=True)
+class Str(Term):
+    __slots__ = ("value",)
+
+
+# atoms, numbers and compounds are built or hashed on every goal
+
 class Atom(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if type(other) is Atom else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
 
-@dataclass(frozen=True, slots=True)
 class Num(Term):
-    value: int | float
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | float):
+        _set(self, "value", value)
 
     # 1 and 1.0 do not unify, so they are not equal either
     def __eq__(self, other) -> bool:
@@ -48,19 +95,22 @@ class Num(Term):
         return hash((type(self.value), self.value))
 
 
-@dataclass(frozen=True, slots=True)
-class Str(Term):
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
 class Struct(Term):
-    functor: str
-    args: tuple[Term, ...]
+    __slots__ = ("functor", "args")
 
-    def __post_init__(self):
-        if not self.args:
+    def __init__(self, functor: str, args: tuple[Term, ...]):
+        if not args:
             raise ValueError("compound term needs at least one argument")
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if type(other) is not Struct:
+            return NotImplemented
+        return self.functor == other.functor and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.functor, self.args))
 
 
 TRUE_ATOM = Atom("true")
@@ -134,10 +184,13 @@ class Substitution:
         return t
 
     def apply(self, t: Term) -> Term:
-        """Full dereference; any variable left in the result is unbound here."""
+        """Full dereference; any variable left in the result is unbound here.
+        A compound with no bound variable beneath it comes back as itself."""
         t = self.walk(t)
         if isinstance(t, Struct):
-            return Struct(t.functor, tuple(self.apply(a) for a in t.args))
+            args = [self.apply(a) for a in t.args]
+            if any(map(is_not, args, t.args)):
+                return Struct(t.functor, tuple(args))
         return t
 
     def compose(self, other: "Substitution") -> "Substitution":
@@ -218,7 +271,7 @@ def rename_apart(t: Term, mapping: dict[int, Var] | None = None) -> Term:
                 mapping[u.id] = got
             return got
         if isinstance(u, Struct):
-            return Struct(u.functor, tuple(go(a) for a in u.args))
+            return Struct(u.functor, tuple([go(a) for a in u.args]))
         return u
 
     return go(t)

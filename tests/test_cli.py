@@ -1,6 +1,10 @@
 """The command line front end, driven in-process through main()."""
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import policy_page
@@ -600,3 +604,17 @@ def test_sign_undecodable_page_is_a_usage_error(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err.startswith("error:")
     assert str(page) in err
+
+
+def test_a_cold_import_loads_no_signing_digest_or_process_modules():
+    # a one-shot `lw query` pays for every module the package imports at
+    # start; these load only for a signed page, the store or system/1
+    heavy = ("cryptography", "dataclasses", "subprocess", "hashlib")
+    check = f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    code = "import sys\nimport logicweb\n" + check + "import logicweb.cli\n" + check
+    # -S: only what the package imports, not what site-packages preload
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n[]\n")

@@ -78,6 +78,20 @@ def test_len_over_500_elements_ends_lw_query_cleanly(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().out.endswith(", N = 500\n")
 
 
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 11: term walks nest Python frames")
+def test_a_500_deep_answer_under_the_default_caps_ends_lw_query_cleanly(
+        tmp_path, capsys):
+    # two clause applications double a 250-deep term; no cap is raised
+    deep = "X"
+    for _ in range(250):
+        deep = f"f({deep})"
+    page = f"g(X, {deep}).\nd(Y) :- g(a, X), g(X, Y).\n"
+    code = _lw_query(tmp_path, page, "d(Y), Y = Y")
+    answer = "Y = " + "f(" * 500 + "a" + ")" * 500 + "\n"
+    assert (code, capsys.readouterr().out) == (0, answer)
+
+
 def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):
     code = _lw_query(tmp_path, "q.\n", "X = " + "1" * 5001)
     out, err = capsys.readouterr()

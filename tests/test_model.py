@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ExpressionError,
-                            Intersection, LWProgram, ProgramId,
-                            ProgramStore, Restriction, Union,
+from logicweb.model import (EMPTY_PROGRAM, Clause, Encapsulation,
+                            ExpressionError, Intersection, LWProgram,
+                            ProgramId, ProgramStore, Restriction, Union,
                             clause_from_term, clause_text, expids,
                             expr_from_term, expr_text, expr_to_term,
                             parse_goal, parse_program, rename_clause)
 from logicweb.syntax import parse_term_text
-from logicweb.terms import (EMPTY_SUBST, Atom, Str, Struct, fresh_var,
-                            functor_of, unify)
+from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Var,
+                            fresh_var, functor_of, unify)
 
 
 ME = ProgramId.get("http://me/")
@@ -21,6 +21,30 @@ ME = ProgramId.get("http://me/")
 def expr(text, ctx=EMPTY_PROGRAM):
     t, _ = parse_term_text(text)
     return expr_from_term(t, ctx)
+
+
+IMMUTABLE = [
+    (Var("X", 1), "name"), (Atom("a"), "name"), (Num(1), "value"),
+    (Str("s"), "value"), (Struct("f", (Atom("a"),)), "args"),
+    (Clause(Atom("a")), "body"), (ME, "url"), (EMPTY_PROGRAM, None),
+    (Union(ME, ME), "left"), (Intersection(ME, ME), "right"),
+    (Restriction(ME, ME), "prog"), (Encapsulation(ME), "expr"),
+]
+
+
+@pytest.mark.parametrize("obj, field", IMMUTABLE,
+                         ids=[type(obj).__name__ for obj, _ in IMMUTABLE])
+def test_terms_clauses_and_expressions_refuse_assignment(obj, field):
+    # clause tuples and terms are shared (the logical update view), so no
+    # field may change and no attribute may be added or removed
+    before = repr(obj)
+    for name in ([field] if field else []) + ["added"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, Atom("b"))
+    if field:
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert repr(obj) == before
 
 
 # ---------------------------------------------------------------- identifiers
