@@ -25,6 +25,12 @@ class ParseError(Exception):
         self.column = column
 
 
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError naming the line and column of offset `pos` in `text`."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
+
+
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of a local file; a decode error names the file."""
     try:
@@ -38,9 +44,8 @@ def read_text(path: str | Path) -> str:
 
 class Token(NamedTuple):
     kind: str          # NAME QATOM VAR NUM STR PUNCT OP END EOF
-    text: str
-    line: int
-    col: int
+    text: str          # as written: a string or quoted atom keeps its quotes
+    pos: int           # offset of its first character in the text
     value: object = None
 
 
@@ -49,76 +54,56 @@ _SYMBOLIC_OPS = [
     "<>", "=", "<", ">", "+", "-", "*", "/", "@", ";", ":", "!", "#",
 ]
 
+# whitespace and comments match no named group, and BAD any character that
+# nothing else takes; a '.' between digits belongs to the number, so an END
+# token always ends a clause
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<name>[a-z][A-Za-z0-9_]*)
-    | (?P<var>[A-Z_][A-Za-z0-9_]*)
-    | (?P<str>"(?:\\.|[^"\\])*")
-    | (?P<qatom>'(?:\\.|[^'\\])*')
-    | (?P<op>""" + "|".join(re.escape(o) for o in sorted(_SYMBOLIC_OPS, key=len, reverse=True)) + r""")
-    | (?P<punct>[()\[\],|])
-    | (?P<end>\.)
+      \s+
+    | %[^\n]*
+    | (?P<NUM>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<NAME>[a-z][A-Za-z0-9_]*)
+    | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
+    | (?P<STR>"(?:\\.|[^"\\])*")
+    | (?P<QATOM>'(?:\\.|[^'\\])*')
+    | (?P<OP>""" + "|".join(re.escape(o) for o in sorted(_SYMBOLIC_OPS, key=len, reverse=True)) + r""")
+    | (?P<PUNCT>[()\[\],|])
+    | (?P<END>\.)
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
+# a backslash stands for the character after it, but for these three
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-def _unescape(body: str, line: int, col: int) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 1
-            if i >= len(body):
-                raise ParseError("dangling escape", line, col)
-            e = body[i]
-            out.append(_ESCAPES.get(e, e))
-        else:
-            out.append(c)
-        i += 1
-    return "".join(out)
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m[1], m[1])
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok_text = m.group()
-        col = pos - line_start + 1
-        if kind == "num":
+        if kind is None:
+            continue
+        tok, pos = m.group(), m.start()
+        value: object = tok
+        if kind == "NUM":
             try:
-                value = int(tok_text) if tok_text.isdigit() else float(tok_text)
+                value = int(tok) if tok.isdigit() else float(tok)
             except ValueError:   # int() refuses what the printer could not write
-                raise ParseError("integer too long to print", line, col) from None
+                raise _error_at(text, pos, "integer too long to print") from None
             if value == math.inf:   # float() reads a too-large literal as inf
-                raise ParseError(f"number out of range: {tok_text}", line, col)
-        elif kind in ("str", "qatom"):
-            value = _unescape(tok_text[1:-1], line, col)
-        else:
-            # a '.' between digits was already eaten by the number rule, so
-            # an END token always ends a clause
-            value = tok_text
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind.upper(), tok_text, line, col, value))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok_text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, n - line_start + 1))
+                raise _error_at(text, pos, f"number out of range: {tok}")
+        elif kind == "STR" or kind == "QATOM":
+            value = _ESCAPE_RE.sub(_unescape, tok[1:-1])
+        elif kind == "BAD":
+            raise _error_at(text, pos, f"unexpected character {tok!r}")
+        tokens.append(Token(kind, tok, pos, value))
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 
@@ -151,16 +136,18 @@ CURRENT_CONTEXT_NAME = "(#)"    # atom standing for the calling context
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Recursive descent over the tokens of one text. Tokens are told apart
+    by their text: only a bare operator, `,` or `is` has the text of an
+    INFIX_OPS key, and only punctuation has the text of punctuation."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
         self.varmap: dict[str, Var] = {}
 
-    # -- token helpers
-
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -168,130 +155,99 @@ class _Parser:
             self.i += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def error(self, message: str, t: Token | None = None) -> ParseError:
+        """A ParseError located at `t`, by default the next token."""
+        return _error_at(self.text, (t or self.peek()).pos, message)
+
+    def expect(self, text: str, want: str | None = None) -> None:
         t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return t
-
-    def fail(self, msg: str) -> None:
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
-
-    # -- grammar
+        if t.text != text:
+            raise self.error(f"expected {want or text!r}, found {t.text or t.kind!r}", t)
 
     def parse_term(self, max_prec: int) -> Term:
         left = self.parse_primary(max_prec)
         while True:
-            t = self.peek()
-            name = t.text if t.kind == "OP" else None
-            if t.kind == "PUNCT" and t.text == ",":
-                name = ","
-            if t.kind == "NAME" and t.text == "is":
-                name = "is"
-            if name is None or name not in INFIX_OPS:
+            name = self.toks[self.i].text
+            op = INFIX_OPS.get(name)
+            if op is None or op[0] > max_prec:
                 return left
-            prec, fixity = INFIX_OPS[name]
-            if prec > max_prec:
-                return left
-            self.next()
-            sub = prec if fixity == "xfy" else prec - 1
-            right = self.parse_term(sub)
+            self.i += 1
+            prec, fixity = op
+            right = self.parse_term(prec if fixity == "xfy" else prec - 1)
             left = Struct(name, (left, right))
 
     def parse_primary(self, max_prec: int) -> Term:
-        t = self.peek()
-        if t.kind == "OP":
-            if t.text == "@":
-                prec, _ = PREFIX_OPS["@"]
-                if prec > max_prec:
-                    self.fail("operator priority clash for '@'")
-                self.next()
-                operand = self.parse_term(prec)
-                return Struct("@", (operand,))
-            if t.text == "-" and self.peek(1).kind == "NUM":
-                self.next()
-                num = self.next()
-                return Num(-num.value)
-            if t.text == "!":
-                self.next()
-                return Atom("!")
-            self.fail(f"unexpected operator {t.text!r}")
-        if t.kind == "PUNCT":
-            if t.text == "(":
-                return self.parse_paren()
-            if t.text == "[":
-                return self.parse_list()
-            self.fail(f"unexpected {t.text!r}")
-        if t.kind == "NUM":
-            self.next()
-            return Num(t.value)
-        if t.kind == "STR":
-            self.next()
-            return Str(t.value)
-        if t.kind == "VAR":
-            self.next()
-            if t.text == "_":
+        t = self.next()
+        kind, text = t.kind, t.text
+        if kind == "VAR":
+            if text == "_":
                 return Var("_", fresh_var_id())
-            v = self.varmap.get(t.text)
+            v = self.varmap.get(text)
             if v is None:
-                v = Var(t.text, fresh_var_id())
-                self.varmap[t.text] = v
+                v = self.varmap[text] = Var(text, fresh_var_id())
             return v
-        if t.kind in ("NAME", "QATOM"):
-            self.next()
-            name = t.value
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.text == "(":
-                self.next()
-                args = [self.parse_term(999)]
-                while self.peek().kind == "PUNCT" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_term(999))
-                self.expect("PUNCT", ")")
-                return Struct(name, tuple(args))
-            return Atom(name)
-        self.fail(f"unexpected {t.text or t.kind!r}")
-
-    def parse_paren(self) -> Term:
-        self.expect("PUNCT", "(")
-        t = self.peek()
-        # the context marker (#) and the reduce markers (+) (*) (/)
-        if (t.kind == "OP" and t.text in ("#", "+", "*", "/")
-                and self.peek(1).kind == "PUNCT" and self.peek(1).text == ")"):
-            self.next()
-            self.next()
-            return Atom(CURRENT_CONTEXT_NAME) if t.text == "#" else Atom(t.text)
-        inner = self.parse_term(1200)
-        self.expect("PUNCT", ")")
-        return inner
-
-    def parse_list(self) -> Term:
-        self.expect("PUNCT", "[")
-        if self.peek().kind == "PUNCT" and self.peek().text == "]":
-            self.next()
-            return Atom("[]")
+        if kind == "NUM":
+            return Num(t.value)
+        if kind == "STR":
+            return Str(t.value)
+        if text == "(":
+            # the context marker (#) and the reduce markers (+) (*) (/)
+            marker = self.peek().text
+            if marker in ("#", "+", "*", "/") and self.toks[self.i + 1].text == ")":
+                self.i += 2
+                return Atom(CURRENT_CONTEXT_NAME if marker == "#" else marker)
+            inner = self.parse_term(1200)
+            self.expect(")")
+            return inner
+        if text == "@":
+            prec, _ = PREFIX_OPS["@"]
+            if prec > max_prec:
+                raise self.error("operator priority clash for '@'", t)
+            return Struct("@", (self.parse_term(prec),))
+        if text == "-" and self.peek().kind == "NUM":
+            return Num(-self.next().value)
+        if text == "!":
+            return Atom("!")
+        if text == "[":
+            if self.peek().text == "]":
+                self.i += 1
+                return Atom("[]")
+        elif kind == "OP":
+            raise self.error(f"unexpected operator {text!r}", t)
+        elif kind != "NAME" and kind != "QATOM":
+            raise self.error(f"unexpected {text or kind!r}", t)
+        elif self.peek().text == "(":
+            self.i += 1
+        else:
+            return Atom(t.value)
+        # the items of a list or the arguments of a compound, in this frame
+        # so that each level of nesting costs as few Python frames as it can
         items = [self.parse_term(999)]
-        while self.peek().kind == "PUNCT" and self.peek().text == ",":
-            self.next()
+        while self.toks[self.i].text == ",":
+            self.i += 1
             items.append(self.parse_term(999))
+        if text != "[":
+            self.expect(")")
+            return Struct(t.value, tuple(items))
         tail: Term = Atom("[]")
-        if self.peek().kind == "PUNCT" and self.peek().text == "|":
-            self.next()
+        if self.peek().text == "|":
+            self.i += 1
             tail = self.parse_term(999)
-        self.expect("PUNCT", "]")
+        self.expect("]")
         return make_list(items, tail)
 
 
 def parse_term_text(text: str) -> tuple[Term, dict[str, Var]]:
     """One term from `text`; trailing '.' optional. Returns (term, name->var)."""
-    p = _Parser(tokenize(text))
-    t = p.parse_term(1200)
+    p = _Parser(text)
+    try:
+        t = p.parse_term(1200)
+    except RecursionError:   # deeper than the Python stack allows
+        raise p.error("term nested too deeply") from None
     if p.peek().kind == "END":
         p.next()
     if p.peek().kind != "EOF":
-        p.fail("trailing input after term")
+        raise p.error("trailing input after term")
     return t, p.varmap
 
 
@@ -299,29 +255,33 @@ def parse_clause_terms(text: str) -> list[Term]:
     """All clauses in `text` as raw terms (facts stay bare, rules are ':-'/2).
 
     Variable scope is per clause."""
-    toks = tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(text)
     out: list[Term] = []
-    while p.peek().kind != "EOF":
-        p.varmap = {}
-        t = p.parse_term(1200)
-        p.expect("END")
-        out.append(t)
+    try:
+        while p.peek().kind != "EOF":
+            p.varmap = {}
+            out.append(p.parse_term(1200))
+            p.expect(".", "END")
+    except RecursionError:
+        raise p.error("term nested too deeply") from None
     return out
 
 
 # ---------------------------------------------------------------- printing
 
-_BARE_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*$")
+_BARE_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
+def _name_text(name: str) -> str:
+    """`name` as a functor: bare when it reads back as a name, else quoted."""
+    if _BARE_ATOM.fullmatch(name):
+        return name
+    escaped = name.replace("\\", "\\\\").replace("'", "\\'")
+    return f"'{escaped}'"
 
 
 def _atom_text(name: str) -> str:
-    if _BARE_ATOM.match(name) or name in ("[]", "!"):
-        return name
-    if name == CURRENT_CONTEXT_NAME:
-        return "(#)"
-    escaped = name.replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{escaped}'"
+    return name if name in ("[]", "!", CURRENT_CONTEXT_NAME) else _name_text(name)
 
 
 def _str_text(value: str) -> str:
@@ -376,4 +336,4 @@ def to_text(t: Term, max_prec: int = 1200,
         body = f"{to_text(t.args[0], lp, names)}{sep}{to_text(t.args[1], rp, names)}"
         return body if prec <= max_prec else f"({body})"
     args = ", ".join(to_text(a, 999, names) for a in t.args)
-    return f"{_atom_text(t.functor)}({args})"
+    return f"{_name_text(t.functor)}({args})"

@@ -238,6 +238,19 @@ def test_engine_agrees_with_reference_resolver_on_200_programs():
     assert mismatches == []
 
 
+def test_the_oracle_script_prints_its_counts_and_fails_on_a_disagreement(
+        monkeypatch, capsys):
+    assert genfix.main(["--programs", "10", "--worlds", "10"]) == 0
+    counts = dict(field.split("=") for field in capsys.readouterr().out.split())
+    assert (counts["programs"], counts["worlds"]) == ("10", "10")
+    assert counts["disagreements"] == counts["violations"] == "0"
+    assert int(counts["events"]) > 0
+    monkeypatch.setattr(genfix, "engine_answers", lambda prog, query: [["x"]])
+    assert genfix.main(["--programs", "2", "--worlds", "0"]) == 1
+    assert capsys.readouterr().out.endswith(
+        "programs=2 disagreements=2 worlds=0 events=0 violations=0\n")
+
+
 # ------------------------------------------------------------ 10. guards
 
 def test_guards_stop_runaway_queries_with_named_reasons():
@@ -377,3 +390,4 @@ def test_disabling_security_admits_the_blocked_query():
     got = solutions(unlocked, HOME_URL, goal)
     assert len(got) == 1
     assert got[0]["T"].value == RMIT_PAGE
+

@@ -522,6 +522,22 @@ def test_placeholder_assignments_in_a_store_are_reassigned(
     assert f"policy={SITE}perm.html" in out and "no-policy" not in out
 
 
+def test_a_stored_program_reads_back_as_it_was_fetched(site, capsys, tmp_path):
+    # functors and a name that the store once wrote so that they did not
+    # read back: the cache then refused every later command, or read
+    # 'b\n' as b
+    d, _ = site
+    clauses = "q :- '!'(x).\nodd('[]'(x)).\nodd('(#)'(x)).\nr('b\\n').\n"
+    (d / "odd.html").write_text(policy_page("Odd", clauses), encoding="utf-8")
+    args = ("query", SITE + "odd.html", "r(_), (r(b) -> fail ; true)",
+            *base(site), "--store-dir", str(tmp_path / "cache"))
+    for _ in range(2):
+        assert run_cli(capsys, *args) == (0, "true\n", "")
+    code, out, _ = run_cli(capsys, "store-list", "--store-dir",
+                           str(tmp_path / "cache"))
+    assert code == 0 and f"{SITE}odd.html" in out
+
+
 def test_store_list_requires_a_directory(site, capsys, tmp_path, monkeypatch):
     sd = tmp_path / "cache"
     run_cli(capsys, "query", SITE + "index.html", "p(1)",

@@ -99,6 +99,37 @@ def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):
     assert err.startswith("error: bad goal: integer too long to print")
 
 
+DEEP_TERM = "p(" + "f(" * 600 + "a" + ")" * 601
+LONG_CONJUNCTION = ", ".join(["true"] * 5000)
+
+
+@pytest.mark.parametrize("goal", [DEEP_TERM, LONG_CONJUNCTION],
+                         ids=["600_deep", "5000_conjuncts"])
+def test_a_goal_nested_too_deeply_is_a_bad_goal(goal, tmp_path, capsys):
+    code = _lw_query(tmp_path, "p(a).\n", goal)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad goal: term nested too deeply at line 1, ")
+
+
+def test_a_call_nested_too_deeply_is_an_error(tmp_path, capsys):
+    (tmp_path / "index.html").write_text(policy_page("Policy", "valid_systemCall(_).\n"),
+                                         encoding="utf-8")
+    code = main(["policy-check", "http://hostile.example/", "--call", DEEP_TERM,
+                 "--no-security", "--offline",
+                 "--mount", f"http://hostile.example/={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: term nested too deeply at line 1, ")
+
+
+def test_a_clause_nested_too_deeply_drops_its_code_block(tmp_path, capsys, caplog):
+    code = _lw_query(tmp_path, f"p(1).\n{DEEP_TERM}.\n", "p(X)")
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "")
+    assert "term nested too deeply at line 2, " in caplog.text
+
+
 # Python names no file and runs no command with a NUL in it
 @pytest.mark.parametrize("clause", ['p :- open("a\0b", read, S).\n',
                                     'p :- system("true\0x").\n'],

@@ -1,12 +1,12 @@
 """Tokenizer, parser, and printer."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logicweb.syntax import (ParseError, parse_clause_terms, parse_term_text,
-                             to_text, tokenize)
-from logicweb.terms import Atom, Num, Str, Struct, Var
+from logicweb.syntax import (INFIX_OPS, ParseError, parse_clause_terms,
+                             parse_term_text, to_text, tokenize)
+from logicweb.terms import Atom, Num, Str, Struct, Var, variant
 
 
 def parse(text):
@@ -24,6 +24,99 @@ def test_tokenize_reports_position():
         tokenize("a\n  ^")
     assert err.value.line == 2
     assert err.value.column == 3
+
+
+# (text, error through parse_term_text, error through parse_clause_terms);
+# an error is (message, line, column), None where the text parses
+MALFORMED = {
+    "char_after_newline": ("p(a).\n  q(~).",
+                           ("unexpected character '~'", 2, 5),
+                           ("unexpected character '~'", 2, 5)),
+    "tab_before_bad_char": ("p :-\n\tq, $.",
+                            ("unexpected character '$'", 2, 5),
+                            ("unexpected character '$'", 2, 5)),
+    "non_ascii_char": ("p(é).",
+                       ("unexpected character 'é'", 1, 3),
+                       ("unexpected character 'é'", 1, 3)),
+    "unclosed_paren": ("f(a",
+                       ("expected ')', found 'EOF'", 1, 4),
+                       ("expected ')', found 'EOF'", 1, 4)),
+    "unclosed_bracket": ("p([a, b",
+                         ("expected ']', found 'EOF'", 1, 8),
+                         ("expected ']', found 'EOF'", 1, 8)),
+    "bad_list_tail": ("[a|b, c]",
+                      ("expected ']', found ','", 1, 5),
+                      ("expected ']', found ','", 1, 5)),
+    "string_where_paren_expected": ('f(a "s").',
+                                    ("expected ')', found '\"s\"'", 1, 5),
+                                    ("expected ')', found '\"s\"'", 1, 5)),
+    "trailing_input": ("f(a) f(b)",
+                       ("trailing input after term", 1, 6),
+                       ("expected 'END', found 'f'", 1, 6)),
+    "trailing_paren": ("f(a)).",
+                       ("trailing input after term", 1, 5),
+                       ("expected 'END', found ')'", 1, 5)),
+    "missing_final_dot": ("p(a).\nq(b)",
+                          ("trailing input after term", 2, 1),
+                          ("expected 'END', found 'EOF'", 2, 5)),
+    "dot_after_end": ("p.\n.q.",
+                      ("trailing input after term", 2, 1),
+                      ("unexpected '.'", 2, 1)),
+    "float_out_of_range": ("X = 1e999.",
+                           ("number out of range: 1e999", 1, 5),
+                           ("number out of range: 1e999", 1, 5)),
+    "integer_too_long": ("X = " + "7" * 5001 + ".",
+                         ("integer too long to print", 1, 5),
+                         ("integer too long to print", 1, 5)),
+    "unterminated_quote": ("p('abc).",
+                           ("unexpected character \"'\"", 1, 3),
+                           ("unexpected character \"'\"", 1, 3)),
+    "unterminated_quote_after_escape": ("p('it\\'s).",
+                                        ("unexpected character \"'\"", 1, 3),
+                                        ("unexpected character \"'\"", 1, 3)),
+    "unterminated_string": ('p("abc).',
+                            ("unexpected character '\"'", 1, 3),
+                            ("unexpected character '\"'", 1, 3)),
+    "string_escaped_newline": ('p("a\\\nb").',
+                               ("unexpected character '\"'", 1, 3),
+                               ("unexpected character '\"'", 1, 3)),
+    "at_priority": ("a <> @b.",
+                    ("operator priority clash for '@'", 1, 6),
+                    ("operator priority clash for '@'", 1, 6)),
+    "bad_context_marker": ("(# x) #> g.",
+                           ("unexpected operator '#'", 1, 2),
+                           ("unexpected operator '#'", 1, 2)),
+    "unclosed_context_marker": ("(#",
+                                ("unexpected operator '#'", 1, 2),
+                                ("unexpected operator '#'", 1, 2)),
+    "prefix_minus_atom": ("X = - a.",
+                          ("unexpected operator '-'", 1, 5),
+                          ("unexpected operator '-'", 1, 5)),
+    "empty_argument": ("f(a,).",
+                       ("unexpected ')'", 1, 5),
+                       ("unexpected ')'", 1, 5)),
+    "missing_operand": ("p :- .",
+                        ("unexpected '.'", 1, 6),
+                        ("unexpected '.'", 1, 6)),
+    "only_a_comment": ("% nothing here\n", ("unexpected 'EOF'", 2, 1), None),
+    "empty": ("", ("unexpected 'EOF'", 1, 1), None),
+}
+
+
+@pytest.mark.parametrize("entry", [parse_term_text, parse_clause_terms],
+                         ids=["term", "clauses"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_text_error_message_and_position(case, entry):
+    text, term_error, clauses_error = MALFORMED[case]
+    expected = term_error if entry is parse_term_text else clauses_error
+    if expected is None:
+        entry(text)
+        return
+    with pytest.raises(ParseError) as err:
+        entry(text)
+    message, line, column = expected
+    assert str(err.value) == f"{message} at line {line}, column {column}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_atom_and_struct():
@@ -175,13 +268,23 @@ def test_print_parenthesizes_by_precedence():
 
 # ---------------------------------------------------------------- round trip
 
-_ATOMS = st.sampled_from(["a", "b", "foo", "hello world", "x_1",
-                          "-", "+", "(#)", "[]"])
+# characters the reader treats specially inside or around a name or string
+_AWKWARD = "ab_ '\"\\\n\t%.,|()[]"
+_NAMES = st.one_of(
+    st.sampled_from(["a", "b", "foo", "hello world", "x_1", "-", "+", "(#)",
+                     "[]", "!", "is", "b\n"]),
+    st.text(alphabet=_AWKWARD, max_size=5),
+)
+_FUNCTORS = st.one_of(
+    st.sampled_from(["f", "g", "lw", "some_pred", "@", "!", "[]", "(#)",
+                     *INFIX_OPS]),
+    _NAMES,
+)
 _SIMPLE = st.one_of(
-    _ATOMS.map(Atom),
+    _NAMES.map(Atom),
     st.integers(min_value=-99, max_value=99).map(Num),
     st.floats(allow_nan=False, allow_infinity=False).map(Num),
-    st.text(alphabet="abc \n\"\\", max_size=6).map(Str),
+    st.text(alphabet=_AWKWARD, max_size=6).map(Str),
     st.sampled_from(["X", "Y", "Zed"]).map(lambda n: Var(n, -ord(n[0]))),
 )
 
@@ -191,18 +294,21 @@ def _trees(depth=2):
         return _SIMPLE
     return st.one_of(
         _SIMPLE,
-        st.tuples(st.sampled_from(["f", "g", "lw", "some_pred",
-                                   "<>", "+", "#>", "@"]),
-                  st.lists(_trees(depth - 1), min_size=1, max_size=3))
+        st.tuples(_FUNCTORS, st.lists(_trees(depth - 1), min_size=1, max_size=3))
         .map(lambda fa: Struct(fa[0], tuple(fa[1]))),
     )
 
 
 @given(_trees())
-@settings(max_examples=200)
+@settings(max_examples=300)
+# functors the printer once wrote bare, so that the text did not read back
+@example(Struct("!", (Atom("x"),)))
+@example(Struct("[]", (Atom("x"),)))
+@example(Struct("(#)", (Atom("x"),)))
+# a name with a trailing newline is no bare name
+@example(Struct("r", (Atom("b\n"),)))
 def test_print_parse_round_trip(t):
     """Printing then reparsing produces the same term up to variable ids."""
     text = to_text(t)
     back, _ = parse_term_text(text)
-    from logicweb.terms import variant
     assert variant(t, back), f"{text!r} reparsed as {to_text(back)!r}"
