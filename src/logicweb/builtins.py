@@ -18,7 +18,7 @@ from . import syntax
 from .model import ProgramId, clause_from_term, clause_to_term
 from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
                     EMPTY_SUBST, functor_of, list_items, make_list,
-                    rename_apart, unify)
+                    proper_list, rename_apart, unify)
 
 UNTIMED_CEILING_S = 30  # the longest system/1 or sleep/1 runs with no guard deadline
 
@@ -56,13 +56,6 @@ def _text(t: Term) -> Optional[str]:
         return t.value
     if isinstance(t, Atom):
         return t.name
-    return None
-
-
-def _proper_list(t: Term) -> Optional[list[Term]]:
-    items, tail = list_items(t)
-    if isinstance(tail, Atom) and tail.name == "[]":
-        return items
     return None
 
 
@@ -297,13 +290,13 @@ def _append_strings(a, b, c):
 
 
 def _append_lists(a, b, c):
-    front = _proper_list(a)
+    front = proper_list(a)
     if front is not None:
         s = unify(c, make_list(front, b))
         if s is not None:
             yield s
         return
-    whole = _proper_list(c)
+    whole = proper_list(c)
     if whole is not None:
         for i in range(len(whole) + 1):
             s = unify(a, make_list(whole[:i]))

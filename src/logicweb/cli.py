@@ -16,11 +16,10 @@ from pathlib import Path
 
 from . import syntax
 from .engine import EngineConfig, EngineError, Session
-from .fetching import (NO_POLICY, FetchConfig, FetchError, clear_store,
-                       download, load_store, save_store)
+from .fetching import (FetchConfig, FetchError, clear_store, download,
+                       load_store, save_store)
 from .guards import Guard, GuardConfig, GuardTermination, guarded_solve
-from .model import (ExpressionError, ProgramId, ProgramStore, clause_text,
-                    parse_goal)
+from .model import ExpressionError, ProgramId, clause_text, parse_goal
 from .security import PolicyRegistry, RegistryError
 from .signatures import (SIGNED_SUFFIX, KeyStore, SignatureError,
                          generate_keypair, load_private_key,
@@ -31,6 +30,8 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_STOPPED = 2
 EXIT_USAGE = 3
+
+NO_POLICY = ProgramId.get("lw:no-policy")   # default of a registry never consulted
 
 
 class CliError(Exception):
@@ -128,17 +129,13 @@ def _build_session(args) -> Session:
     session = Session(registry, fetch_cfg, config, hooks=guard)
 
     if args.store_dir:
-        load_store(args.store_dir, session.store, session.registry)
-        if security:
-            # programs cached by a run without security have no policy yet
-            for program in session.store.programs():
-                session.registry.assign_policy(program.id, "")
+        load_store(args.store_dir, session)
     return session
 
 
 def _flush_store(session: Session, store_dir: str | None) -> None:
     if store_dir:
-        save_store(store_dir, session.store, session.registry)
+        save_store(store_dir, session)
 
 
 # ------------------------------------------------------------------ commands
@@ -218,12 +215,12 @@ def _required_store_dir(args) -> str:
 
 
 def cmd_store_list(args) -> int:
-    store_dir = _required_store_dir(args)
-    store = ProgramStore()
-    registry = PolicyRegistry({"unknown": NO_POLICY})
-    load_store(store_dir, store, registry)
-    for program in sorted(store.programs(), key=lambda p: p.id.serialize()):
-        pol = registry.program_to_policy.get(program.id)
+    session = Session(PolicyRegistry({"unknown": NO_POLICY}),
+                      config=EngineConfig(security_enabled=False))
+    load_store(_required_store_dir(args), session)
+    for program in sorted(session.store.programs(),
+                          key=lambda p: p.id.serialize()):
+        pol = session.registry.program_to_policy.get(program.id)
         suffix = f"  policy={pol.url}" if pol else ""
         print(f"{program.id.serialize()}  clauses={len(program.clauses)}{suffix}")
     return EXIT_OK

@@ -83,12 +83,13 @@ class Session:
             handle.close()
         self.streams.clear()
 
-    def install_local(self, program: LWProgram) -> None:
-        """Place a program in the store without fetching, assigning it a
-        policy the way a download would."""
+    def install_local(self, program: LWProgram, contents: str = "") -> None:
+        """Place a program in the store and, under security, give it a
+        policy from its page text `contents` unless it has one: the one way
+        in for a download, the disk cache and a program built in place."""
         self.store.install(program)
         if self.config.security_enabled:
-            self.registry.assign_policy(program.id, "")
+            self.registry.assign_policy(program.id, contents)
 
     def run_query(self, main: ProgramId, goal: Term) -> Iterator[Solution]:
         """Evaluate `goal` against the program at `main`, the way a browser

@@ -14,12 +14,11 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 from urllib.parse import unquote, urlsplit
 
-from .model import LWProgram, ProgramId, parse_program
+from .model import ExpressionError, LWProgram, ProgramId, parse_program
 from .pages import HttpResponse, translate_page
 
 MAX_REDIRECTS = 5
 MAX_BODY_BYTES = 8 << 20          # a longer response body is refused
-NO_POLICY = ProgramId.get("lw:no-policy")   # named by unsecured runs, never stored
 
 
 class FetchConfig:
@@ -80,8 +79,10 @@ def _linked_out(root: Path, rel: str) -> bool:
     return False
 
 
-def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
-    """Resolve a URL to a response; raises FetchError on failure."""
+def fetch_response(url: str, cfg: FetchConfig, method: str = "get",
+                   fields: tuple[tuple[str, str], ...] = ()) -> HttpResponse:
+    """Resolve a URL to a response; raises FetchError on failure. Over http(s)
+    it sends `method`, with a post's `fields` form-encoded in order."""
     entry = cfg.pages.get(url)
     if entry is not None:
         if entry.status != 200:
@@ -108,12 +109,12 @@ def fetch_response(url: str, cfg: FetchConfig) -> HttpResponse:
     if scheme in ("http", "https"):
         if not cfg.allow_network:
             raise FetchError("network", f"network disabled, cannot fetch {url}")
-        return _http_fetch(url, cfg)
+        return _http_fetch(url, cfg, method, fields)
 
     raise FetchError("network", f"unsupported URL scheme: {url}")
 
 
-def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
+def _http_fetch(url: str, cfg: FetchConfig, method: str, fields) -> HttpResponse:
     from email.message import Message
 
     import requests
@@ -122,7 +123,8 @@ def _http_fetch(url: str, cfg: FetchConfig) -> HttpResponse:
     with requests.Session() as http:
         http.max_redirects = MAX_REDIRECTS
         try:
-            resp = http.get(url, timeout=cfg.timeout, allow_redirects=True, stream=True)
+            resp = getattr(http, method)(url, data=fields, timeout=cfg.timeout,
+                                         allow_redirects=True, stream=True)
             if resp.status_code != 200:
                 raise FetchError("status", f"status {resp.status_code} for {url}")
             for chunk in resp.iter_content(1 << 16):
@@ -148,22 +150,19 @@ def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
     already cached; raises FetchError when there is no program.
 
     A cache hit is silent; an actual retrieval leaves a fetch event in the
-    audit log before any bytes move. The program's policy is recorded only
-    when security is on, so an unsecured run leaves no assignment behind."""
+    audit log before any bytes move."""
     cached = session.store.get(pid)
     if cached is not None:
         return cached
 
     session.audit.emit("fetch", pid.serialize(), tuple(chain), tuple(sigma))
-    resp = fetch_response(pid.url, session.fetch_config)
+    resp = fetch_response(pid.url, session.fetch_config, pid.method, pid.post_fields)
     try:
         program = translate_page(resp, pid)
     except Exception as exc:
         raise FetchError("translate", str(exc)) from exc
 
-    session.store.install(program)
-    if session.config.security_enabled:
-        session.registry.assign_policy(pid, resp.body)
+    session.install_local(program, resp.body)
     session.hooks.on_program_created(pid)
     return program
 
@@ -183,64 +182,64 @@ def add_programs(session, pids, chain=(), sigma=()) -> bool:
 
 # ---------------------------------------------------------------- disk cache
 
-_ASSIGN_FILE = "_assignments"
-
-
 def _program_filename(pid: ProgramId) -> str:
     import hashlib
     digest = hashlib.sha1(pid.serialize().encode("utf-8")).hexdigest()[:16]
     return f"{digest}.lwp"
 
 
-def save_store(dirpath: str | Path, store, registry) -> None:
-    """One file per program: serialized id on the first line, clause text
-    after. Policy assignments live in a sidecar map file. A store only
-    grows, so no file already there needs deleting."""
+def save_store(dirpath: str | Path, session) -> None:
+    """One file per program: its serialized id on the first line, followed
+    by a tab and its policy's id when it has one, then its clause text. A
+    store only grows, so no file already there needs deleting."""
     from .model import clause_text
 
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
-    for program in store.programs():
-        lines = [program.id.serialize()]
-        lines += [clause_text(c) for c in program.clauses]
+    policies = session.registry.program_to_policy
+    for program in session.store.programs():
+        header = program.id.serialize()
+        if program.id in policies:
+            header += "\t" + policies[program.id].serialize()
+        lines = [header] + [clause_text(c) for c in program.clauses]
         (root / _program_filename(program.id)).write_text(
             "\n".join(lines) + "\n", encoding="utf-8")
-    assign_lines = [f"{pid.serialize()}\t{pol.serialize()}"
-                    for pid, pol in registry.program_to_policy.items()]
-    (root / _ASSIGN_FILE).write_text("\n".join(assign_lines) + "\n", encoding="utf-8")
 
 
-def load_store(dirpath: str | Path, store, registry) -> None:
-    from .syntax import parse_term_text, read_text
+def load_store(dirpath: str | Path, session) -> None:
+    """Install every program cached under `dirpath` through `install_local`,
+    after recording every stored policy, so that a stored policy program
+    counts as one whatever its file is named. A file that does not read back
+    is skipped with a warning naming it."""
+    from .syntax import ParseError, parse_term_text, read_text
 
     root = Path(dirpath)
     if not root.is_dir():
         return
+    programs = []
     for path in sorted(root.glob("*.lwp")):
-        text = read_text(path)
-        first, _, rest = text.partition("\n")
-        pid = ProgramId.from_term(parse_term_text(first)[0])
-        store.install(LWProgram(pid, parse_program(rest)))
-    assign = root / _ASSIGN_FILE
-    if assign.is_file():
-        for line in read_text(assign).splitlines():
-            if not line.strip():
-                continue
-            left, _, right = line.partition("\t")
-            pid = ProgramId.from_term(parse_term_text(left)[0])
-            pol = ProgramId.from_term(parse_term_text(right)[0])
-            if pol != NO_POLICY:        # older unsecured runs stored it
-                registry.assign(pid, pol)
+        try:
+            first, _, rest = read_text(path).partition("\n")
+            ids = [ProgramId.from_term(parse_term_text(text)[0])   # program, policy
+                   for text in first.split("\t", 1)]
+            programs.append(LWProgram(ids[0], parse_program(rest)))
+        except (UnicodeDecodeError, ParseError, ExpressionError) as exc:
+            import logging
+            logging.getLogger(__name__).warning(
+                "skipping cache file %s: %s", path, exc)
+            continue
+        if len(ids) == 2:
+            session.registry.assign(*ids)
+    for program in programs:
+        session.install_local(program)
 
 
 def clear_store(dirpath: str | Path) -> int:
-    """Delete the cached programs and the assignment map; returns how many
-    programs were removed."""
+    """Delete the cached programs; returns how many were removed."""
     root = Path(dirpath)
     if not root.is_dir():
         return 0
     programs = list(root.glob("*.lwp"))
     for path in programs:
         path.unlink()
-    (root / _ASSIGN_FILE).unlink(missing_ok=True)
     return len(programs)

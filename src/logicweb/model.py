@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import syntax
 from .terms import (TRUE_ATOM, Atom, Record, Str, Struct, Substitution, Term,
-                    Var, _set, functor_of, make_list, list_items, rename_apart)
+                    Var, _set, functor_of, make_list, proper_list, rename_apart)
 
 
 class ExpressionError(ValueError):
@@ -85,8 +85,8 @@ class ProgramId(ProgramExpression):
         if isinstance(mt, Atom) and mt.name in ("head", "get"):
             return cls(mt.name, ut.value)
         if isinstance(mt, Struct) and mt.functor == "post" and len(mt.args) == 1:
-            items, tail = list_items(mt.args[0])
-            if not (isinstance(tail, Atom) and tail.name == "[]"):
+            items = proper_list(mt.args[0])
+            if items is None:
                 raise ExpressionError("post field list must be a proper list")
             fields = []
             for item in items:
@@ -169,8 +169,8 @@ def expids(e: ProgramExpression) -> tuple[ProgramId, ...]:
 
 
 def _expr_list(t: Term, ctx: ProgramExpression) -> list[ProgramExpression]:
-    items, tail = list_items(t)
-    if not (isinstance(tail, Atom) and tail.name == "[]"):
+    items = proper_list(t)
+    if items is None:
         raise ExpressionError("expression list must be a proper list")
     return [expr_from_term(i, ctx) for i in items]
 

@@ -129,15 +129,21 @@ def make_list(items, tail: Term = NIL) -> Term:
     return out
 
 
-def list_items(t: Term, subst: "Substitution | None" = None) -> tuple[list[Term], Term]:
+def list_items(t: Term) -> tuple[list[Term], Term]:
     """Decompose a list term into (items, tail); tail is [] for proper lists."""
     items = []
-    walk = subst.walk if subst is not None else (lambda x: x)
-    t = walk(t)
     while isinstance(t, Struct) and t.functor == "." and len(t.args) == 2:
         items.append(t.args[0])
-        t = walk(t.args[1])
+        t = t.args[1]
     return items, t
+
+
+def proper_list(t: Term) -> list[Term] | None:
+    """The items of a list term ending in [], else None."""
+    items, tail = list_items(t)
+    if isinstance(tail, Atom) and tail.name == "[]":
+        return items
+    return None
 
 
 def functor_of(t: Term) -> tuple[str, int] | None:

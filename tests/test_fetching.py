@@ -3,13 +3,14 @@
 import pytest
 from conftest import HOME_URL, PERMISSIVE_URL, make_session, of_kind
 from logicweb import fetching
-from logicweb.fetching import (NO_POLICY, FetchConfig, FetchError, PageEntry,
+from logicweb.fetching import (FetchConfig, FetchError, PageEntry,
                                add_programs, download, fetch_response,
                                load_store, save_store)
 from logicweb.engine import solutions
 from logicweb.model import ProgramId, clause_text
 from logicweb.signatures import (KeyStore, authenticate, generate_keypair,
                                  sign_page)
+from logicweb.terms import Num
 
 
 def test_pages_table_hit():
@@ -184,10 +185,10 @@ def test_store_round_trip(tmp_path, pages):
     session = make_session(pages)
     for url in (HOME_URL, PERMISSIVE_URL):
         download(ProgramId.get(url), session)
-    save_store(tmp_path, session.store, session.registry)
+    save_store(tmp_path, session)
 
     fresh = make_session(pages)
-    load_store(tmp_path, fresh.store, fresh.registry)
+    load_store(tmp_path, fresh)
     assert ({p.id for p in fresh.store.programs()}
             == {p.id for p in session.store.programs()})
     pid = ProgramId.get(HOME_URL)
@@ -200,13 +201,52 @@ def test_store_round_trip(tmp_path, pages):
 def test_load_store_marks_assigned_policies(tmp_path, pages):
     pid = ProgramId.get(HOME_URL)
     pol = ProgramId.get("http://policies.example.org/elsewhere.html")
-    (tmp_path / "_assignments").write_text(
-        f"{pid.serialize()}\t{pol.serialize()}\n", encoding="utf-8")
+    (tmp_path / "home.lwp").write_text(
+        f"{pid.serialize()}\t{pol.serialize()}\np(1).\n", encoding="utf-8")
     session = make_session(pages)
     assert not session.registry.is_policy(pol)
-    load_store(tmp_path, session.store, session.registry)
+    load_store(tmp_path, session)
     assert session.registry.pol(pid) == pol
     assert session.registry.is_policy(pol)
+    assert solutions(session, HOME_URL, "p(X)") == [{"X": Num(1)}]
+
+
+def test_a_stored_policy_counts_as_one_whatever_its_file_sorts_as(tmp_path, pages):
+    # the run's registry does not know the policy the stored program names,
+    # and the policy's own file is read first
+    pid = ProgramId.get(HOME_URL)
+    pol = ProgramId.get("http://policies.example.org/elsewhere.html")
+    (tmp_path / "a.lwp").write_text(
+        f"{pol.serialize()}\nvalid_program(_, _).\n", encoding="utf-8")
+    (tmp_path / "b.lwp").write_text(
+        f"{pid.serialize()}\t{pol.serialize()}\np(1).\n", encoding="utf-8")
+    session = make_session(pages)
+    assert not session.registry.is_policy(pol)
+    load_store(tmp_path, session)
+    assert session.registry.is_policy(pol)
+    assert pol not in session.registry.program_to_policy
+    assert session.registry.pol(pid) == pol
+
+
+def test_load_store_skips_a_file_that_does_not_read_back(tmp_path, pages, caplog):
+    pid = ProgramId.get(HOME_URL)
+    pol = ProgramId.get("http://policies.example.org/elsewhere.html")
+    bad = {"undecodable.lwp": b"\xff\n",
+           "unparsable.lwp": f"{pid.serialize()}\nq :- !(x).\n".encode(),
+           "unnamed.lwp": b"p(1).\n",
+           "bad-policy.lwp": f'{pid.serialize()}\tlw(put, "x")\n'.encode()}
+    for name, data in bad.items():
+        (tmp_path / name).write_bytes(data)
+    other = ProgramId.get(PERMISSIVE_URL)
+    (tmp_path / "z.lwp").write_text(
+        f"{other.serialize()}\t{pol.serialize()}\nok.\n", encoding="utf-8")
+    session = make_session(pages)
+    with caplog.at_level("WARNING"):
+        load_store(tmp_path, session)
+    assert [p.id for p in session.store.programs()] == [other]
+    assert session.registry.program_to_policy == {other: pol}
+    for name in bad:
+        assert str(tmp_path / name) in caplog.text
 
 
 def test_undecodable_fixture_page_fails_the_download(tmp_path, pages):
@@ -269,6 +309,43 @@ def test_http_fetch_closes_its_connection_pool(monkeypatch, pages):
                          'actual_url("http://live.example/final").']
     assert texts[-1] == "p(1)."
     assert len(closed) == 3
+
+
+def test_http_fetch_sends_the_method_and_fields_the_id_names(monkeypatch, pages):
+    requests = pytest.importorskip("requests")
+    sent = []
+
+    class Response:
+        status_code = 200
+        url = "http://live.example/form"
+        headers = {"Server": "stub"}
+
+        def __init__(self, method):
+            self.method = method
+
+        def iter_content(self, chunk_size):
+            if self.method != "HEAD":
+                yield b"<LW_CODE>p(1).</LW_CODE>"
+
+    class StubSession(requests.Session):
+        """Records what each request would send; nothing leaves the process."""
+
+        def request(self, method, url, **kwargs):
+            prepared = requests.Request(method, url, data=kwargs.get("data")).prepare()
+            sent.append((prepared.method, prepared.body))
+            return Response(method)
+
+    monkeypatch.setattr(requests, "Session", StubSession)
+    session = make_session(pages, security=False)
+    session.fetch_config.allow_network = True
+    url = Response.url
+    texts = {}
+    for pid in (ProgramId.get(url), ProgramId.post(url, [("q", "1"), ("a", "x y")]),
+                ProgramId.head(url)):
+        texts[pid.method] = [clause_text(c) for c in download(pid, session).clauses]
+    assert sent == [("GET", None), ("POST", "q=1&a=x+y"), ("HEAD", None)]
+    assert texts["post"][-1] == "p(1)."
+    assert "p(1)." not in texts["head"]
 
 
 def test_http_fetch_refuses_a_body_over_the_cap(monkeypatch):
@@ -358,13 +435,3 @@ def test_http_fetch_decodes_with_the_named_charset_else_utf8(
     resp = fetch_response(Response.url, FetchConfig())
     assert resp.body == page
     assert authenticate(resp.body, KeyStore({"alice": public})) == "alice"
-
-
-def test_load_store_skips_assignments_to_the_no_policy_placeholder(tmp_path, pages):
-    pid = ProgramId.get(HOME_URL)
-    (tmp_path / "_assignments").write_text(
-        f"{pid.serialize()}\t{NO_POLICY.serialize()}\n", encoding="utf-8")
-    session = make_session(pages)
-    load_store(tmp_path, session.store, session.registry)
-    assert pid not in session.registry.program_to_policy
-    assert not session.registry.is_policy(NO_POLICY)

@@ -92,6 +92,28 @@ def test_a_500_deep_answer_under_the_default_caps_ends_lw_query_cleanly(
     assert (code, capsys.readouterr().out) == (0, answer)
 
 
+# a fact the reader takes but the printer cannot write back
+DEEP_FACT = "p(1).\nd(" + "f(" * 400 + "a" + ")" * 401 + ".\n"
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 11: the printer nests Python frames")
+def test_a_deep_fact_is_stored_cleanly(tmp_path, capsys):
+    code = _lw_query(tmp_path, DEEP_FACT, "p(X)", "query",
+                     "--store-dir", str(tmp_path / "cache"))
+    assert (code, capsys.readouterr().out) == (0, "X = 1\n")
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 11: the printer nests Python frames")
+def test_a_deep_fact_is_printed_cleanly_by_lw_fetch(tmp_path, capsys):
+    (tmp_path / "index.html").write_text(policy_page("Hostile", DEEP_FACT),
+                                         encoding="utf-8")
+    code = main(["fetch", "http://hostile.example/", "--no-security",
+                 "--offline", "--mount", f"http://hostile.example/={tmp_path}"])
+    assert (code, capsys.readouterr().out.splitlines()[-2]) == (0, "p(1).")
+
+
 def test_integer_literal_too_long_to_print_is_a_bad_goal(tmp_path, capsys):
     code = _lw_query(tmp_path, "q.\n", "X = " + "1" * 5001)
     out, err = capsys.readouterr()
