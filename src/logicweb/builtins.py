@@ -1,10 +1,11 @@
 """The audited built-in predicate table.
 
 Everything a program can do to the world outside pure resolution lives
-here. Arguments arrive fully dereferenced; an implementation yields fresh
-substitutions over the remaining variables, which the engine composes into
-the current answer. Failures (type errors included) are quiet: the goal
-just fails, optionally leaving a notice in the audit log.
+here. An implementation takes the arguments, fully dereferenced, the
+session and the calling context, and yields fresh substitutions over the
+remaining variables, which the engine composes into the current answer.
+Failures (type errors included) are quiet: the goal just fails, optionally
+leaving a notice in the audit log.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
 
 UNTIMED_CEILING_S = 30  # the longest system/1 or sleep/1 runs with no guard deadline
 
-# (name, arity) -> implementation, called with the arguments and a BuiltinCall
+# (name, arity) -> implementation, called as impl(args, session, ctx)
 TABLE: dict[tuple[str, int], Callable] = {}
 
 
@@ -38,15 +39,14 @@ def lookup(t: Term) -> Optional[Callable]:
     return TABLE.get(key) if key else None
 
 
-def call_builtin(t: Term, rt) -> Iterator[Substitution]:
-    """Type-checked execution of one built-in call. `rt` carries the session
-    (store, registry, streams, audit, hooks) and the calling context."""
+def call_builtin(t: Term, session, ctx) -> Iterator[Substitution]:
+    """Type-checked execution of one built-in call made by `ctx`."""
     impl = lookup(t)
     if impl is None:
-        rt.notice(f"unknown built-in: {syntax.to_text(t)}")
+        session.notice(f"unknown built-in: {syntax.to_text(t)}")
         return
     args = t.args if isinstance(t, Struct) else ()
-    yield from impl(args, rt)
+    yield from impl(args, session, ctx)
 
 
 # ---------------------------------------------------------------- helpers
@@ -62,53 +62,53 @@ def _text(t: Term) -> Optional[str]:
 # ---------------------------------------------------------------- I/O
 
 @_register("open", 3)
-def _bi_open(args, rt):
+def _bi_open(args, session, ctx):
     """open(File, read|write, Stream): opens a real file"""
     fname, mode, stream = args
     path = _text(fname)
     if path is None:
-        rt.notice("open/3: file name must be an atom or string")
+        session.notice("open/3: file name must be an atom or string")
         return
     if not (isinstance(mode, Atom) and mode.name in ("read", "write")):
-        rt.notice("open/3: mode must be read or write")
+        session.notice("open/3: mode must be read or write")
         return
     if not isinstance(stream, Var):
-        rt.notice("open/3: stream argument must be unbound")
+        session.notice("open/3: stream argument must be unbound")
         return
     try:
         handle = open(path, "r" if mode.name == "read" else "w", encoding="utf-8")
     except (OSError, ValueError) as exc:    # ValueError: a NUL in the name
-        rt.notice(f"open/3 failed: {exc}")
+        session.notice(f"open/3 failed: {exc}")
         return
-    n = rt.session.new_stream(handle)
+    n = session.new_stream(handle)
     yield EMPTY_SUBST.bind(stream, Struct("$stream", (Num(n),)))
 
 
 @_register("close", 1)
-def _bi_close(args, rt):
+def _bi_close(args, session, ctx):
     """close(Stream)"""
     (stream,) = args
     if (isinstance(stream, Struct) and stream.functor == "$stream"
             and len(stream.args) == 1 and isinstance(stream.args[0], Num)):
-        handle = rt.session.streams.pop(stream.args[0].value, None)
+        handle = session.streams.pop(stream.args[0].value, None)
         if handle is not None:
             handle.close()
             yield EMPTY_SUBST
             return
-    rt.notice("close/1: not an open stream")
+    session.notice("close/1: not an open stream")
 
 
 @_register("system", 1)
-def _bi_system(args, rt):
+def _bi_system(args, session, ctx):
     """system(Command): run a shell command, succeed on exit 0. A guard
     stop kills the command; with no deadline it runs `UNTIMED_CEILING_S` at
     most. Jobs the shell leaves in the background are killed when it exits,
     except one that moved to a session of its own (`setsid`)."""
     cmd = _text(args[0])
     if cmd is None:
-        rt.notice("system/1: command must be an atom or string")
+        session.notice("system/1: command must be an atom or string")
         return
-    hooks = rt.session.hooks
+    hooks = session.hooks
     ceiling = (time.monotonic() + UNTIMED_CEILING_S
                if hooks.deadline is None else None)
     import signal
@@ -118,7 +118,7 @@ def _bi_system(args, rt):
         proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL, start_new_session=True)
     except (OSError, ValueError) as exc:    # ValueError: a NUL in the command
-        rt.notice(f"system/1 failed: {exc}")
+        session.notice(f"system/1 failed: {exc}")
         return
     delay = 0.0005
     try:
@@ -128,7 +128,7 @@ def _bi_system(args, rt):
                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
             hooks.check_now()
             if ceiling is not None and time.monotonic() > ceiling:
-                rt.notice(f"system/1 failed: {cmd!r} ran past {UNTIMED_CEILING_S} seconds")
+                session.notice(f"system/1 failed: {cmd!r} ran past {UNTIMED_CEILING_S} seconds")
                 return
             time.sleep(delay)
             delay = min(delay * 2, 0.02)
@@ -143,31 +143,31 @@ def _bi_system(args, rt):
 
 
 @_register("display", 1)
-def _bi_display(args, rt):
+def _bi_display(args, session, ctx):
     """display(Term): print in canonical syntax"""
     print(syntax.to_text(args[0]))
     yield EMPTY_SUBST
 
 
 @_register("report_deletion", 1)
-def _bi_report_deletion(args, rt):
+def _bi_report_deletion(args, session, ctx):
     """report_deletion(Cmd): flag a deletion to the user"""
     text = syntax.to_text(args[0])
-    rt.session.audit.emit("notice", f"deletion-report {text}")
+    session.notice(f"deletion-report {text}")
     print(f"deletion reported: {text}")
     yield EMPTY_SUBST
 
 
 @_register("sleep", 1)
-def _bi_sleep(args, rt):
+def _bi_sleep(args, session, ctx):
     """sleep(Millis): cooperative pause, wakes early on guard stop; with no
     guard deadline it may last `UNTIMED_CEILING_S`"""
     if not isinstance(args[0], Num):
-        rt.notice("sleep/1: milliseconds must be a number")
+        session.notice("sleep/1: milliseconds must be a number")
         return
-    hooks, millis = rt.session.hooks, args[0].value
+    hooks, millis = session.hooks, args[0].value
     if millis > UNTIMED_CEILING_S * 1000 and hooks.deadline is None:
-        rt.notice(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
+        session.notice(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
         return
     # past the float range, only the deadline ends the pause
     remaining = millis / 1000.0 if millis < 1e300 else math.inf
@@ -182,29 +182,37 @@ def _bi_sleep(args, rt):
 
 # ---------------------------------------------------------------- store state
 
+def policy_program(session, ctx):
+    """The store entry for the calling context when it is a single policy
+    program; None otherwise. Only such a context may change clauses, and
+    only its own."""
+    if isinstance(ctx, ProgramId) and session.registry.is_policy(ctx):
+        return session.store.get(ctx)
+    return None
+
 @_register("assert", 1)
-def _bi_assert(args, rt):
+def _bi_assert(args, session, ctx):
     """assert(Clause): extend the calling policy program"""
-    prog = rt.policy_program()
+    prog = policy_program(session, ctx)
     if prog is None:
-        rt.notice("assert/1: only policy programs may change their clauses")
+        session.notice("assert/1: only policy programs may change their clauses")
         return
     try:
         # a copy, so the stored clause shares no variable with the caller
         clause = clause_from_term(rename_apart(args[0]))
     except Exception as exc:
-        rt.notice(f"assert/1: {exc}")
+        session.notice(f"assert/1: {exc}")
         return
     prog.add(clause)
     yield EMPTY_SUBST
 
 
 @_register("retract", 1)
-def _bi_retract(args, rt):
+def _bi_retract(args, session, ctx):
     """retract(Clause): remove the first matching clause"""
-    prog = rt.policy_program()
+    prog = policy_program(session, ctx)
     if prog is None:
-        rt.notice("retract/1: only policy programs may change their clauses")
+        session.notice("retract/1: only policy programs may change their clauses")
         return
     # a fact's clause term is its head, so a bare pattern matches facts and
     # a ':-'/2 pattern matches rules; only a variable head can match clauses
@@ -226,32 +234,32 @@ def _bi_retract(args, rt):
 
 
 @_register("program_exists", 1)
-def _bi_program_exists(args, rt):
+def _bi_program_exists(args, session, ctx):
     """program_exists(lw(Method, URL))"""
     try:
         pid = ProgramId.from_term(args[0])
     except Exception:
-        rt.notice("program_exists/1: not a program identifier")
+        session.notice("program_exists/1: not a program identifier")
         return
-    if pid in rt.session.store:
+    if pid in session.store:
         yield EMPTY_SUBST
 
 
 # ---------------------------------------------------------------- text & lists
 
 @_register("contains", 2)
-def _bi_contains(args, rt):
+def _bi_contains(args, session, ctx):
     """contains(Text, Sub): substring test"""
     text, sub = _text(args[0]), _text(args[1])
     if text is None or sub is None:
-        rt.notice("contains/2: both arguments must be text")
+        session.notice("contains/2: both arguments must be text")
         return
     if sub in text:
         yield EMPTY_SUBST
 
 
 @_register("append", 3)
-def _bi_append(args, rt):
+def _bi_append(args, session, ctx):
     """append/3 over lists, or strings by concatenation"""
     a, b, c = args
     if isinstance(a, Str) or isinstance(b, Str) or isinstance(c, Str):
@@ -310,7 +318,7 @@ def _append_lists(a, b, c):
 
 
 @_register("member", 2)
-def _bi_member(args, rt):
+def _bi_member(args, session, ctx):
     """member(X, List): enumerate elements"""
     x, lst = args
     items, _tail = list_items(lst)
@@ -323,7 +331,7 @@ def _bi_member(args, rt):
 # ---------------------------------------------------------------- comparison
 
 @_register("=", 2)
-def _bi_unify(args, rt):
+def _bi_unify(args, session, ctx):
     """unification"""
     s = unify(args[0], args[1])
     if s is not None:
@@ -331,21 +339,21 @@ def _bi_unify(args, rt):
 
 
 @_register("\\=", 2)
-def _bi_not_unify(args, rt):
+def _bi_not_unify(args, session, ctx):
     """not unifiable"""
     if unify(args[0], args[1]) is None:
         yield EMPTY_SUBST
 
 
 @_register("==", 2)
-def _bi_eq(args, rt):
+def _bi_eq(args, session, ctx):
     """structural equality"""
     if args[0] == args[1]:
         yield EMPTY_SUBST
 
 
 @_register("\\==", 2)
-def _bi_neq(args, rt):
+def _bi_neq(args, session, ctx):
     """structural inequality"""
     if args[0] != args[1]:
         yield EMPTY_SUBST
@@ -371,20 +379,20 @@ def _eval_arith(t: Term):
 
 
 @_register("is", 2)
-def _bi_is(args, rt):
+def _bi_is(args, session, ctx):
     """is(X, Expr): evaluate +, -, * over numbers"""
     try:
         value = _eval_arith(args[1])
     except (_ArithmeticError, OverflowError) as exc:
-        rt.notice(f"is/2: {exc}")
+        session.notice(f"is/2: {exc}")
         return
     if isinstance(value, float) and not math.isfinite(value):
         # no text reads back as an infinity, so none may be stored
-        rt.notice(f"is/2: non-finite result: {syntax.to_text(args[1])}")
+        session.notice(f"is/2: non-finite result: {syntax.to_text(args[1])}")
         return
     # nor an integer the printer refuses
     if isinstance(value, int) and not syntax.int_printable(value):
-        rt.notice("is/2: integer result too long to print")
+        session.notice("is/2: integer result too long to print")
         return
     s = unify(args[0], Num(value))
     if s is not None:
@@ -397,12 +405,12 @@ def _compare(op: str):
              ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
     fn = table[op]
 
-    def impl(args, rt):
+    def impl(args, session, ctx):
         """Arithmetic comparison of two evaluated expressions."""
         try:
             lhs, rhs = _eval_arith(args[0]), _eval_arith(args[1])
         except (_ArithmeticError, OverflowError) as exc:
-            rt.notice(f"{op}: {exc}")
+            session.notice(f"{op}: {exc}")
             return
         if fn(lhs, rhs):
             yield EMPTY_SUBST
@@ -416,7 +424,7 @@ for _op in ("<", ">", "=<", ">=", "=:=", "=\\="):
 # ---------------------------------------------------------------- type tests
 
 def _type_test(kind: type):
-    def impl(args, rt):
+    def impl(args, session, ctx):
         """Succeeds when the argument is an instance of the named type."""
         if isinstance(args[0], kind):
             yield EMPTY_SUBST
@@ -427,21 +435,3 @@ for _name, _kind in (("atom", Atom), ("var", Var), ("number", Num),
                      ("string", Str)):
     TABLE[(_name, 1)] = _type_test(_kind)
 
-
-class BuiltinCall:
-    """Runtime context handed to built-in implementations."""
-
-    def __init__(self, session, ctx):
-        self.session = session
-        self.ctx = ctx
-
-    def notice(self, message: str) -> None:
-        self.session.audit.emit("notice", message)
-
-    def policy_program(self):
-        """The store entry for the calling context when it is a single
-        policy program; None otherwise."""
-        if (isinstance(self.ctx, ProgramId)
-                and self.session.registry.is_policy(self.ctx)):
-            return self.session.store.get(self.ctx)
-        return None

@@ -83,6 +83,10 @@ class Session:
             handle.close()
         self.streams.clear()
 
+    def notice(self, message: str) -> None:
+        """Leave a notice in the audit log: the one way notices are made."""
+        self.audit.emit("notice", message)
+
     def install_local(self, program: LWProgram, contents: str = "") -> None:
         """Place a program in the store and, under security, give it a
         policy from its page text `contents` unless it has one: the one way
@@ -102,11 +106,8 @@ class Session:
     # ------------------------------------------------------------- solve
 
     def solve(self, sigma: PolicySet, ctx: ProgramExpression, goal: Term,
-              s: Substitution = EMPTY_SUBST,
-              chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,),
-              barrier: Barrier | None = None) -> Iterator[Substitution]:
-        if barrier is None:
-            barrier = Barrier()
+              s: Substitution, chain: tuple[ProgramExpression, ...],
+              barrier: Barrier) -> Iterator[Substitution]:
         t = s.walk(goal)
         if isinstance(t, Var):
             raise EngineError("goal is an unbound variable")
@@ -180,15 +181,14 @@ class Session:
         # popped while a solution is handed upward (the continuation is not
         # beneath it) and pushed back when backtracking resumes here.
         hooks = self.hooks
-        g = s.apply(t)
-        token = hooks.enter_goal(ctx, g)
+        token = hooks.enter_goal(ctx, t, s)
         try:
             inner = Barrier()
             for s1, body in self.select_clause(sigma, ctx, t, s, chain):
                 for s2 in self.solve(sigma, ctx, body, s1, chain, inner):
                     hooks.exit_goal(token)
                     yield s2
-                    token = hooks.enter_goal(ctx, g)
+                    token = hooks.enter_goal(ctx, t, s)
                 if inner.cut:
                     break
         finally:
@@ -197,8 +197,7 @@ class Session:
     # ------------------------------------------------------------- clause choice
 
     def select_clause(self, sigma, e: ProgramExpression, goal: Term,
-                      s: Substitution = EMPTY_SUBST,
-                      chain: tuple[ProgramExpression, ...] = (EMPTY_PROGRAM,)
+                      s: Substitution, chain: tuple[ProgramExpression, ...]
                       ) -> Iterator[tuple[Substitution, Term]]:
         """Clauses of the composition `e` whose head unifies with `goal`,
         as (extended substitution, renamed body) pairs. A program renames
@@ -353,8 +352,7 @@ class Session:
         """Run the built-in `g` directly, with no policy active, and merge
         each of its answers into `s`."""
         self.audit.emit("syscall", g, chain, ())
-        rt = bi.BuiltinCall(self, ctx)
-        for delta in bi.call_builtin(g, rt):
+        for delta in bi.call_builtin(g, self, ctx):
             yield s.compose(delta)
 
     def _builtin_qualified(self, sigma, ctx, inner_term: Term, s, chain):

@@ -209,8 +209,8 @@ def save_store(dirpath: str | Path, session) -> None:
 def load_store(dirpath: str | Path, session) -> None:
     """Install every program cached under `dirpath` through `install_local`,
     after recording every stored policy, so that a stored policy program
-    counts as one whatever its file is named. A file that does not read back
-    is skipped with a warning naming it."""
+    counts as one whatever its file is named. An entry that does not read
+    back is skipped with a warning naming it."""
     from .syntax import ParseError, parse_term_text, read_text
 
     root = Path(dirpath)
@@ -219,11 +219,12 @@ def load_store(dirpath: str | Path, session) -> None:
     programs = []
     for path in sorted(root.glob("*.lwp")):
         try:
-            first, _, rest = read_text(path).partition("\n")
+            first, newline, rest = read_text(path).partition("\n")
             ids = [ProgramId.from_term(parse_term_text(text)[0])   # program, policy
                    for text in first.split("\t", 1)]
-            programs.append(LWProgram(ids[0], parse_program(rest)))
-        except (UnicodeDecodeError, ParseError, ExpressionError) as exc:
+            # led by the header's line end, a position counts the header line
+            programs.append(LWProgram(ids[0], parse_program(newline + rest)))
+        except (OSError, UnicodeDecodeError, ParseError, ExpressionError) as exc:
             import logging
             logging.getLogger(__name__).warning(
                 "skipping cache file %s: %s", path, exc)
@@ -235,11 +236,12 @@ def load_store(dirpath: str | Path, session) -> None:
 
 
 def clear_store(dirpath: str | Path) -> int:
-    """Delete the cached programs; returns how many were removed."""
+    """Delete the cached program files, leaving any other entry; returns
+    how many were removed."""
     root = Path(dirpath)
     if not root.is_dir():
         return 0
-    programs = list(root.glob("*.lwp"))
+    programs = [path for path in root.glob("*.lwp") if path.is_file()]
     for path in programs:
         path.unlink()
     return len(programs)

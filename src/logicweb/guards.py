@@ -3,16 +3,17 @@
 The engine reports goal entry/exit, clause applications, and program
 installs; a Guard keeps an ancestor stack and counters and aborts the
 derivation with GuardTermination when a bound is crossed. The loop check
-keys each live goal by its context and the variant key of the goal, so a
-goal is a loop exactly when its key is already live: one set lookup, in
-time linear in the goal's size. A policy verdict the session may keep
-(`verdicts`) is proved under `watch`, and the Guard sums up the goals it
-enters and the clauses it applies while that proof runs. A reused verdict
-is offered to `admits` as that summary, which a Guard checks against its
-live state in one step; when the summary would cross a bound, the guard
-refuses it and the goal is proved again, so the stop falls at its exact
-point with its reason. Aborts unwind the generator stack, so answers
-already produced stay valid and the session remains usable afterwards.
+keys each live goal by its context and the variant key of the goal, read
+through the goal's substitution, so a goal is a loop exactly when its key
+is already live: one set lookup, in time linear in the goal's size. A
+policy verdict the session may keep (`verdicts`) is proved under `watch`,
+and the Guard sums up the goals it enters and the clauses it applies while
+that proof runs. A reused verdict is offered to `admits` as that summary,
+which a Guard checks against its live state in one step; when the summary
+would cross a bound, the guard refuses it and the goal is proved again, so
+the stop falls at its exact point with its reason. Aborts unwind the
+generator stack, so answers already produced stay valid and the session
+remains usable afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .model import EmptyProgram, ProgramId, leaves
 # `variant` stays importable here for tools that patch it by this name
-from .terms import Term, variant, variant_key  # noqa: F401
+from .terms import EMPTY_SUBST, Substitution, Term, variant, variant_key  # noqa: F401
 
 LOOP_FOUND = "loop_found"
 DEPTH_EXCEEDED = "depth_exceeded"
@@ -66,7 +67,7 @@ class EngineHooks:
     def start(self) -> None:
         pass
 
-    def enter_goal(self, ctx, goal: Term) -> int:
+    def enter_goal(self, ctx, goal: Term, s: Substitution = EMPTY_SUBST) -> int:
         return 0
 
     def exit_goal(self, token: int) -> None:
@@ -154,11 +155,11 @@ class Guard(EngineHooks):
         if self.deadline is not None and self.clock() > self.deadline:
             self._stop(TIMED_OUT)
 
-    def enter_goal(self, ctx, goal: Term) -> int:
+    def enter_goal(self, ctx, goal: Term, s: Substitution = EMPTY_SUBST) -> int:
         self.check_now()
         key = None
         if self.config.loop_check:
-            key = (ctx, variant_key(goal))
+            key = (ctx, variant_key(goal, s))
             if key in self._live:
                 self._stop(LOOP_FOUND)
         if self.config.max_context_size is not None:
@@ -177,7 +178,7 @@ class Guard(EngineHooks):
             # the summary holds every key and size, whichever checks are on
             if self._sized[0] is not ctx:
                 self._sized = (ctx, context_size(ctx))
-            self._keys.add(key or (ctx, variant_key(goal)))
+            self._keys.add(key or (ctx, variant_key(goal, s)))
             self._largest = max(self._largest, self._sized[1])
             self._deepest = max(self._deepest, token + 1 - self._watch[0])
         return token
@@ -263,5 +264,5 @@ def guarded_solve(session, main, goal, limit: int | None = None) -> GuardOutcome
         if not isinstance(exc, GuardTermination):
             raise
         outcome.termination = exc
-        session.audit.emit("notice", f"query aborted: {exc.message}")
+        session.notice(f"query aborted: {exc.message}")
     return outcome

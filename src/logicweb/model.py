@@ -367,8 +367,9 @@ class LWProgram:
     running keeps its clauses (the logical update view) and every other
     predicate keeps the very same bucket. A page's `link/2` facts may come as
     `links = (position, build)`: `build()` makes them on first use (a `link/2`
-    lookup, `clauses`, `remove`, or clauses that define `link/2` too); `add`
-    appends behind that position, so it needs them only to add a link."""
+    lookup, `clauses` or `remove`), ahead of any `link/2` clause the page
+    writes itself; `add` appends behind that position, so it needs them only
+    to add a link."""
 
     def __init__(self, id: ProgramId, clauses: Iterable[Clause], links=None):
         self.id = id
@@ -379,8 +380,6 @@ class LWProgram:
             buckets.setdefault(functor_of(c.head), []).append(c)
         self._index: dict[tuple[str, int], tuple] = {
             pred: _index_predicate(tuple(cs)) for pred, cs in buckets.items()}
-        if links is not None and LINK in self._index:
-            self._build_links()
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
@@ -405,9 +404,7 @@ class LWProgram:
     def remove(self, clause: Clause) -> None:
         """Remove the first occurrence of this very clause object,
         re-indexing its predicate alone."""
-        if self._links is not None:
-            self._build_links()
-        self._clauses = _without(self._clauses, clause)
+        self._clauses = _without(self.clauses, clause)
         pred = functor_of(clause.head)
         rest = _without(self.clauses_of(pred), clause)
         if rest:
@@ -418,12 +415,12 @@ class LWProgram:
     def candidates(self, goal: Term, s: Substitution) -> tuple[Clause, ...]:
         """The clauses whose heads may unify with `goal` (an atom or compound,
         its arguments read through `s`), in clause order."""
-        entry = self._index.get(pred := functor_of(goal))
-        if entry is None:
-            if self._links is None or pred != LINK:
-                return ()
+        pred = functor_of(goal)
+        if self._links is not None and pred == LINK:
             self._build_links()
-            return self.candidates(goal, s)
+        entry = self._index.get(pred)
+        if entry is None:
+            return ()
         clauses, keyed, free = entry
         key = first_arg_key(s.walk(goal.args[0])) if keyed else None
         if key is None:
@@ -438,10 +435,9 @@ class LWProgram:
 
     def clauses_of(self, pred: tuple[str, int]) -> tuple[Clause, ...]:
         """The predicate's clause bucket; `()` when it is undefined."""
-        entry = self._index.get(pred)
-        if entry is None and self._links is not None and pred == LINK:
+        if self._links is not None and pred == LINK:
             self._build_links()
-            entry = self._index.get(pred)
+        entry = self._index.get(pred)
         return entry[0] if entry else ()
 
 

@@ -9,8 +9,7 @@ A HEAD response yields only the header facts and the final URL.
 from __future__ import annotations
 
 import re
-from functools import partial
-from html import unescape
+from functools import cache, partial
 from typing import NamedTuple
 from urllib.parse import urljoin
 
@@ -76,7 +75,6 @@ def _strip_wrappers(block: str) -> str:
 # attributes; the first one's name and value (most often HREF) are kept.
 _ATTR = (r"""(?<=['"\s/])(%s[^\s/>][^\s/=>]*)"""
          r"""(?:\s*=+\s*(%s'[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
-_ATTR_RE = re.compile(_ATTR % ("", ""))
 _MARKUP = r"""<(?:%(comment)s
     | (?:(?P<script>[sS][cC][rR][iI][pP][tT])|[sS][tT][yY][lL][eE])(?![^\t\n\r\f />\x00])
       (?=(?P<raw_attrs>(?:\s|/(?!>))*(?:%(attr)s)*))(?P=raw_attrs)
@@ -88,15 +86,22 @@ _MARKUP = r"""<(?:%(comment)s
 _FORMS = {"attr": _ATTR % ("?:", "?:"), "first": _ATTR % ("?P<name>", "?P<value>"),
           "close": r"</\s*(?(script)[sS][cC][rR][iI][pP][tT]|[sS][tT][yY][lL][eE])\s*>",
           "comment": r"!--(?=(?P<comment>[^-]*(?:-(?!-\s*>)[^-]*)*))(?P=comment)--\s*>"}
-_MARKUP_RE = re.compile(_MARKUP % _FORMS, re.S | re.X)
-_LATE_MARKUP_RE = re.compile(_MARKUP % dict(_FORMS, comment="(?!)"), re.S | re.X)
+
+
+@cache
+def _patterns() -> tuple[re.Pattern, ...]:
+    """The attribute, markup and late markup patterns, compiled on the first
+    scan: most pages never have their anchors read."""
+    return (re.compile(_ATTR % ("", "")), re.compile(_MARKUP % _FORMS, re.S | re.X),
+            re.compile(_MARKUP % dict(_FORMS, comment="(?!)"), re.S | re.X))
 
 
 def _href(tag: re.Match) -> str | None:
     """The value of the start tag's first HREF attribute that has one."""
+    from html import unescape
     value = tag["value"]
     if value is None or tag["name"].lower() != "href":
-        value = next((v for n, v in map(re.Match.groups, _ATTR_RE.finditer(tag["attrs"]))
+        value = next((v for n, v in map(re.Match.groups, _patterns()[0].finditer(tag["attrs"]))
                       if v is not None and n.lower() == "href"), None)
     return None if value is None else unescape(value[1:-1] if value[:1] in "'\"" else value)
 
@@ -106,6 +111,7 @@ def extract_links(html: str) -> list[tuple[str, str]]:
     dropped, character references decoded and whitespace collapsed. An
     anchor without an HREF is skipped; it, a new anchor or the page's end
     closes the open one. Nothing inside a comment, script or style counts."""
+    from html import unescape
     anchors: list[tuple[str, list[str]]] = []
     label = None                    # text pieces of the open anchor
     pos = 0
@@ -113,7 +119,7 @@ def extract_links(html: str) -> list[tuple[str, str]]:
     # comment opened past the last `--` `>` can close, so none is tried there
     end = html.rfind(">") + 1
     last = max((m.start() for m in re.finditer(r"--\s*>", html)), default=0) - 4
-    for markup in (_MARKUP_RE, _LATE_MARKUP_RE):
+    for markup in _patterns()[1:]:
         for m in markup.finditer(html, pos, end):
             if label is not None:
                 text = unescape(html[pos:m.end() if m["text"] else m.start()])

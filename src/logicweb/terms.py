@@ -283,11 +283,13 @@ def rename_apart(t: Term, mapping: dict[int, Var] | None = None) -> Term:
     return go(t)
 
 
-def variant_key(t: Term) -> tuple:
+def variant_key(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
     """A flat, hashable key, equal for two terms exactly when they are
-    variants. The term is read in prefix order: a variable becomes the
-    number of its first occurrence, a compound becomes (functor, arity)
-    followed by its arguments, and any other term stays itself."""
+    variants: the key of `s.apply(t)`, read through `s` without building it.
+    The term is read in prefix order: a variable becomes the number of its
+    first occurrence, a compound becomes (functor, arity) followed by its
+    arguments, and any other term stays itself."""
+    bindings = s._b
     numbers: dict[int, int] = {}
     out = []
     stack = [t]
@@ -295,6 +297,9 @@ def variant_key(t: Term) -> tuple:
         u = stack.pop()
         # exact types: the key is built for every goal the guard sees
         kind = type(u)
+        while kind is Var and u.id in bindings:
+            u = bindings[u.id]
+            kind = type(u)
         if kind is Struct:
             out.append((u.functor, len(u.args)))
             stack.extend(u.args[::-1])

@@ -549,6 +549,25 @@ def test_store_list_skips_an_undecodable_cache_file_and_names_it(
     assert str(sd / "0123456789abcdef.lwp") in proc.stderr
 
 
+def test_store_commands_skip_a_directory_named_like_a_cache_file(
+        site, capsys, tmp_path):
+    sd = tmp_path / "cache"
+    assert run_cli(capsys, "query", SITE + "index.html", "p(1)", *base(site),
+                   "--store-dir", str(sd))[0] == 0
+    (sd / "x.lwp").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "logicweb.cli", "store-list", "--store-dir", str(sd)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert proc.returncode == 0
+    assert proc.stdout == (f'lw(get, "{SITE}index.html")  clauses=10'
+                           f'  policy={SITE}perm.html\n')
+    assert str(sd / "x.lwp") in proc.stderr
+    code, out, _ = run_cli(capsys, "store-clear", "--store-dir", str(sd))
+    assert (code, out) == (0, "removed 1 cached program(s)\n")
+    assert [p.name for p in sd.iterdir()] == ["x.lwp"]
+
+
 def test_a_query_answers_over_a_store_with_a_file_that_does_not_read_back(
         site, capsys, caplog, tmp_path):
     sd = tmp_path / "cache"
@@ -629,7 +648,7 @@ def test_sign_undecodable_page_is_a_usage_error(capsys, tmp_path):
 def test_a_cold_import_loads_no_signing_digest_or_process_modules():
     # a one-shot `lw query` pays for every module the package imports at
     # start; these load only for a signed page, the store or system/1
-    heavy = ("cryptography", "dataclasses", "subprocess", "hashlib")
+    heavy = ("cryptography", "dataclasses", "subprocess", "hashlib", "html")
     check = f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
     code = "import sys\nimport logicweb\n" + check + "import logicweb.cli\n" + check
     # -S: only what the package imports, not what site-packages preload

@@ -249,6 +249,15 @@ def test_load_store_skips_a_file_that_does_not_read_back(tmp_path, pages, caplog
         assert str(tmp_path / name) in caplog.text
 
 
+def test_a_skipped_cache_file_is_warned_of_at_the_line_in_the_file(
+        tmp_path, pages, caplog):
+    (tmp_path / "bad.lwp").write_text(
+        f"{ProgramId.get(HOME_URL).serialize()}\nq :- !(x).\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        load_store(tmp_path, make_session(pages))
+    assert "line 2, column 7" in caplog.text
+
+
 def test_undecodable_fixture_page_fails_the_download(tmp_path, pages):
     (tmp_path / "bad.html").write_bytes(b"<html>\xff p(1).</html>")
     session = make_session(pages, security=False)

@@ -162,15 +162,34 @@ ANCHORS = '<a href="one.html">One</a> <a href="http://two.example/">Two</a>\n'
 SITE = "http://lazy.example/"
 
 
-def test_page_defining_link_answers_with_its_anchors_first(scans):
+# each way a program can be read first, made the same way on either program
+FIRST_READS = {
+    "candidates": _link_answers,
+    "clauses_of": lambda program: program.clauses_of(LINK),
+    "defines": lambda program: program.defines("link", 2),
+    "clauses": lambda program: program.clauses,
+    "add": lambda program: program.add(
+        Clause(Struct("link", (Str("New"), Str(f"{SITE}new"))))),
+    "remove": lambda program: program.remove(program.clauses_of(("h_text", 1))[0]),
+}
+
+
+@pytest.mark.parametrize("first_read", FIRST_READS)
+def test_page_defining_link_answers_with_its_anchors_first(first_read, scans):
     body = f"<html>{ANCHORS}<LW_CODE>link(\"Own\", \"{SITE}own\").</LW_CODE></html>"
-    program = translate_page(_resp(SITE, body), ProgramId.get(SITE))
-    assert len(scans) == 1          # built with the program, not on first use
-    assert [to_text(h) for h in _link_answers(program)] == [
+    resp, pid = _resp(SITE, body), ProgramId.get(SITE)
+    program, eager = translate_page(resp, pid), eager_translate(resp, pid)
+    assert scans == []              # the page's own link/2 builds nothing yet
+    read = FIRST_READS[first_read]
+    assert read(program) == read(eager)
+    assert len(scans) == 1          # the first read builds them, once
+    answers = _link_answers(program)
+    assert [to_text(h) for h in answers[:3]] == [
         f'link("One", "{SITE}one.html")', 'link("Two", "http://two.example/")',
         f'link("Own", "{SITE}own")']
-    assert _key(program.clauses) == _key(eager_translate(
-        _resp(SITE, body), ProgramId.get(SITE)).clauses)
+    assert answers == _link_answers(eager)
+    assert _key(program.clauses) == _key(eager.clauses)
+    assert len(scans) == 1
 
 
 LEDGER_URL = "http://policies.example.org/ledger.html"

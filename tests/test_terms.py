@@ -195,6 +195,26 @@ def _terms(depth=2):
         .map(lambda fa: Struct(fa[0], tuple(fa[1]))))
 
 
+@st.composite
+def _substitutions(draw):
+    """Triangular substitutions over the variables of `_terms`, with no
+    cycle. Taken in a drawn order, each variable stays free, is bound to
+    the next one (so chains of bindings come up) or to a term."""
+    order = draw(st.permutations([Var(f"H{i}", -100 - i) for i in range(4)]))
+    s = EMPTY_SUBST
+    for v, after in zip(order, order[1:] + [None]):
+        t = draw(st.sampled_from([None, after]) | _terms(1))
+        if t is not None and not occurs_in(v.id, t, s):
+            s = s.bind(v, t)
+    return s
+
+
+@given(_terms(), _substitutions())
+@settings(max_examples=300)
+def test_variant_key_reads_through_the_substitution(t, s):
+    assert variant_key(t, s) == variant_key(s.apply(t))
+
+
 @given(_terms())
 @settings(max_examples=150)
 def test_unify_with_self_never_fails(t):

@@ -5,7 +5,7 @@ calls up afterwards, and make them again one by one against other hooks."""
 import itertools
 
 from logicweb.guards import EngineHooks, ProofSummary, context_size
-from logicweb.terms import variant_key
+from logicweb.terms import EMPTY_SUBST, variant_key
 
 ENTER, EXIT, CLAUSE, CHECK = range(4)
 
@@ -21,10 +21,10 @@ class StepRecorder(EngineHooks):
         self._ids = itertools.count()
         self._live_token: dict[int, int] = {}
 
-    def enter_goal(self, ctx, goal) -> int:
+    def enter_goal(self, ctx, goal, s=EMPTY_SUBST) -> int:
         token = next(self._ids)
-        self._live_token[token] = self.live.enter_goal(ctx, goal)
-        self.steps.append((ENTER, ctx, goal, token))
+        self._live_token[token] = self.live.enter_goal(ctx, goal, s)
+        self.steps.append((ENTER, ctx, s.apply(goal), token))
         return token
 
     def exit_goal(self, token: int) -> None:
