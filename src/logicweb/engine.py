@@ -109,9 +109,10 @@ class Session:
               s: Substitution, chain: tuple[ProgramExpression, ...],
               barrier: Barrier) -> Iterator[Substitution]:
         t = s.walk(goal)
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             raise EngineError("goal is an unbound variable")
-        if isinstance(t, Atom):
+        if kind is Atom:
             if t.name == "true":
                 yield s
                 return
@@ -121,30 +122,30 @@ class Session:
                 yield s
                 barrier.cut = True
                 return
-        if isinstance(t, Struct):
-            if t.functor == "," and len(t.args) == 2:
+        elif kind is Struct:
+            functor = t.functor if len(t.args) == 2 else None
+            if functor == ",":
                 for s1 in self.solve(sigma, ctx, t.args[0], s, chain, barrier):
                     yield from self.solve(sigma, ctx, t.args[1], s1, chain, barrier)
                     if barrier.cut:
                         return
                 return
-            if t.functor == ";" and len(t.args) == 2:
+            if functor == ";":
                 yield from self._disjunction(sigma, ctx, t, s, chain, barrier)
                 return
-            if t.functor == "->" and len(t.args) == 2:
+            if functor == "->":
                 yield from self._if_then_else(sigma, ctx, t.args[0], t.args[1],
                                               None, s, chain, barrier)
                 return
-            if t.functor == "#>" and len(t.args) == 2:
+            if functor == "#>":
                 yield from self._switch_term(sigma, ctx, t.args[0], t.args[1],
                                              s, chain, barrier)
                 return
-            if (t.functor == ":" and len(t.args) == 2
-                    and isinstance(t.args[0], Atom)
+            if (functor == ":" and type(t.args[0]) is Atom
                     and t.args[0].name == "built_ins"):
                 yield from self._builtin_qualified(sigma, ctx, t.args[1], s, chain)
                 return
-        if not isinstance(t, (Atom, Struct)):
+        else:
             raise EngineError(f"goal is not callable: {t!r}")
 
         # A built-in goal is a system call and nothing else: clauses a page

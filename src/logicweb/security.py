@@ -6,7 +6,8 @@ of a signed page, else the untrusted default. Policy programs themselves are
 never assigned policies. The audit log records fetches and system calls with
 the context chain and active policy set, so a session can be re-checked
 after the fact. It keeps the newest `MAX_EVENTS` events, counts the older
-ones as dropped, and prints a goal only when its event is read.
+ones as dropped, and keeps a goal as a flat tuple of plain values that the
+garbage collector stops walking (`terms.encode`), printed only when read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import signatures
 from .model import ProgramExpression, ProgramId, expr_text
 from .signatures import KeyStore, UNKNOWN_SIGNER
 from .syntax import read_text, to_text
-from .terms import Term
+from .terms import Term, decode, encode
 
 
 class RegistryError(Exception):
@@ -140,17 +141,22 @@ class PolicyRegistry:
 class AuditEvent(NamedTuple):
     ts: float
     kind: str                                  # syscall | fetch | switch | vet | notice
-    subject: str | Term                        # id or message text, or the goal
+    record: str | tuple                        # id or message text, or goal
     chain: tuple[ProgramExpression, ...] = ()  # contexts from the query root
     sigma: tuple[ProgramId, ...] = ()          # active policies, newest first
     prefix: str = ""                           # a vet's `allow: ` or `deny: `
+
+    @property
+    def subject(self) -> str | Term:
+        """The id or message text, or the goal rebuilt from its record."""
+        return self.record if type(self.record) is str else decode(self.record)
 
     @property
     def detail(self) -> str:
         """The subject as text, printed when read; a vet's is `allow: GOAL`
         or `deny: GOAL`."""
         subject = self.subject
-        return self.prefix + (subject if isinstance(subject, str)
+        return self.prefix + (subject if type(subject) is str
                               else to_text(subject))
 
     def format_line(self) -> str:
@@ -183,7 +189,8 @@ class AuditLog:
         if kind == "notice":
             self.notices += 1
         self.emitted += 1
-        ev = AuditEvent(time.time(), kind, subject, chain, sigma, prefix)
+        record = subject if type(subject) is str else encode(subject)
+        ev = AuditEvent(time.time(), kind, record, chain, sigma, prefix)
         self.events.append(ev)
         return ev
 

@@ -300,40 +300,60 @@ def int_printable(n: int) -> bool:
 
 def to_text(t: Term, max_prec: int = 1200,
             names: dict[int, int] | None = None) -> str:
-    """Canonical text; operators printed infix, lists in bracket sugar.
+    """Canonical text at any depth; operators infix, lists in bracket sugar.
 
     An anonymous variable prints as `_G<id>`. Given `names`, it prints as
     `_G<n>` instead, where `n` numbers the anonymous variables by first
     occurrence; `names` maps their ids to those numbers."""
-    if isinstance(t, Var):
-        if t.name == "_" or t.name.startswith("_G"):
-            if names is None:
-                return f"_G{t.id}"
-            return f"_G{names.setdefault(t.id, len(names))}"
-        return t.name
-    if isinstance(t, Atom):
-        return _atom_text(t.name)
-    if isinstance(t, Num):
-        return repr(t.value)
-    if isinstance(t, Str):
-        return _str_text(t.value)
-    assert isinstance(t, Struct)
-    if t.functor == "." and len(t.args) == 2:
+    out: list[str] = []
+    todo: list = [(t, max_prec)]    # text, or (term, priority), last first
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, max_prec = item
+        kind = type(t)
+        if kind is Var:
+            name = t.name
+            if name == "_" or name.startswith("_G"):
+                name = f"_G{t.id if names is None else names.setdefault(t.id, len(names))}"
+            out.append(name)
+        elif kind is Atom:
+            out.append(_atom_text(t.name))
+        elif kind is Num:
+            out.append(repr(t.value))
+        elif kind is Str:
+            out.append(_str_text(t.value))
+        else:
+            todo += reversed(_pieces(t, max_prec))
+    return "".join(out)
+
+
+def _pieces(t: Struct, max_prec: int) -> list:
+    """What the compound `t` prints as under `max_prec`, in order: text,
+    and a (term, priority) pair for each subterm."""
+    functor, args = t.functor, t.args
+    if functor == "." and len(args) == 2:
         items, tail = list_items(t)
-        inner = ", ".join(to_text(x, 999, names) for x in items)
-        if isinstance(tail, Atom) and tail.name == "[]":
-            return f"[{inner}]"
-        return f"[{inner}|{to_text(tail, 999, names)}]"
-    if t.functor == "@" and len(t.args) == 1:
-        prec, _ = PREFIX_OPS["@"]
-        body = f"@{to_text(t.args[0], prec, names)}"
-        return body if prec <= max_prec else f"({body})"
-    if len(t.args) == 2 and t.functor in INFIX_OPS:
-        prec, fixity = INFIX_OPS[t.functor]
-        lp = prec if fixity == "yfx" else prec - 1
-        rp = prec if fixity == "xfy" else prec - 1
-        sep = ", " if t.functor == "," else f" {t.functor} "
-        body = f"{to_text(t.args[0], lp, names)}{sep}{to_text(t.args[1], rp, names)}"
-        return body if prec <= max_prec else f"({body})"
-    args = ", ".join(to_text(a, 999, names) for a in t.args)
-    return f"{_name_text(t.functor)}({args})"
+        end = (("]",) if type(tail) is Atom and tail.name == "[]"
+               else ("|", (tail, 999), "]"))
+        return ["[", *_listed(items), *end]
+    if functor == "@" and len(args) == 1:
+        prec = PREFIX_OPS["@"][0]
+        pieces = ["@", (args[0], prec)]
+    elif len(args) == 2 and functor in INFIX_OPS:
+        prec, fixity = INFIX_OPS[functor]
+        sep = ", " if functor == "," else f" {functor} "
+        pieces = [(args[0], prec if fixity == "yfx" else prec - 1), sep,
+                  (args[1], prec if fixity == "xfy" else prec - 1)]
+    else:
+        return [_name_text(functor) + "(", *_listed(args), ")"]
+    return pieces if prec <= max_prec else ["(", *pieces, ")"]
+
+
+def _listed(terms) -> list:
+    """Each term at priority 999, with `, ` between them."""
+    pieces = [", "] * (2 * len(terms) - 1)
+    pieces[::2] = [(x, 999) for x in terms]
+    return pieces

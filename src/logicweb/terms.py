@@ -57,15 +57,36 @@ class Term(Record):
     __slots__ = ()
 
 
+# each term class is built or hashed on every goal, and none has a
+# subclass, so each has its own methods and walkers test exact types
+
 class Var(Term):
     __slots__ = ("name", "id")
+
+    def __init__(self, name: str, id: int):
+        _set(self, "name", name)
+        _set(self, "id", id)
+
+    def __eq__(self, other):
+        return (self.id == other.id and self.name == other.name
+                if type(other) is Var else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.id))
 
 
 class Str(Term):
     __slots__ = ("value",)
 
+    def __init__(self, value: str):
+        _set(self, "value", value)
 
-# atoms, numbers and compounds are built or hashed on every goal
+    def __eq__(self, other):
+        return self.value == other.value if type(other) is Str else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
 
 class Atom(Term):
     __slots__ = ("name",)
@@ -88,7 +109,7 @@ class Num(Term):
 
     # 1 and 1.0 do not unify, so they are not equal either
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Num) and self.value == other.value
+        return (type(other) is Num and self.value == other.value
                 and type(self.value) is type(other.value))
 
     def __hash__(self) -> int:
@@ -148,9 +169,9 @@ def proper_list(t: Term) -> list[Term] | None:
 
 def functor_of(t: Term) -> tuple[str, int] | None:
     """(name, arity) for atoms and compounds, None for everything else."""
-    if isinstance(t, Atom):
+    if type(t) is Atom:
         return (t.name, 0)
-    if isinstance(t, Struct):
+    if type(t) is Struct:
         return (t.functor, len(t.args))
     return None
 
@@ -174,7 +195,7 @@ class Substitution:
         return f"Substitution({self._b!r})"
 
     def bind(self, v: Var, t: Term) -> "Substitution":
-        if isinstance(t, Var) and t.id == v.id:
+        if type(t) is Var and t.id == v.id:
             return self
         b = dict(self._b)
         b[v.id] = t
@@ -182,7 +203,7 @@ class Substitution:
 
     def walk(self, t: Term) -> Term:
         """Shallow dereference: chase variable bindings at the top only."""
-        while isinstance(t, Var):
+        while type(t) is Var:
             bound = self._b.get(t.id)
             if bound is None:
                 return t
@@ -193,7 +214,7 @@ class Substitution:
         """Full dereference; any variable left in the result is unbound here.
         A compound with no bound variable beneath it comes back as itself."""
         t = self.walk(t)
-        if isinstance(t, Struct):
+        if type(t) is Struct:
             args = [self.apply(a) for a in t.args]
             if any(map(is_not, args, t.args)):
                 return Struct(t.functor, tuple(args))
@@ -205,6 +226,8 @@ class Substitution:
         Precondition: `other` binds only variables `self` leaves unbound, as
         any delta computed on `self.apply(t)` does. Since bindings are
         triangular, the union of the two maps is then the composition."""
+        if not other._b:
+            return self
         return Substitution({**other._b, **self._b})
 
 
@@ -215,10 +238,11 @@ def occurs_in(vid: int, t: Term, s: Substitution) -> bool:
     stack = [t]
     while stack:
         cur = s.walk(stack.pop())
-        if isinstance(cur, Var):
+        kind = type(cur)
+        if kind is Var:
             if cur.id == vid:
                 return True
-        elif isinstance(cur, Struct):
+        elif kind is Struct:
             stack.extend(cur.args)
     return False
 
@@ -235,30 +259,27 @@ def unify(t1: Term, t2: Term,
         b = s.walk(b)
         if a is b:
             continue
-        if isinstance(a, Var):
-            if isinstance(b, Var) and a.id == b.id:
+        kind = type(a)
+        if kind is Var:
+            if type(b) is Var and a.id == b.id:
                 continue
             if occurs_in(a.id, b, s):
                 return None
             s = s.bind(a, b)
-        elif isinstance(b, Var):
+        elif type(b) is Var:
             if occurs_in(b.id, a, s):
                 return None
             s = s.bind(b, a)
-        elif isinstance(a, Atom) and isinstance(b, Atom):
-            if a.name != b.name:
-                return None
-        elif isinstance(a, Num) and isinstance(b, Num):
-            if a != b:
-                return None
-        elif isinstance(a, Str) and isinstance(b, Str):
-            if a.value != b.value:
-                return None
-        elif isinstance(a, Struct) and isinstance(b, Struct):
+        elif kind is not type(b):
+            return None
+        elif kind is Struct:
             if a.functor != b.functor or len(a.args) != len(b.args):
                 return None
             stack.extend(zip(a.args, b.args))
-        else:
+        elif kind is Atom:
+            if a.name != b.name:
+                return None
+        elif a != b:    # strings, or numbers of one type
             return None
     return s
 
@@ -268,19 +289,19 @@ def rename_apart(t: Term, mapping: dict[int, Var] | None = None) -> Term:
     same mapping across calls extends the sharing to sibling terms."""
     if mapping is None:
         mapping = {}
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            got = mapping.get(u.id)
-            if got is None:
-                got = Var(u.name, fresh_var_id())
-                mapping[u.id] = got
-            return got
-        if isinstance(u, Struct):
-            return Struct(u.functor, tuple([go(a) for a in u.args]))
-        return u
-
-    return go(t)
+    kind = type(t)
+    if kind is Var:
+        got = mapping.get(t.id)
+        if got is None:
+            got = mapping[t.id] = Var(t.name, fresh_var_id())
+        return got
+    if kind is not Struct:
+        return t
+    args = []
+    for a in t.args:
+        kind = type(a)
+        args.append(rename_apart(a, mapping) if kind is Struct or kind is Var else a)
+    return Struct(t.functor, tuple(args))
 
 
 def variant_key(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
@@ -308,6 +329,56 @@ def variant_key(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
         else:
             out.append(u)
     return tuple(out)
+
+
+def encode(t: Term) -> tuple:
+    """`t` as a flat tuple of plain values, which the garbage collector
+    stops tracking at its first pass, read in prefix order: a compound is
+    its functor then its arity, an atom its name then 0, a string its value
+    then -1, a variable None, its name and its id, a number its value."""
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is Struct:
+            out += (u.functor, len(u.args))
+            stack += u.args[::-1]
+        elif kind is Atom:
+            out += (u.name, 0)
+        elif kind is Var:
+            out += (None, u.name, u.id)
+        elif kind is Str:
+            out += (u.value, -1)
+        else:
+            out.append(u.value)
+    return tuple(out)
+
+
+def decode(record: tuple) -> Term:
+    """The term `encode` made `record` from."""
+    frames: list[tuple[str, int, list]] = []   # open compounds, innermost last
+    values = iter(record)
+    for v in values:
+        if v is None:
+            t = Var(next(values), next(values))
+        elif type(v) is str:
+            code = next(values)
+            if code > 0:
+                frames.append((v, code, []))
+                continue
+            t = Atom(v) if code == 0 else Str(v)
+        else:
+            t = Num(v)
+        while frames:
+            functor, arity, args = frames[-1]
+            args.append(t)
+            if len(args) < arity:
+                break
+            frames.pop()
+            t = Struct(functor, tuple(args))
+        else:
+            return t
 
 
 def variant(t1: Term, t2: Term) -> bool:

@@ -1,5 +1,7 @@
 """Policy registry behaviour and the audit trail."""
 
+import gc
+
 import pytest
 from conftest import of_kind
 
@@ -9,6 +11,8 @@ from logicweb.model import LWProgram, ProgramId
 from logicweb.security import (MAX_EVENTS, AuditLog, PolicyRegistry,
                                RegistryError, UNKNOWN_SIGNER)
 from logicweb.signatures import KeyStore, generate_keypair, sign_page
+from logicweb.syntax import parse_term_text, to_text
+from logicweb.terms import Atom, Str, Struct, Var
 
 DEFAULT = ProgramId.get("http://pol.example/default.html")
 ALICE_POL = ProgramId.get("http://pol.example/alice.html")
@@ -164,8 +168,31 @@ def test_audit_log_keeps_the_newest_events_and_counts_the_dropped():
         MAX_EVENTS + k, k, MAX_EVENTS + k)
 
 
+def test_an_event_keeps_its_goal_in_a_record_the_collector_does_not_track():
+    goal, _ = parse_term_text('open("f", read, S), [a, 1.5|T] = X')
+    ev = AuditLog().emit("syscall", goal, prefix="allow: ")
+    gc.collect()
+    gc.collect()
+    assert not gc.is_tracked(ev.record)
+    assert ev.subject == goal
+    assert ev.detail == "allow: " + to_text(goal)
+
+
+def test_an_event_prints_a_10k_deep_goal_and_a_goal_sharing_a_subterm():
+    deep = Atom("a")
+    for _ in range(10_000):
+        deep = Struct("f", (deep,))
+    shared = Struct("g", (Var("_G", 3), Str("s"), Var("X", 4)))
+    twice = Struct("h", (shared, shared))
+    log = AuditLog()
+    for goal in (deep, twice):
+        assert log.emit("syscall", goal).detail == to_text(goal)
+    assert log.events[-1].subject == twice
+    assert log.events[-1].detail == 'h(g(_G3, "s", X), g(_G3, "s", X))'
+
+
 def test_audit_events_are_immutable():
     ev = AuditLog().emit("notice", "hello")
-    for attr in ("kind", "subject", "detail", "chain"):
+    for attr in ("kind", "record", "subject", "detail", "chain"):
         with pytest.raises(AttributeError):
             setattr(ev, attr, "changed")

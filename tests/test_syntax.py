@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import printer_reference
 from logicweb.syntax import (INFIX_OPS, ParseError, parse_clause_terms,
                              parse_term_text, to_text, tokenize)
-from logicweb.terms import Atom, Num, Str, Struct, Var, variant
+from logicweb.terms import Atom, Num, Str, Struct, Var, make_list, variant
 
 
 def parse(text):
@@ -312,3 +313,57 @@ def test_print_parse_round_trip(t):
     text = to_text(t)
     back, _ = parse_term_text(text)
     assert variant(t, back), f"{text!r} reparsed as {to_text(back)!r}"
+
+
+# ---------------------------------------------------------------- the printer's stack
+
+_ANONYMOUS = st.sampled_from([Var("_", -1), Var("_", -2), Var("_G", -3),
+                              Var("_G7", -4), Var("_Gx", -3)])
+
+
+def _printable(depth=3):
+    leaves = st.one_of(_SIMPLE, _ANONYMOUS)
+    if depth == 0:
+        return leaves
+    sub = _printable(depth - 1)
+    # operators of one priority and each fixity, often nested in each other
+    binary = st.sampled_from(["-", "+", "*", ",", ";", "->", ":", "=", "<>", "."])
+    return st.one_of(
+        leaves,
+        st.tuples(st.one_of(_FUNCTORS, st.just(".")), st.lists(sub, min_size=1, max_size=3))
+        .map(lambda fa: Struct(fa[0], tuple(fa[1]))),
+        st.tuples(binary, sub, sub).map(lambda fab: Struct(fab[0], fab[1:])),
+        sub.map(lambda a: Struct("@", (a,))),
+        st.tuples(st.lists(sub, min_size=1, max_size=3), st.one_of(sub, st.just(Atom("[]"))))
+        .map(lambda it: make_list(*it)),
+    )
+
+
+@given(_printable(), st.sampled_from([0, 199, 200, 699, 999, 1200]), st.booleans())
+@settings(max_examples=400)
+@example(Struct("-", (Num(1), Struct("-", (Num(2), Num(3))))), 1200, False)
+@example(Struct("-", (Struct("-", (Num(1), Num(2))), Num(3))), 1200, False)
+@example(Struct("@", (Struct("@", (Atom("a"),)),)), 199, False)
+@example(Struct(".", (Var("_", -1), Var("_G", -2))), 1200, True)
+def test_printer_agrees_with_the_recursive_reference(t, max_prec, numbered):
+    names = {} if numbered else None
+    ref_names = {} if numbered else None
+    assert (to_text(t, max_prec, names)
+            == printer_reference.to_text(t, max_prec, ref_names))
+    assert names == ref_names
+
+
+def test_the_printer_takes_10k_deep_terms():
+    n = 10_000
+    nested, left, right = Atom("a"), Num(1), Num(1)
+    for _ in range(n):
+        nested = Struct("f", (nested,))
+        left = Struct("-", (left, Num(1)))
+        right = Struct("-", (Num(1), right))
+    assert to_text(nested) == "f(" * n + "a" + ")" * n
+    assert to_text(left) == " - ".join(["1"] * (n + 1))
+    assert to_text(right) == "1 - (" * (n - 1) + "1 - 1" + ")" * (n - 1)
+    lists = Atom("[]")
+    for _ in range(n):
+        lists = make_list([lists])
+    assert to_text(lists) == "[" * n + "[]" + "]" * n

@@ -1,18 +1,35 @@
 """Unification, substitutions, renaming, and term utilities."""
 
-from hypothesis import given, settings
+import gc
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import struct
+from logicweb.model import parse_program, rename_clause
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Substitution,
-                            Var, fresh_var, list_items, make_list, occurs_in,
-                            rename_apart, unify, variant, variant_key)
+                            Var, decode, encode, fresh_var, list_items,
+                            make_list, occurs_in, rename_apart, unify, variant,
+                            variant_key)
 
 
 def test_fresh_vars_are_distinct():
     a, b = fresh_var("X"), fresh_var("X")
     assert a.id != b.id
     assert a != b
+
+
+def test_a_var_equals_by_name_and_id_and_a_str_never_equals_an_atom():
+    assert Var("X", 1) == Var("X", 1)
+    assert hash(Var("X", 1)) == hash(Var("X", 1))
+    assert Var("X", 1) != Var("Y", 1)
+    assert Var("X", 1) != Var("X", 2)
+    assert Var("a", 1) != Atom("a")
+    assert Str("a") == Str("a")
+    assert hash(Str("a")) == hash(Str("a"))
+    assert Str("a") != Atom("a") and Atom("a") != Str("a")
+    assert Str("a") != Str("b")
+    assert len({Str("a"), Atom("a"), Var("a", 1), Var("a", 1)}) == 3
 
 
 def test_unify_atoms():
@@ -112,6 +129,20 @@ def test_rename_apart_preserves_sharing():
     a, b = renamed.args
     assert a == b
     assert a != x
+
+
+def test_renaming_clauses_leaves_no_garbage_cycles():
+    clause = parse_program("p(X, f(Y, [X|T])) :- q(Y), r(T, Z), s(Z).\n")[0]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            rename_clause(clause)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rename_apart_shared_mapping_spans_terms():
@@ -239,3 +270,53 @@ def test_rename_apart_gives_variant(t):
 @settings(max_examples=150)
 def test_unification_is_symmetric_in_success(a, b):
     assert (unify(a, b) is None) == (unify(b, a) is None)
+
+
+# the records an audit event keeps its goal in
+
+_RECORD_LEAVES = st.sampled_from([
+    Atom("a"), Str("a"), Num(1), Num(1.0), Num(-2.5), Atom("[]"), Atom("!"),
+    Atom("it's"), Str(""), Var("X", 5), Var("X", 6), Var("Y", 5),
+    Var("_", 7), Var("_G", 8), Var("_G12", 9)])
+_RECORD_FUNCTORS = st.sampled_from(["f", "A b", "it's", ".", "-", ",", "@", "[]"])
+
+
+def _record_terms(depth=3):
+    if depth == 0:
+        return _RECORD_LEAVES
+    sub = _record_terms(depth - 1)
+    return st.one_of(
+        _RECORD_LEAVES,
+        st.tuples(_RECORD_FUNCTORS, st.lists(sub, min_size=1, max_size=3))
+        .map(lambda fa: Struct(fa[0], tuple(fa[1]))),
+        st.tuples(st.lists(sub, min_size=1, max_size=3), sub)
+        .map(lambda it: make_list(*it)))
+
+
+def _same(a, b) -> bool:
+    """Equal, down to the Python type of every number."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is Struct:
+        return (a.functor == b.functor and len(a.args) == len(b.args)
+                and all(map(_same, a.args, b.args)))
+    return a == b and (type(a) is not Num or type(a.value) is type(b.value))
+
+
+@given(_record_terms())
+@settings(max_examples=300)
+@example(Atom("a"))
+@example(Str("a"))
+@example(Num(1))
+@example(Num(1.0))
+@example(Struct("f", (Var("_G", 3), Var("X", 3))))
+def test_encode_then_decode_gives_the_term_back(t):
+    record = encode(t)
+    assert all(v is None or type(v) in (str, int, float) for v in record)
+    assert _same(decode(record), t)
+
+
+def test_a_record_tells_atoms_strings_and_numbers_apart():
+    leaves = [Atom("a"), Str("a"), Num(1), Num(1.0), Num(0), Atom("[]")]
+    assert [decode(encode(t)) for t in leaves] == leaves
+    assert type(decode(encode(Num(1.0))).value) is float
