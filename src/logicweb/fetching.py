@@ -49,19 +49,24 @@ class FetchError(Exception):
         self.detail = detail
 
 
-def _default_headers(body: str) -> list[tuple[str, str]]:
-    return [("Content-Type", "text/html"),
-            ("Content-Length", str(len(body.encode("utf-8"))))]
+def _default_headers(length: int) -> list[tuple[str, str]]:
+    """The headers of a page that names none: HTML of `length` bytes."""
+    return [("Content-Type", "text/html"), ("Content-Length", str(length))]
 
 
 def _file_response(url: str, path: Path) -> HttpResponse:
     if not path.is_file():
         raise FetchError("status", f"no such fixture file: {path}")
     try:
-        body = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        body = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FetchError("status", f"cannot read fixture file {path}: {exc}") from exc
-    return HttpResponse(url, url, _default_headers(body), body)
+    length = len(data)
+    if "\r" in body:   # each line end read as "\n", as text mode reads it
+        length -= data.count(b"\r\n")
+        body = body.replace("\r\n", "\n").replace("\r", "\n")
+    return HttpResponse(url, url, _default_headers(length), body)
 
 
 def _linked_out(root: Path, rel: str) -> bool:
@@ -87,7 +92,8 @@ def fetch_response(url: str, cfg: FetchConfig, method: str = "get",
     if entry is not None:
         if entry.status != 200:
             raise FetchError("status", f"status {entry.status} for {url}")
-        headers = entry.headers if entry.headers is not None else _default_headers(entry.body)
+        headers = (entry.headers if entry.headers is not None
+                   else _default_headers(len(entry.body.encode("utf-8"))))
         return HttpResponse(url, entry.final_url or url, headers, entry.body)
 
     for prefix, root in sorted(cfg.mounts, key=lambda m: -len(m[0])):

@@ -30,7 +30,22 @@ class LWCodeError(Exception):
         self.offset = offset
 
 
-_LW_TAG_RE = re.compile(r"<\s*(/?)\s*lw_code\s*>", re.IGNORECASE)
+# `(/\s*)?`, not `/?\s*`: a failed match then backtracks over a run of
+# whitespace once, not once for each way of splitting it
+_LW_TAG_RE = re.compile(r"<\s*(/\s*)?lw_code\s*>", re.IGNORECASE)
+
+
+def _lw_tags(html: str):
+    """The matches of _LW_TAG_RE in `html`, in order. A tag holds one `_`
+    and no second `<`, so only the nearest `<` before a `_` is tried, and
+    each at most once."""
+    lt = html.find("<")
+    while lt != -1 and (under := html.find("_", lt)) != -1:
+        lt = html.rfind("<", lt, under)
+        m = _LW_TAG_RE.match(html, lt)
+        if m:
+            yield m
+        lt = html.find("<", m.end() if m else under)
 
 
 def extract_lw_code(html: str) -> tuple[str, str]:
@@ -42,7 +57,7 @@ def extract_lw_code(html: str) -> tuple[str, str]:
     pieces: list[str] = []
     stripped: list[str] = []
     pos, opened = 0, None
-    for m in _LW_TAG_RE.finditer(html):
+    for m in _lw_tags(html):
         if opened is None and m[1]:
             raise LWCodeError("unmatched closing LW_CODE tag", m.start())
         if opened is None:

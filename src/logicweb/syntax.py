@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,8 +26,11 @@ class ParseError(Exception):
         self.column = column
 
 
-def _error_at(text: str, pos: int, message: str) -> ParseError:
-    """A ParseError naming the line and column of offset `pos` in `text`."""
+def _error_at(text: str, index: int, message: str) -> ParseError:
+    """A ParseError naming the line and column where the `index`-th token of
+    `text` starts, or the end of `text` when it has fewer tokens."""
+    pos = next((m.start(1) for m in islice(_TOKEN_RE.finditer(text), index, None)),
+               len(text))
     line_start = text.rfind("\n", 0, pos) + 1
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
@@ -54,25 +58,30 @@ _SYMBOLIC_OPS = [
     "<>", "=", "<", ">", "+", "-", "*", "/", "@", ";", ":", "!", "#",
 ]
 
-# whitespace and comments match no named group, and BAD any character that
-# nothing else takes; a '.' between digits belongs to the number, so an END
-# token always ends a clause
+# One match a token: the whitespace and comments before it, then the token
+# in the one group: NUM, NAME, VAR, STR, QATOM, OP, PUNCT, END, any other
+# character (BAD) or the end of the text (EOF), whose alternative also keeps
+# backtracking from re-splitting a trailing comment. A '.' between digits
+# belongs to the number, so an END token always ends a clause.
 _TOKEN_RE = re.compile(
-    r"""
-      \s+
-    | %[^\n]*
-    | (?P<NUM>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<NAME>[a-z][A-Za-z0-9_]*)
-    | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
-    | (?P<STR>"(?:\\.|[^"\\])*")
-    | (?P<QATOM>'(?:\\.|[^'\\])*')
-    | (?P<OP>""" + "|".join(re.escape(o) for o in sorted(_SYMBOLIC_OPS, key=len, reverse=True)) + r""")
-    | (?P<PUNCT>[()\[\],|])
-    | (?P<END>\.)
-    | (?P<BAD>.)
-    """,
+    r"""(?:\s+|%[^\n]*)*
+    ( \d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | [a-z][A-Za-z0-9_]*
+    | [A-Z_][A-Za-z0-9_]*
+    | "(?:\\.|[^"\\])*"
+    | '(?:\\.|[^'\\])*'
+    | """ + "|".join(re.escape(o) for o in sorted(_SYMBOLIC_OPS, key=len, reverse=True)) + r"""
+    | [()\[\],|] | \. | . | \Z )""",
     re.VERBOSE,
 )
+
+# a token's kind by its first character; a digit, the end of the text and
+# a character that starts no token have none
+_KINDS = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "NAME"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "VAR"),
+          **dict.fromkeys(":\\=<>#-+*/@;!", "OP"),
+          **dict.fromkeys("()[],|", "PUNCT"), ".": "END", '"': "STR", "'": "QATOM"}
+_LONE = {'"', "'", "\\"}    # an unterminated quote, or `\` before no `=`
 
 # a backslash stands for the character after it, but for these three
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -83,28 +92,37 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPES.get(m[1], m[1])
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        tok, pos = m.group(), m.start()
+def _tokens(text: str) -> list[tuple[str, str, object]]:
+    """(kind, text as written, value) per token of `text`, then EOF. A
+    number, string or quoted atom carries its value, any other token its
+    text; where a token starts is worked out only for an error."""
+    toks: list[tuple[str, str, object]] = []
+    for tok in _TOKEN_RE.findall(text):
+        kind = _KINDS.get(tok[:1])
         value: object = tok
-        if kind == "NUM":
+        if kind is None or tok in _LONE:
+            if not tok:
+                break
+            if not tok[0].isdecimal():    # \d takes any decimal digit
+                raise _error_at(text, len(toks), f"unexpected character {tok!r}")
+            kind = "NUM"
             try:
                 value = int(tok) if tok.isdigit() else float(tok)
             except ValueError:   # int() refuses what the printer could not write
-                raise _error_at(text, pos, "integer too long to print") from None
+                raise _error_at(text, len(toks), "integer too long to print") from None
             if value == math.inf:   # float() reads a too-large literal as inf
-                raise _error_at(text, pos, f"number out of range: {tok}")
+                raise _error_at(text, len(toks), f"number out of range: {tok}")
         elif kind == "STR" or kind == "QATOM":
             value = _ESCAPE_RE.sub(_unescape, tok[1:-1])
-        elif kind == "BAD":
-            raise _error_at(text, pos, f"unexpected character {tok!r}")
-        tokens.append(Token(kind, tok, pos, value))
-    tokens.append(Token("EOF", "", len(text)))
-    return tokens
+        toks.append((kind, tok, value))
+    toks.append(("EOF", "", None))
+    return toks
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of `text` with their offsets, ending in EOF."""
+    return [Token(kind, tok, m.start(1), value) for (kind, tok, value), m
+            in zip(_tokens(text), _TOKEN_RE.finditer(text))]
 
 
 # ---------------------------------------------------------------- operator table
@@ -136,38 +154,33 @@ CURRENT_CONTEXT_NAME = "(#)"    # atom standing for the calling context
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text. Tokens are told apart
-    by their text: only a bare operator, `,` or `is` has the text of an
-    INFIX_OPS key, and only punctuation has the text of punctuation."""
+    """Recursive descent over the (kind, text, value) tokens of one text,
+    read by index. Tokens are told apart by their text: only a bare
+    operator, `,` or `is` has the text of an INFIX_OPS key, and only
+    punctuation has the text of punctuation."""
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text)
+        self.toks = _tokens(text)
         self.i = 0
         self.varmap: dict[str, Var] = {}
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "EOF":
-            self.i += 1
-        return t
-
-    def error(self, message: str, t: Token | None = None) -> ParseError:
-        """A ParseError located at `t`, by default the next token."""
-        return _error_at(self.text, (t or self.peek()).pos, message)
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError located at token `i`, by default the next one."""
+        return _error_at(self.text, self.i if i is None else i, message)
 
     def expect(self, text: str, want: str | None = None) -> None:
-        t = self.next()
-        if t.text != text:
-            raise self.error(f"expected {want or text!r}, found {t.text or t.kind!r}", t)
+        i = self.i
+        found = self.toks[i][1]
+        if found != text:
+            raise self.error(f"expected {want or text!r}, found {found or 'EOF'!r}", i)
+        self.i = i + 1
 
     def parse_term(self, max_prec: int) -> Term:
         left = self.parse_primary(max_prec)
+        toks = self.toks
         while True:
-            name = self.toks[self.i].text
+            name = toks[self.i][1]
             op = INFIX_OPS.get(name)
             if op is None or op[0] > max_prec:
                 return left
@@ -177,8 +190,9 @@ class _Parser:
             left = Struct(name, (left, right))
 
     def parse_primary(self, max_prec: int) -> Term:
-        t = self.next()
-        kind, text = t.kind, t.text
+        toks, i = self.toks, self.i
+        kind, text, value = toks[i]
+        self.i = i + 1
         if kind == "VAR":
             if text == "_":
                 return Var("_", fresh_var_id())
@@ -187,14 +201,14 @@ class _Parser:
                 v = self.varmap[text] = Var(text, fresh_var_id())
             return v
         if kind == "NUM":
-            return Num(t.value)
+            return Num(value)
         if kind == "STR":
-            return Str(t.value)
+            return Str(value)
         if text == "(":
             # the context marker (#) and the reduce markers (+) (*) (/)
-            marker = self.peek().text
-            if marker in ("#", "+", "*", "/") and self.toks[self.i + 1].text == ")":
-                self.i += 2
+            marker = toks[i + 1][1]
+            if marker in ("#", "+", "*", "/") and toks[i + 2][1] == ")":
+                self.i = i + 3
                 return Atom(CURRENT_CONTEXT_NAME if marker == "#" else marker)
             inner = self.parse_term(1200)
             self.expect(")")
@@ -202,35 +216,36 @@ class _Parser:
         if text == "@":
             prec, _ = PREFIX_OPS["@"]
             if prec > max_prec:
-                raise self.error("operator priority clash for '@'", t)
+                raise self.error("operator priority clash for '@'", i)
             return Struct("@", (self.parse_term(prec),))
-        if text == "-" and self.peek().kind == "NUM":
-            return Num(-self.next().value)
+        if text == "-" and toks[i + 1][0] == "NUM":
+            self.i = i + 2
+            return Num(-toks[i + 1][2])
         if text == "!":
             return Atom("!")
         if text == "[":
-            if self.peek().text == "]":
-                self.i += 1
+            if toks[i + 1][1] == "]":
+                self.i = i + 2
                 return Atom("[]")
         elif kind == "OP":
-            raise self.error(f"unexpected operator {text!r}", t)
+            raise self.error(f"unexpected operator {text!r}", i)
         elif kind != "NAME" and kind != "QATOM":
-            raise self.error(f"unexpected {text or kind!r}", t)
-        elif self.peek().text == "(":
-            self.i += 1
+            raise self.error(f"unexpected {text or kind!r}", i)
+        elif toks[i + 1][1] == "(":
+            self.i = i + 2
         else:
-            return Atom(t.value)
+            return Atom(value)
         # the items of a list or the arguments of a compound, in this frame
         # so that each level of nesting costs as few Python frames as it can
         items = [self.parse_term(999)]
-        while self.toks[self.i].text == ",":
+        while toks[self.i][1] == ",":
             self.i += 1
             items.append(self.parse_term(999))
         if text != "[":
             self.expect(")")
-            return Struct(t.value, tuple(items))
+            return Struct(value, tuple(items))
         tail: Term = Atom("[]")
-        if self.peek().text == "|":
+        if toks[self.i][1] == "|":
             self.i += 1
             tail = self.parse_term(999)
         self.expect("]")
@@ -244,9 +259,9 @@ def parse_term_text(text: str) -> tuple[Term, dict[str, Var]]:
         t = p.parse_term(1200)
     except RecursionError:   # deeper than the Python stack allows
         raise p.error("term nested too deeply") from None
-    if p.peek().kind == "END":
-        p.next()
-    if p.peek().kind != "EOF":
+    if p.toks[p.i][0] == "END":
+        p.i += 1
+    if p.toks[p.i][0] != "EOF":
         raise p.error("trailing input after term")
     return t, p.varmap
 
@@ -258,7 +273,7 @@ def parse_clause_terms(text: str) -> list[Term]:
     p = _Parser(text)
     out: list[Term] = []
     try:
-        while p.peek().kind != "EOF":
+        while p.toks[p.i][0] != "EOF":
             p.varmap = {}
             out.append(p.parse_term(1200))
             p.expect(".", "END")

@@ -10,7 +10,7 @@ from logicweb.engine import solutions
 from logicweb.model import ProgramId, clause_text
 from logicweb.signatures import (KeyStore, authenticate, generate_keypair,
                                  sign_page)
-from logicweb.terms import Num
+from logicweb.terms import Num, Str
 
 
 def test_pages_table_hit():
@@ -256,6 +256,20 @@ def test_a_skipped_cache_file_is_warned_of_at_the_line_in_the_file(
     with caplog.at_level("WARNING"):
         load_store(tmp_path, make_session(pages))
     assert "line 2, column 7" in caplog.text
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_a_mounted_page_names_its_length_in_bytes(tmp_path, pages, line_end):
+    # more bytes than characters; a "\r\n" is read, and counted, as "\n"
+    text = "<p>café, naïve, ☃</p>\n<LW_CODE>p(1).</LW_CODE>\n"
+    (tmp_path / "page.html").write_bytes(text.replace("\n", line_end).encode("utf-8"))
+    session = make_session(pages, security=False)
+    session.fetch_config.mounts.append(("http://mounted.example/", tmp_path))
+    url = "http://mounted.example/page.html"
+    assert solutions(session, url, 'about("content-length", N)') == [
+        {"N": Str(str(len(text.encode("utf-8"))))}]
+    page_text = text.replace("<LW_CODE>p(1).</LW_CODE>", "")
+    assert solutions(session, url, "h_text(T)") == [{"T": Str(page_text)}]
 
 
 def test_undecodable_fixture_page_fails_the_download(tmp_path, pages):

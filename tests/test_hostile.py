@@ -203,6 +203,12 @@ HOSTILE_PAGES = {
     # the `>` that would end it
     "unclosed_start_tags_50k": (CODE + "<a href='x.html' " * 50_000, 0, 3.0),
     "unclosed_end_tags_50k": (CODE + "</a " * 50_000, 0, 3.0),
+    # every LW_CODE tag holds a `_`: a search that tries the `<` before
+    # each `_` must try each `<` once, and backtrack over a run of
+    # whitespace after one once, not once for each way of splitting it
+    "underscores_1mb": (CODE + "_" * 1_000_000, 0, 3.0),
+    "spaces_after_a_bracket_1mb": (CODE + "<" + " " * 1_000_000 + "_" * 100_000, 0, 3.0),
+    "bracket_underscores_200k": (CODE + "<_" * 200_000, 0, 3.0),
 }
 
 

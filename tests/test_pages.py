@@ -1,10 +1,14 @@
 """Extraction of embedded code and links, page-to-program translation."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logicweb.model import ProgramId, clause_text
-from logicweb.pages import (HttpResponse, LWCodeError, extract_links,
-                            extract_lw_code, translate_page)
+from logicweb.pages import (HttpResponse, LWCodeError, _strip_wrappers,
+                            extract_links, extract_lw_code, translate_page)
 from logicweb.syntax import to_text
 
 
@@ -47,6 +51,62 @@ def test_unbalanced_tags_rejected():
         extract_lw_code("f(a).</LW_CODE>")
     with pytest.raises(LWCodeError):
         extract_lw_code("</LW_CODE>x<LW_CODE>")
+
+
+# the tag search as it was: the pattern tried at every position of the page
+_REFERENCE_TAG_RE = re.compile(r"<\s*(/?)\s*lw_code\s*>", re.IGNORECASE)
+
+
+def reference_lw_code(html: str) -> tuple[str, str]:
+    pieces: list[str] = []
+    stripped: list[str] = []
+    pos, opened = 0, None
+    for m in _REFERENCE_TAG_RE.finditer(html):
+        if opened is None and m[1]:
+            raise LWCodeError("unmatched closing LW_CODE tag", m.start())
+        if opened is None:
+            opened = m
+        elif m[1]:
+            stripped.append(html[pos:opened.start()])
+            pieces.append(_strip_wrappers(html[opened.end():m.start()]))
+            pos, opened = m.end(), None
+    if opened is not None:
+        raise LWCodeError("unclosed LW_CODE tag", opened.start())
+    stripped.append(html[pos:])
+    return "\n".join(pieces), "".join(stripped)
+
+
+def _tag_outcome(extract, html):
+    try:
+        return extract(html)
+    except LWCodeError as exc:
+        return str(exc), exc.offset
+
+
+SPACE = st.sampled_from(["", " ", "\n", "\t ", "\x0b", "\u3000"])
+NAME = st.sampled_from(["lw_code", "LW_CODE", "Lw_Code", "lW_cOdE"])
+OPEN = st.builds("<{}{}{}>".format, SPACE, NAME, SPACE)
+CLOSE = st.builds("<{}/{}{}{}>".format, SPACE, SPACE, NAME, SPACE)
+# tags with attributes or misspelt, underscores everywhere, stray brackets,
+# wrappers and code
+NOISE = st.lists(st.sampled_from([
+    "<LW_CODE x=1>", "</lw_code x>", "<lw_code/>", "< lw_code", "lw_code>",
+    "<lw code>", "<lw__code>", "<lw_codex>", "</ /lw_code>", "<_", "_", "__",
+    "<", ">", "/", "<!--", "-->", "<pre>", "</PRE>", "f(a).", "text", "\n",
+    " ", "<a href='x_y.html'>x</a>"]), max_size=4).map("".join)
+# mostly balanced blocks, with now and then a stray tag of either kind
+PAGES = st.lists(st.one_of(st.builds("{}{}{}".format, OPEN, NOISE, CLOSE),
+                           NOISE, OPEN, CLOSE), max_size=6).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAGES)
+@example("<LW_CODE>f(a).</LW_CODE> mid <LW_CODE>g(b).</LW_CODE>")
+@example("< Lw_Code\t>f(a).<\n/\tLW_CODE >_<_")
+@example("<LW_CODE>f(a).<LW_CODE>g(b).</LW_CODE></LW_CODE>")
+@example("_<lw_code>x</lw_code x></lw_code>")
+def test_the_tag_search_finds_what_the_pattern_finds_at_every_position(html):
+    assert _tag_outcome(extract_lw_code, html) == _tag_outcome(reference_lw_code, html)
 
 
 def test_extract_links_order_and_label_cleanup():

@@ -367,3 +367,26 @@ def test_the_printer_takes_10k_deep_terms():
     for _ in range(n):
         lists = make_list([lists])
     assert to_text(lists) == "[" * n + "[]" + "]" * n
+
+
+def _nested(shape: str, n: int) -> str:
+    if shape == "compound":
+        return "p(" + "f(" * n + "a" + ")" * n + ")."
+    if shape == "list":
+        return "p(" + "[" * n + "a" + "]" * n + ")."
+    return "p :- " + ", ".join(["q"] * n) + "."
+
+
+# (depth that reads, depth that is too deep), as the ROADMAP baseline
+# records them for a reader called at the top of the stack
+NESTING = {"compound": (450, 500), "list": (450, 500), "conjunction": (900, 1000)}
+
+
+@pytest.mark.parametrize("entry", [parse_term_text, parse_clause_terms],
+                         ids=["term", "clauses"])
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_the_reader_nests_as_deep_as_the_baseline_records(shape, entry):
+    reads, too_deep = NESTING[shape]
+    entry(_nested(shape, reads))
+    with pytest.raises(ParseError, match="^term nested too deeply at line 1, "):
+        entry(_nested(shape, too_deep))
