@@ -13,10 +13,10 @@ from .guards import (EngineHooks, Guard, GuardConfig, GuardOutcome,
                      GuardTermination, guarded_solve)
 from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     ExpressionError, Intersection, LWProgram,
-                    ProgramExpression, ProgramId, ProgramStore, Restriction,
-                    Union, clause_from_term, clause_text, clause_to_term,
-                    expids, expr_from_term, expr_text, expr_to_term,
-                    parse_goal, parse_program)
+                    ProgramExpression, ProgramId, Restriction, Union,
+                    clause_from_term, clause_text, clause_to_term,
+                    expr_from_term, expr_text, expr_to_term, parse_goal,
+                    parse_program)
 from .pages import (HttpResponse, LWCodeError, extract_links, extract_lw_code,
                     translate_page)
 from .security import (AuditEvent, AuditLog, PolicyRegistry, RegistryError)

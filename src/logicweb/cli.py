@@ -218,7 +218,7 @@ def cmd_store_list(args) -> int:
     session = Session(PolicyRegistry({"unknown": NO_POLICY}),
                       config=EngineConfig(security_enabled=False))
     load_store(_required_store_dir(args), session)
-    for program in sorted(session.store.programs(),
+    for program in sorted(session.store.values(),
                           key=lambda p: p.id.serialize()):
         pol = session.registry.program_to_policy.get(program.id)
         suffix = f"  policy={pol.url}" if pol else ""

@@ -22,8 +22,8 @@ from .fetching import FetchConfig, add_programs
 from .guards import EngineHooks
 from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     ExpressionError, Intersection, LWProgram,
-                    ProgramExpression, ProgramId, ProgramStore, Restriction,
-                    Union, expids, expr_from_term, parse_goal, rename_clause)
+                    ProgramExpression, ProgramId, Restriction, Union,
+                    expr_from_term, parse_goal, rename_clause)
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify, variant_key)
@@ -65,7 +65,7 @@ class Session:
         self.registry = registry
         self.fetch_config = fetch_config or FetchConfig()
         self.config = config or EngineConfig()
-        self.store = ProgramStore()
+        self.store: dict[ProgramId, LWProgram] = {}
         self.audit = AuditLog()
         self.hooks = hooks or EngineHooks()
         self.streams: dict[int, object] = {}
@@ -88,10 +88,11 @@ class Session:
         self.audit.emit("notice", message)
 
     def install_local(self, program: LWProgram, contents: str = "") -> None:
-        """Place a program in the store and, under security, give it a
-        policy from its page text `contents` unless it has one: the one way
-        in for a download, the disk cache and a program built in place."""
-        self.store.install(program)
+        """Place a program in the store, unless its id is there already,
+        and, under security, give it a policy from its page text `contents`
+        unless it has one: the one way in for a download, the disk cache and
+        a program built in place."""
+        self.store.setdefault(program.id, program)
         if self.config.security_enabled:
             self.registry.assign_policy(program.id, contents)
 
@@ -260,7 +261,7 @@ class Session:
             barrier = Barrier()
         registry = self.registry
         security = self.config.security_enabled
-        ids = expids(f)
+        ids = f.ids
         new_ids = [p for p in ids if not registry.is_policy(p)]
 
         if security and sigma and new_ids:

@@ -18,7 +18,7 @@ from .model import ExpressionError, LWProgram, ProgramId, parse_program
 from .pages import HttpResponse, translate_page
 
 MAX_REDIRECTS = 5
-MAX_BODY_BYTES = 8 << 20          # a longer response body is refused
+MAX_BODY_BYTES = 8 << 20          # a longer body is refused, whatever its source
 
 
 class FetchConfig:
@@ -54,11 +54,18 @@ def _default_headers(length: int) -> list[tuple[str, str]]:
     return [("Content-Type", "text/html"), ("Content-Length", str(length))]
 
 
+def _check_length(url: str, length: int) -> None:
+    if length > MAX_BODY_BYTES:
+        raise FetchError("status", f"body of {url} exceeds {MAX_BODY_BYTES} bytes")
+
+
 def _file_response(url: str, path: Path) -> HttpResponse:
     if not path.is_file():
         raise FetchError("status", f"no such fixture file: {path}")
     try:
-        data = path.read_bytes()
+        with path.open("rb") as f:
+            data = f.read(MAX_BODY_BYTES + 1)
+        _check_length(url, len(data))
         body = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FetchError("status", f"cannot read fixture file {path}: {exc}") from exc
@@ -92,8 +99,10 @@ def fetch_response(url: str, cfg: FetchConfig, method: str = "get",
     if entry is not None:
         if entry.status != 200:
             raise FetchError("status", f"status {entry.status} for {url}")
+        length = len(entry.body.encode("utf-8"))
+        _check_length(url, length)
         headers = (entry.headers if entry.headers is not None
-                   else _default_headers(len(entry.body.encode("utf-8"))))
+                   else _default_headers(length))
         return HttpResponse(url, entry.final_url or url, headers, entry.body)
 
     for prefix, root in sorted(cfg.mounts, key=lambda m: -len(m[0])):
@@ -135,8 +144,7 @@ def _http_fetch(url: str, cfg: FetchConfig, method: str, fields) -> HttpResponse
                 raise FetchError("status", f"status {resp.status_code} for {url}")
             for chunk in resp.iter_content(1 << 16):
                 body += chunk
-                if len(body) > MAX_BODY_BYTES:
-                    raise FetchError("status", f"body of {url} exceeds {MAX_BODY_BYTES} bytes")
+                _check_length(url, len(body))
         except requests.RequestException as exc:
             raise FetchError("network", str(exc)) from exc
     # the charset the Content-Type names, else UTF-8 (requests would take
@@ -203,7 +211,7 @@ def save_store(dirpath: str | Path, session) -> None:
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     policies = session.registry.program_to_policy
-    for program in session.store.programs():
+    for program in session.store.values():
         header = program.id.serialize()
         if program.id in policies:
             header += "\t" + policies[program.id].serialize()

@@ -6,6 +6,8 @@ derivation with GuardTermination when a bound is crossed. The loop check
 keys each live goal by its context and the variant key of the goal, read
 through the goal's substitution, so a goal is a loop exactly when its key
 is already live: one set lookup, in time linear in the goal's size. A
+context's size and hash come with it, worked out from its parts when it
+was built, so the size cap and the loop key never walk the context. A
 policy verdict the session may keep (`verdicts`) is proved under `watch`,
 and the Guard sums up the goals it enters and the clauses it applies while
 that proof runs. A reused verdict is offered to `admits` as that summary,
@@ -22,7 +24,6 @@ import itertools
 import time
 from typing import Callable, NamedTuple, Optional
 
-from .model import EmptyProgram, ProgramId, leaves
 # `variant` stays importable here for tools that patch it by this name
 from .terms import EMPTY_SUBST, Substitution, Term, variant, variant_key  # noqa: F401
 
@@ -105,16 +106,8 @@ class GuardConfig(NamedTuple):
     max_programs: Optional[int] = 100
     timeout_ms: Optional[int] = None
     # a cap on context size catches the loops the ancestor check cannot,
-    # where the context keeps growing (a context that doubles at every
-    # level would otherwise take exponential time to walk)
+    # where the context keeps growing, as one that doubles at every level does
     max_context_size: Optional[int] = 100
-
-
-def context_size(ctx) -> int:
-    """Number of leaves (program ids and empty programs) in a context expression."""
-    if isinstance(ctx, (ProgramId, EmptyProgram)):
-        return 1
-    return sum(1 for _ in leaves(ctx))
 
 
 class Guard(EngineHooks):
@@ -128,8 +121,6 @@ class Guard(EngineHooks):
         self._live: set[tuple] = set()
         self.clauses_applied = 0
         self.programs_created = 0
-        # contexts are immutable: a size stays valid while the object does
-        self._sized: tuple[object, int] = (None, 0)
         # while a proof is watched: the depth and clause count it began at,
         # and its deepest goal, largest context and loop keys so far
         self._watch: tuple[int, int] | None = None
@@ -162,11 +153,9 @@ class Guard(EngineHooks):
             key = (ctx, variant_key(goal, s))
             if key in self._live:
                 self._stop(LOOP_FOUND)
-        if self.config.max_context_size is not None:
-            if self._sized[0] is not ctx:
-                self._sized = (ctx, context_size(ctx))
-            if self._sized[1] > self.config.max_context_size:
-                self._stop(LOOP_FOUND)
+        if (self.config.max_context_size is not None
+                and ctx.size > self.config.max_context_size):
+            self._stop(LOOP_FOUND)
         token = len(self.ancestors)
         self.ancestors.append(key)
         if key is not None:
@@ -176,10 +165,8 @@ class Guard(EngineHooks):
             self._stop(DEPTH_EXCEEDED)
         if self._watch is not None:
             # the summary holds every key and size, whichever checks are on
-            if self._sized[0] is not ctx:
-                self._sized = (ctx, context_size(ctx))
             self._keys.add(key or (ctx, variant_key(goal, s)))
-            self._largest = max(self._largest, self._sized[1])
+            self._largest = max(self._largest, ctx.size)
             self._deepest = max(self._deepest, token + 1 - self._watch[0])
         return token
 

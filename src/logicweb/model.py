@@ -1,17 +1,18 @@
-"""Program identifiers, clauses, composition expressions, the store.
+"""Program identifiers, clauses, composition expressions, indexed programs.
 
 A LogicWeb program is a set of clauses obtained by translating a web page;
 it is named by how it was retrieved (`lw(head, URL)`, `lw(get, URL)`,
 `lw(post(Fields), URL)`). Goals run against a *composition expression* over
 such programs. Clause bodies and goals stay plain terms: the expression of
 a context switch may still contain logic variables, so it is only read as
-an expression at evaluation time.
+an expression at evaluation time. Each expression node works out its
+program ids, size and hash from its parts when it is built.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Iterator, Optional
+from typing import Iterable
 
 from . import syntax
 from .terms import (TRUE_ATOM, Atom, Record, Str, Struct, Substitution, Term,
@@ -23,7 +24,13 @@ class ExpressionError(ValueError):
 
 
 class ProgramExpression(Record):
+    """A composition expression. `ids`: its program ids, each once, in
+    left-to-right leaf order, the order a context switch vets and fetches
+    them in. `size`: its leaves, ids and empty programs alike, counted."""
+
     __slots__ = ()
+    ids: tuple = ()
+    size = 1
 
 
 # ---------------------------------------------------------------- identifiers
@@ -52,6 +59,11 @@ class ProgramId(ProgramExpression):
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def ids(self) -> tuple[ProgramId]:
+        # made at each read: an id holding itself would be a reference cycle
+        return (self,)
 
     @classmethod
     def head(cls, url: str) -> "ProgramId":
@@ -123,15 +135,34 @@ class EmptyProgram(ProgramExpression):
     __slots__ = ()
 
 
-class Union(ProgramExpression):
+class _Operator(ProgramExpression):
+    """An operator node. Its parts are its class's `__slots__`, which equality
+    compares; `ids`, `size` and the hash are worked out from them."""
+
+    __slots__ = ("ids", "size", "_hash")
+
+    def __init__(self, *parts: ProgramExpression):
+        super().__init__(*parts)
+        ids = parts[0].ids      # a part's own ids are each there once already
+        for part in parts[1:]:
+            ids += tuple([pid for pid in part.ids if pid not in ids])
+        _set(self, "ids", ids)
+        _set(self, "size", sum([part.size for part in parts]))
+        _set(self, "_hash", hash((type(self).__name__, *parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Union(_Operator):
     __slots__ = ("left", "right")
 
 
-class Intersection(ProgramExpression):
+class Intersection(_Operator):
     __slots__ = ("left", "right")
 
 
-class Restriction(ProgramExpression):
+class Restriction(_Operator):
     __slots__ = ("expr", "prog")
 
     def __init__(self, expr: ProgramExpression, prog: ProgramId):
@@ -141,31 +172,11 @@ class Restriction(ProgramExpression):
         super().__init__(expr, prog)
 
 
-class Encapsulation(ProgramExpression):
+class Encapsulation(_Operator):
     __slots__ = ("expr",)
 
 
 EMPTY_PROGRAM = EmptyProgram()
-
-
-def leaves(e: ProgramExpression) -> Iterator[ProgramExpression]:
-    """The identifiers and empty programs of an expression, left to right."""
-    if isinstance(e, (Union, Intersection)):
-        yield from leaves(e.left)
-        yield from leaves(e.right)
-    elif isinstance(e, Restriction):
-        yield from leaves(e.expr)
-        yield e.prog
-    elif isinstance(e, Encapsulation):
-        yield from leaves(e.expr)
-    else:
-        yield e
-
-
-def expids(e: ProgramExpression) -> tuple[ProgramId, ...]:
-    """The program identifiers of the expression, each once, in left-to-right
-    leaf order: the order a context switch vets and fetches them in."""
-    return tuple(dict.fromkeys(x for x in leaves(e) if isinstance(x, ProgramId)))
 
 
 def _expr_list(t: Term, ctx: ProgramExpression) -> list[ProgramExpression]:
@@ -327,7 +338,7 @@ def rename_clause(c: Clause) -> Clause:
     return Clause(rename_apart(c.head, mapping), rename_apart(c.body, mapping))
 
 
-# ---------------------------------------------------------------- the store
+# ---------------------------------------------------------------- indexed programs
 
 def first_arg_key(t: Term):
     """Index key of a first argument: an atom, number or string is its own
@@ -440,25 +451,3 @@ class LWProgram:
         entry = self._index.get(pred)
         return entry[0] if entry else ()
 
-
-class ProgramStore:
-    """Downloaded programs, keyed by identifier. The store only grows."""
-
-    def __init__(self):
-        self._programs: dict[ProgramId, LWProgram] = {}
-
-    def __contains__(self, pid: ProgramId) -> bool:
-        return pid in self._programs
-
-    def __len__(self) -> int:
-        return len(self._programs)
-
-    def get(self, pid: ProgramId) -> Optional[LWProgram]:
-        return self._programs.get(pid)
-
-    def install(self, program: LWProgram) -> None:
-        """Idempotent: an already-present id keeps its stored program."""
-        self._programs.setdefault(program.id, program)
-
-    def programs(self) -> Iterator[LWProgram]:
-        return iter(self._programs.values())

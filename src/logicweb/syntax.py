@@ -13,7 +13,6 @@ import re
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
 
 from .terms import (Atom, Num, Str, Struct, Term, Var, fresh_var_id,
                     list_items, make_list)
@@ -45,13 +44,6 @@ def read_text(path: str | Path) -> str:
 
 
 # ---------------------------------------------------------------- tokens
-
-class Token(NamedTuple):
-    kind: str          # NAME QATOM VAR NUM STR PUNCT OP END EOF
-    text: str          # as written: a string or quoted atom keeps its quotes
-    pos: int           # offset of its first character in the text
-    value: object = None
-
 
 _SYMBOLIC_OPS = [
     ":-", "\\==", "=\\=", "\\=", "==", "=<", ">=", "=:=", "->", "#>",
@@ -95,7 +87,8 @@ def _unescape(m: re.Match) -> str:
 def _tokens(text: str) -> list[tuple[str, str, object]]:
     """(kind, text as written, value) per token of `text`, then EOF. A
     number, string or quoted atom carries its value, any other token its
-    text; where a token starts is worked out only for an error."""
+    text; a string or quoted atom is written with its quotes. Where a
+    token starts is worked out only for an error."""
     toks: list[tuple[str, str, object]] = []
     for tok in _TOKEN_RE.findall(text):
         kind = _KINDS.get(tok[:1])
@@ -117,12 +110,6 @@ def _tokens(text: str) -> list[tuple[str, str, object]]:
         toks.append((kind, tok, value))
     toks.append(("EOF", "", None))
     return toks
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text` with their offsets, ending in EOF."""
-    return [Token(kind, tok, m.start(1), value) for (kind, tok, value), m
-            in zip(_tokens(text), _TOKEN_RE.finditer(text))]
 
 
 # ---------------------------------------------------------------- operator table

@@ -1,8 +1,10 @@
 """Fetching, the in-memory page table, disk mounts, and the program cache."""
 
+import functools
+
 import pytest
 from conftest import HOME_URL, PERMISSIVE_URL, make_session, of_kind
-from logicweb import fetching
+from logicweb import cli, fetching
 from logicweb.fetching import (FetchConfig, FetchError, PageEntry,
                                add_programs, download, fetch_response,
                                load_store, save_store)
@@ -189,8 +191,8 @@ def test_store_round_trip(tmp_path, pages):
 
     fresh = make_session(pages)
     load_store(tmp_path, fresh)
-    assert ({p.id for p in fresh.store.programs()}
-            == {p.id for p in session.store.programs()})
+    assert ({p.id for p in fresh.store.values()}
+            == {p.id for p in session.store.values()})
     pid = ProgramId.get(HOME_URL)
     old = [clause_text(c) for c in session.store.get(pid).clauses]
     new = [clause_text(c) for c in fresh.store.get(pid).clauses]
@@ -243,7 +245,7 @@ def test_load_store_skips_a_file_that_does_not_read_back(tmp_path, pages, caplog
     session = make_session(pages)
     with caplog.at_level("WARNING"):
         load_store(tmp_path, session)
-    assert [p.id for p in session.store.programs()] == [other]
+    assert [p.id for p in session.store.values()] == [other]
     assert session.registry.program_to_policy == {other: pol}
     for name in bad:
         assert str(tmp_path / name) in caplog.text
@@ -405,6 +407,31 @@ def test_http_fetch_refuses_a_body_over_the_cap(monkeypatch):
     Endless.iter_content = lambda self, size: iter([b"\xc3\xa9" * (size // 2)] * 4)
     resp = fetch_response("http://live.example/big", FetchConfig())
     assert resp.body == "\u00e9" * (2 << 16)
+
+
+@pytest.mark.parametrize("source", ["mount", "page table"])
+def test_a_mounted_file_or_a_page_entry_over_the_cap_is_refused(
+        tmp_path, monkeypatch, capsys, source):
+    monkeypatch.setattr(fetching, "MAX_BODY_BYTES", 64)
+    url = "http://capped.example/index.html"
+
+    def lw_query(page):
+        if source == "mount":
+            (tmp_path / "index.html").write_text(page, encoding="utf-8")
+        else:
+            monkeypatch.setattr(cli, "FetchConfig", functools.partial(
+                FetchConfig, {url: PageEntry(page)}))
+        code = cli.main(["query", url, "p(X)", "--no-security", "--offline",
+                         "--mount", f"http://capped.example/={tmp_path}"])
+        out, err = capsys.readouterr()
+        return code, out, "Traceback" in err
+
+    at_cap = "<LW_CODE>p(1).</LW_CODE>".ljust(64)
+    assert lw_query(at_cap) == (0, "X = 1\n", False)
+    assert lw_query(at_cap[:-1] + "é") == (1, "", False)    # 65 bytes
+    with pytest.raises(FetchError, match=f"status: body of {url} exceeds 64 bytes"):
+        fetching.fetch_response(url, cli.FetchConfig(
+            mounts=[("http://capped.example/", tmp_path)]))
 
 
 @pytest.mark.parametrize("charset", ["x-bogus", "base64", "idna", "undefined"])

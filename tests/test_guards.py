@@ -7,13 +7,12 @@ import time
 
 import pytest
 from conftest import PERMISSIVE_URL, base_pages, make_session, of_kind, policy_page
-from logicweb import guards, model
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (CLAUSE_COUNT_EXCEEDED, DEPTH_EXCEEDED, Guard,
                              GuardConfig, GuardOutcome, GuardTermination,
                              LOOP_FOUND, MESSAGES, PROGRAM_COUNT_EXCEEDED,
-                             TIMED_OUT, context_size, guarded_solve)
+                             TIMED_OUT, guarded_solve)
 from logicweb.model import (EMPTY_PROGRAM, Encapsulation, ProgramId,
                             Restriction, Union, parse_goal)
 from logicweb.syntax import to_text
@@ -218,12 +217,12 @@ def test_context_size_cap_reports_loop():
     assert out.termination.reason == LOOP_FOUND
 
 
-def test_context_size_counts_leaves_and_takes_one_id_at_sight(monkeypatch):
+def test_context_size_counts_leaves_and_takes_one_id_at_sight():
     main, other = ProgramId.get(MAIN), ProgramId.get(OTHER)
     expr = Restriction(Union(Encapsulation(main), EMPTY_PROGRAM), other)
-    assert context_size(expr) == len(list(model.leaves(expr))) == 3
-    monkeypatch.setattr(guards, "leaves", None)
-    assert context_size(main) == context_size(EMPTY_PROGRAM) == 1
+    assert expr.size == 3 and expr.ids == (main, other)
+    assert main.size == EMPTY_PROGRAM.size == 1
+    assert main.ids == (main,) and EMPTY_PROGRAM.ids == ()
 
 
 def test_answers_before_the_trip_are_kept():

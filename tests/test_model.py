@@ -1,18 +1,21 @@
 """Program identifiers, composition expressions, clause and goal shapes."""
 
+import gc
+
 import pytest
+from conftest import make_session
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicweb.model import (EMPTY_PROGRAM, Clause, Encapsulation,
                             ExpressionError, Intersection, LWProgram,
-                            ProgramId, ProgramStore, Restriction, Union,
-                            clause_from_term, clause_text, expids,
-                            expr_from_term, expr_text, expr_to_term,
-                            parse_goal, parse_program, rename_clause)
+                            ProgramId, Restriction, Union, clause_from_term,
+                            clause_text, expr_from_term, expr_text,
+                            expr_to_term, parse_goal, parse_program,
+                            rename_clause)
 from logicweb.syntax import parse_term_text
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Var,
-                            fresh_var, functor_of, unify)
+                            fresh_var, functor_of, make_list, unify)
 
 
 ME = ProgramId.get("http://me/")
@@ -133,10 +136,92 @@ def test_expr_round_trip_text():
     assert expr_text(e) == '@(lw(get, "http://a/") + lw(head, "http://b/"))'
 
 
-def test_expids_collects_everything():
+def test_ids_collect_everything():
     e = expr('(lw(get, "http://a/") + lw(head, "http://b/")) / lw(get, "http://c/")')
-    urls = {p.url for p in expids(e)}
+    urls = {p.url for p in e.ids}
     assert urls == {"http://a/", "http://b/", "http://c/"}
+
+
+def leaf_walk(e):
+    """The identifiers and empty programs of an expression, left to right,
+    found by walking it: the reference for what a node works out when it
+    is built."""
+    if isinstance(e, (Union, Intersection)):
+        yield from leaf_walk(e.left)
+        yield from leaf_walk(e.right)
+    elif isinstance(e, Restriction):
+        yield from leaf_walk(e.expr)
+        yield e.prog
+    elif isinstance(e, Encapsulation):
+        yield from leaf_walk(e.expr)
+    else:
+        yield e
+
+
+_FIELDS = make_list([Struct("field", (Str("k"), Str("v")))])
+_ID_TERMS = st.sampled_from([
+    Str("http://a/"), Str("http://b/"),
+    Struct("lw", (Atom("get"), Str("http://a/"))),
+    Struct("lw", (Atom("head"), Str("http://c/"))),
+    Struct("lw", (Struct("post", (_FIELDS,)), Str("http://a/")))])
+_HERE = Atom("(#)")
+
+
+def _expression_terms(depth=3):
+    """Composition terms: identifiers, `empty`, `(#)`, every operator and
+    every reduce form, and the doubling `(#) + (#)`."""
+    leaf = st.one_of(_ID_TERMS, st.just(Atom("empty")), st.just(_HERE),
+                     st.just(Struct("+", (_HERE, _HERE))))
+    if depth == 0:
+        return leaf
+    sub = _expression_terms(depth - 1)
+    pair = st.tuples(sub, sub)
+    return st.one_of(
+        leaf,
+        pair.map(lambda ab: Struct("+", ab)),
+        pair.map(lambda ab: Struct("*", ab)),
+        st.tuples(sub, _ID_TERMS).map(lambda ab: Struct("/", ab)),
+        sub.map(lambda a: Struct("@", (a,))),
+        st.tuples(st.sampled_from("+*"), st.lists(sub, min_size=1, max_size=3)).map(
+            lambda ml: Struct("<>", (Atom(ml[0]), make_list(ml[1])))),
+        st.tuples(sub, st.lists(_ID_TERMS, max_size=3)).map(
+            lambda el: Struct("<>", (Atom("/"),
+                                     Struct(",", (el[0], make_list(el[1])))))))
+
+
+def _build(terms):
+    """Each term read in the context the one before it built, from empty."""
+    ctx = EMPTY_PROGRAM
+    for t in terms:
+        ctx = expr_from_term(t, ctx)
+    return ctx
+
+
+@given(st.lists(_expression_terms(), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_an_expression_knows_its_ids_size_and_hash_from_its_parts(terms):
+    e = _build(terms)
+    leaves = list(leaf_walk(e))
+    assert e.ids == tuple(dict.fromkeys(x for x in leaves if isinstance(x, ProgramId)))
+    assert e.size == len(leaves)
+    twin = _build(terms)
+    assert twin == e and hash(twin) == hash(e)
+
+
+def test_building_expressions_leaves_no_garbage_cycles():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(200):
+            pid = ProgramId.post(f"http://p{i}/", [("k", "v")])
+            ctx = Restriction(Encapsulation(Union(pid, EMPTY_PROGRAM)), pid)
+            ctx = Intersection(ctx, ctx)
+            assert ctx.ids == pid.ids and ctx.size == 6
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_current_context_resolves_to_the_given_context():
@@ -208,24 +293,14 @@ def test_rename_clause_keeps_head_body_sharing():
 
 # ---------------------------------------------------------------- store
 
-def test_store_install_and_lookup():
-    store = ProgramStore()
-    pid = ProgramId.get("http://x/")
-    prog = LWProgram(pid, parse_program("f(a)."))
-    store.install(prog)
-    assert pid in store
-    assert store.get(pid) is prog
-    assert len(store) == 1
-
-
 def test_store_install_is_idempotent():
-    store = ProgramStore()
+    session = make_session({}, security=False)
     pid = ProgramId.get("http://x/")
     first = LWProgram(pid, parse_program("f(a)."))
     second = LWProgram(pid, parse_program("f(b)."))
-    store.install(first)
-    store.install(second)
-    assert store.get(pid) is first
+    session.install_local(first)
+    session.install_local(second)
+    assert session.store == {pid: first}
 
 
 def test_program_defines():

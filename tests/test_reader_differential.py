@@ -3,8 +3,9 @@
 `parse_clause_terms`, `parse_term_text` and `parse_goal` must read every
 text as the `finditer`/`Token` reader kept in `reader_reference` does: the
 same terms up to variable ids, the same variable-map names, and the same
-error message, line and column; `tokenize` must give the same tokens. Inputs are token soup, generated clause
-texts, the benchmark's generated site and the fixture pages."""
+error message, line and column; `_tokens` must give the reference's tokens
+as (kind, text, value). Inputs are token soup, generated clause texts, the
+benchmark's generated site and the fixture pages."""
 
 import random
 import sys
@@ -18,8 +19,8 @@ import reader_reference
 from conftest import base_pages
 from logicweb.model import ExpressionError, parse_goal
 from logicweb.pages import extract_lw_code
-from logicweb.syntax import (INFIX_OPS, ParseError, parse_clause_terms,
-                             parse_term_text, tokenize)
+from logicweb.syntax import (INFIX_OPS, ParseError, _tokens,
+                             parse_clause_terms, parse_term_text)
 from logicweb.terms import Struct, Var
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -29,7 +30,8 @@ ENTRIES = {
     "clauses": (parse_clause_terms, reader_reference.parse_clause_terms),
     "term": (parse_term_text, reader_reference.parse_term_text),
     "goal": (parse_goal, reader_reference.parse_goal),
-    "tokens": (tokenize, reader_reference.tokenize),
+    "tokens": (_tokens, lambda text: [(t.kind, t.text, t.value)
+                                      for t in reader_reference.tokenize(text)]),
 }
 
 

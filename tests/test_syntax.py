@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import printer_reference
-from logicweb.syntax import (INFIX_OPS, ParseError, parse_clause_terms,
-                             parse_term_text, to_text, tokenize)
+from logicweb.syntax import (INFIX_OPS, ParseError, _tokens,
+                             parse_clause_terms, parse_term_text, to_text)
 from logicweb.terms import Atom, Num, Str, Struct, Var, make_list, variant
 
 
@@ -16,13 +16,13 @@ def parse(text):
 
 
 def test_tokenize_skips_comments_and_whitespace():
-    toks = tokenize("a % trailing words\n b")
-    assert [t.kind for t in toks] == ["NAME", "NAME", "EOF"]
+    toks = _tokens("a % trailing words\n b")
+    assert [kind for kind, _, _ in toks] == ["NAME", "NAME", "EOF"]
 
 
 def test_tokenize_reports_position():
     with pytest.raises(ParseError) as err:
-        tokenize("a\n  ^")
+        parse_term_text("a\n  ^")
     assert err.value.line == 2
     assert err.value.column == 3
 

@@ -4,7 +4,7 @@ calls up afterwards, and make them again one by one against other hooks."""
 
 import itertools
 
-from logicweb.guards import EngineHooks, ProofSummary, context_size
+from logicweb.guards import EngineHooks, ProofSummary
 from logicweb.terms import EMPTY_SUBST, variant_key
 
 ENTER, EXIT, CLAUSE, CHECK = range(4)
@@ -54,7 +54,7 @@ def summarize(steps: list[tuple]) -> ProofSummary | None:
         op = step[0]
         if op == ENTER:
             keys.add((step[1], variant_key(step[2])))
-            largest = max(largest, context_size(step[1]))
+            largest = max(largest, step[1].size)
             depth_at[step[3]] = depth
             depth += 1
             deepest = max(deepest, depth)
