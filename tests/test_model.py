@@ -293,6 +293,16 @@ def test_rename_clause_keeps_head_body_sharing():
 
 # ---------------------------------------------------------------- store
 
+def test_store_install_and_lookup():
+    session = make_session({}, security=False)
+    pid = ProgramId.get("http://x/")
+    prog = LWProgram(pid, parse_program("f(a)."))
+    session.install_local(prog)
+    assert pid in session.store
+    assert session.store.get(pid) is prog
+    assert len(session.store) == 1
+
+
 def test_store_install_is_idempotent():
     session = make_session({}, security=False)
     pid = ProgramId.get("http://x/")
