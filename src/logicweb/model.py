@@ -143,9 +143,9 @@ class _Operator(ProgramExpression):
 
     def __init__(self, *parts: ProgramExpression):
         super().__init__(*parts)
-        ids = parts[0].ids      # a part's own ids are each there once already
-        for part in parts[1:]:
-            ids += tuple([pid for pid in part.ids if pid not in ids])
+        ids = parts[0].ids
+        for part in parts[1:]:  # hashed: a node costs time linear in its ids
+            ids = tuple(dict.fromkeys(ids + part.ids))
         _set(self, "ids", ids)
         _set(self, "size", sum([part.size for part in parts]))
         _set(self, "_hash", hash((type(self).__name__, *parts)))

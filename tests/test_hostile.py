@@ -185,6 +185,13 @@ def test_is_result_too_long_to_print_fails_with_a_notice(tmp_path, capsys):
     assert capsys.readouterr().out == f"Y = {2 ** 8192}\n"
 
 
+def _balanced_union(n: int, first: int = 0) -> str:
+    if n == 1:
+        return f'"http://hostile.example/p{first}.html"'
+    half = n // 2
+    return f"({_balanced_union(half, first)} + {_balanced_union(n - half, first + half)})"
+
+
 # Each page holds p(1) in a well-formed code block unless the case breaks
 # that block; (body, expected exit code, seconds allowed).
 CODE = "<LW_CODE><!-- p(1). --></LW_CODE>"
@@ -209,6 +216,11 @@ HOSTILE_PAGES = {
     "underscores_1mb": (CODE + "_" * 1_000_000, 0, 3.0),
     "spaces_after_a_bracket_1mb": (CODE + "<" + " " * 1_000_000 + "_" * 100_000, 0, 3.0),
     "bracket_underscores_200k": (CODE + "<_" * 200_000, 0, 3.0),
+    # a switch into a `+` tree of 20k distinct ids, only 15 levels deep: a
+    # node that looked for each id of one part among the other's by a scan
+    # would take time quadratic in the ids
+    "wide_context_20k": (f"{CODE}<LW_CODE>p(2) :- {_balanced_union(20_000)} #> q."
+                         "</LW_CODE>", 0, 6.0),
 }
 
 

@@ -224,6 +224,28 @@ def test_building_expressions_leaves_no_garbage_cycles():
             gc.enable()
 
 
+def test_a_wide_context_takes_each_id_once_by_hash(monkeypatch):
+    # a balanced `+` tree of 2 x 2048 ids, the second half equal copies of
+    # the first: looking for each id among the ones before it by a scan
+    # would compare millions of pairs, a hashed lookup one pair per copy
+    def balanced(pids):
+        if len(pids) == 1:
+            return pids[0]
+        half = len(pids) // 2
+        return Union(balanced(pids[:half]), balanced(pids[half:]))
+
+    urls = [f"http://w.example/p{i}.html" for i in range(2048)]
+    pids = [ProgramId.get(u) for u in urls + urls]
+    compared = []
+    eq = ProgramId.__eq__
+    monkeypatch.setattr(ProgramId, "__eq__",
+                        lambda a, b: compared.append(b) or eq(a, b))
+    e = balanced(pids)
+    assert len(compared) <= len(urls)
+    monkeypatch.undo()
+    assert e.ids == tuple(pids[:len(urls)]) and e.size == len(pids)
+
+
 def test_current_context_resolves_to_the_given_context():
     a = ProgramId.get("http://a/")
     assert expr('lw(get, "http://a/") + (#)', ME) == Union(a, ME)
