@@ -15,7 +15,7 @@ from .model import (Clause, EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     ExpressionError, Intersection, LWProgram,
                     ProgramExpression, ProgramId, Restriction, Union,
                     clause_from_term, clause_text, clause_to_term,
-                    expr_from_term, expr_text, expr_to_term, parse_goal,
+                    expr_from_term, expr_text, parse_goal,
                     parse_program)
 from .pages import (HttpResponse, LWCodeError, extract_links, extract_lw_code,
                     translate_page)

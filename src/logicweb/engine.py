@@ -233,11 +233,9 @@ class Session:
             hidden = self.store.get(e.prog)
             if hidden is None or not hidden.defines(*functor_of(goal)):
                 yield from self.select_clause(sigma, e.expr, goal, s, chain)
-        elif isinstance(e, Encapsulation):
+        else:                               # an Encapsulation
             for s1 in self.solve(sigma, e.expr, goal, s, chain, Barrier()):
                 yield s1, TRUE_ATOM
-        else:
-            raise EngineError(f"unknown expression node: {e!r}")
 
     # ------------------------------------------------------------- switching
 

@@ -183,15 +183,16 @@ def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
 
 def add_programs(session, pids, chain=(), sigma=()) -> bool:
     """Bring every named program into the store, in the order given; True
-    only if all are present. A failed fetch does not stop the ones after it."""
+    only if all are present. The first failed fetch stops the ones after it,
+    which stay untried: the switch fails whatever they would bring."""
     for pid in pids:
         try:
             download(pid, session, chain, sigma)
         except FetchError as exc:
             import logging
-            logging.getLogger(__name__).info(
-                "fetch failed for %s: %s", pid.serialize(), exc)
-    return all(pid in session.store for pid in pids)
+            logging.getLogger(__name__).info("fetch failed for %r: %s", pid, exc)
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- disk cache

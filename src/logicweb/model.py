@@ -26,7 +26,8 @@ class ExpressionError(ValueError):
 class ProgramExpression(Record):
     """A composition expression. `ids`: its program ids, each once, in
     left-to-right leaf order, the order a context switch vets and fetches
-    them in. `size`: its leaves, ids and empty programs alike, counted."""
+    them in. `size`: its leaves, ids and empty programs alike, counted.
+    `to_term()`: the node written as a term."""
 
     __slots__ = ()
     ids: tuple = ()
@@ -134,12 +135,17 @@ class Clause(Record):
 class EmptyProgram(ProgramExpression):
     __slots__ = ()
 
+    def to_term(self) -> Term:
+        return Atom("empty")
+
 
 class _Operator(ProgramExpression):
-    """An operator node. Its parts are its class's `__slots__`, which equality
-    compares; `ids`, `size` and the hash are worked out from them."""
+    """An operator node, written as its class's `functor` over its parts.
+    Its parts are its class's `__slots__`, which equality compares; `ids`,
+    `size` and the hash are worked out from them."""
 
     __slots__ = ("ids", "size", "_hash")
+    functor: str
 
     def __init__(self, *parts: ProgramExpression):
         super().__init__(*parts)
@@ -153,17 +159,23 @@ class _Operator(ProgramExpression):
     def __hash__(self) -> int:
         return self._hash
 
+    def to_term(self) -> Term:
+        return Struct(self.functor, tuple([part.to_term() for part in self._fields()]))
+
 
 class Union(_Operator):
     __slots__ = ("left", "right")
+    functor = "+"
 
 
 class Intersection(_Operator):
     __slots__ = ("left", "right")
+    functor = "*"
 
 
 class Restriction(_Operator):
     __slots__ = ("expr", "prog")
+    functor = "/"
 
     def __init__(self, expr: ProgramExpression, prog: ProgramId):
         if not isinstance(prog, ProgramId):
@@ -174,9 +186,14 @@ class Restriction(_Operator):
 
 class Encapsulation(_Operator):
     __slots__ = ("expr",)
+    functor = "@"
 
 
 EMPTY_PROGRAM = EmptyProgram()
+
+# (functor, arity) -> operator node: the one list of the composition operators
+OPERATORS = {(op.functor, len(op.__slots__)): op
+             for op in (Union, Intersection, Restriction, Encapsulation)}
 
 
 def _expr_list(t: Term, ctx: ProgramExpression) -> list[ProgramExpression]:
@@ -207,53 +224,29 @@ def expr_from_term(t: Term, ctx: ProgramExpression) -> ProgramExpression:
     if isinstance(t, Struct):
         if t.functor == "lw" and len(t.args) == 2:
             return ProgramId.from_term(t)
-        if t.functor == "+" and len(t.args) == 2:
-            return Union(expr_from_term(t.args[0], ctx),
-                         expr_from_term(t.args[1], ctx))
-        if t.functor == "*" and len(t.args) == 2:
-            return Intersection(expr_from_term(t.args[0], ctx),
-                                expr_from_term(t.args[1], ctx))
-        if t.functor == "/" and len(t.args) == 2:
-            return Restriction(expr_from_term(t.args[0], ctx),
-                               expr_from_term(t.args[1], ctx))
-        if t.functor == "@" and len(t.args) == 1:
-            return Encapsulation(expr_from_term(t.args[0], ctx))
+        op = OPERATORS.get((t.functor, len(t.args)))
+        if op is not None:
+            return op(*[expr_from_term(arg, ctx) for arg in t.args])
         if t.functor == "<>" and len(t.args) == 2 and isinstance(t.args[0], Atom):
-            marker = t.args[0].name
+            op = OPERATORS.get((t.args[0].name, 2))
             rhs = t.args[1]
-            if marker == "/":
+            if op is Restriction:
                 if not (isinstance(rhs, Struct) and rhs.functor == ","
                         and len(rhs.args) == 2):
                     raise ExpressionError(
                         "restriction reduce needs (Expression, IdentifierList)")
                 base = expr_from_term(rhs.args[0], ctx)
                 return reduce(Restriction, _expr_list(rhs.args[1], ctx), base)
-            if marker in ("+", "*"):
+            if op is not None:
                 exprs = _expr_list(rhs, ctx)
                 if not exprs:
                     raise ExpressionError("reduce over an empty expression list")
-                return reduce(Union if marker == "+" else Intersection, exprs)
+                return reduce(op, exprs)
     raise ExpressionError(f"not a composition expression: {syntax.to_text(t)}")
 
 
-def expr_to_term(e: ProgramExpression) -> Term:
-    if isinstance(e, ProgramId):
-        return e.to_term()
-    if isinstance(e, EmptyProgram):
-        return Atom("empty")
-    if isinstance(e, Union):
-        return Struct("+", (expr_to_term(e.left), expr_to_term(e.right)))
-    if isinstance(e, Intersection):
-        return Struct("*", (expr_to_term(e.left), expr_to_term(e.right)))
-    if isinstance(e, Restriction):
-        return Struct("/", (expr_to_term(e.expr), expr_to_term(e.prog)))
-    if isinstance(e, Encapsulation):
-        return Struct("@", (expr_to_term(e.expr),))
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def expr_text(e: ProgramExpression) -> str:
-    return syntax.to_text(expr_to_term(e))
+    return syntax.to_text(e.to_term())
 
 
 def validate_expression_term(t: Term) -> None:
@@ -266,23 +259,22 @@ def validate_expression_term(t: Term) -> None:
             return
         raise ExpressionError(f"not a composition expression: {syntax.to_text(t)}")
     if isinstance(t, Struct):
-        if t.functor == "lw" and len(t.args) == 2:
+        if t.functor in ("lw", "<>") and len(t.args) == 2:
             return
-        if t.functor in ("+", "*", "/") and len(t.args) == 2:
-            validate_expression_term(t.args[0])
-            validate_expression_term(t.args[1])
-            return
-        if t.functor == "@" and len(t.args) == 1:
-            validate_expression_term(t.args[0])
-            return
-        if t.functor == "<>" and len(t.args) == 2:
+        if (t.functor, len(t.args)) in OPERATORS:
+            for arg in t.args:
+                validate_expression_term(arg)
             return
     raise ExpressionError(f"not a composition expression: {syntax.to_text(t)}")
 
 
 # ---------------------------------------------------------------- clauses
 
-RESERVED_HEADS = {",", ";", "->", ":-", "#>", ":", "!", "true", "fail", "false"}
+# the control constructs, which no clause may define
+CONNECTIVES = (",", ";", "->")
+CONTROL_ATOMS = ("!", "true", "fail", "false")
+ESCAPES = (("#>", 2), (":", 2))         # a switch and a `built_ins:` goal
+RESERVED_HEADS = {":-", *CONNECTIVES, *CONTROL_ATOMS, *(name for name, _ in ESCAPES)}
 
 
 def check_body(t: Term) -> None:

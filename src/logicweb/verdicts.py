@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .builtins import TABLE
 from .guards import ProofSummary
+from .model import CONNECTIVES, CONTROL_ATOMS, ESCAPES
 from .terms import Atom, Struct, Term, functor_of
 
 # verdicts kept per session; the oldest goes first
@@ -35,9 +36,6 @@ PURE_BUILTINS = frozenset(
                         "=", "\\=", "==", "\\==", "is", "contains", "member")]
     + [(name, 1) for name in ("atom", "var", "number", "string")]
     + [("append", 3)])
-_CONNECTIVES = (",", ";", "->")
-_CONTROL_ATOMS = ("!", "true", "fail", "false")
-_ESCAPES = (("#>", 2), (":", 2))        # a switch and a `built_ins:` goal
 
 
 def user_calls(body: Term) -> list[tuple[str, int]] | None:
@@ -48,16 +46,16 @@ def user_calls(body: Term) -> list[tuple[str, int]] | None:
     stack = [body]
     while stack:
         g = stack.pop()
-        if isinstance(g, Struct) and g.functor in _CONNECTIVES and len(g.args) == 2:
+        if isinstance(g, Struct) and g.functor in CONNECTIVES and len(g.args) == 2:
             stack.extend(g.args)
-        elif isinstance(g, Atom) and g.name in _CONTROL_ATOMS:
+        elif isinstance(g, Atom) and g.name in CONTROL_ATOMS:
             continue
         elif isinstance(g, (Atom, Struct)):
             pred = functor_of(g)
             if pred in TABLE:
                 if pred not in PURE_BUILTINS:
                     return None
-            elif pred in _ESCAPES:
+            elif pred in ESCAPES:
                 return None
             else:
                 out.append(pred)

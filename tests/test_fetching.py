@@ -181,6 +181,11 @@ def test_add_programs_false_when_any_fails(pages):
     bad = ProgramId.get("http://unlisted.example/")
     assert not add_programs(session, [good, bad])
     assert good in session.store
+    # the first failure stops the fetches after it
+    session = make_session(pages)
+    assert not add_programs(session, [bad, good])
+    assert good not in session.store
+    assert [e.detail for e in of_kind(session.audit, "fetch")] == [bad.serialize()]
 
 
 def test_store_round_trip(tmp_path, pages):

@@ -245,3 +245,13 @@ def test_hostile_page_ends_lw_query_cleanly(case, goal, tmp_path, capsys):
     assert code == expected and "Traceback" not in out + err
     assert out == ("X = 1\n" if expected == 0 else "")
     assert elapsed < seconds
+
+
+def test_a_switch_stops_fetching_at_its_first_missing_program(tmp_path, capsys):
+    # the switch fails once one of its 200 mounted pages is missing, so it
+    # tries no other: with the network on, each would be a request
+    code = _lw_query(tmp_path, f"q :- {_balanced_union(200)} #> r.\n", "q", "trace")
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    fetches = [line for line in out.splitlines() if " fetch " in line]
+    assert len(fetches) == 2 and 'hostile.example/p0.html"' in fetches[1]

@@ -11,8 +11,8 @@ from logicweb.model import (EMPTY_PROGRAM, Clause, Encapsulation,
                             ExpressionError, Intersection, LWProgram,
                             ProgramId, Restriction, Union, clause_from_term,
                             clause_text, expr_from_term, expr_text,
-                            expr_to_term, parse_goal, parse_program,
-                            rename_clause)
+                            parse_goal, parse_program, rename_clause,
+                            validate_expression_term)
 from logicweb.syntax import parse_term_text
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Var,
                             fresh_var, functor_of, make_list, unify)
@@ -131,7 +131,7 @@ def test_expr_rejects_non_expressions():
 
 def test_expr_round_trip_text():
     e = expr('@(lw(get, "http://a/") + lw(head, "http://b/"))')
-    t = expr_to_term(e)
+    t = e.to_term()
     assert expr_from_term(t, EMPTY_PROGRAM) == e
     assert expr_text(e) == '@(lw(get, "http://a/") + lw(head, "http://b/"))'
 
@@ -206,6 +206,10 @@ def test_an_expression_knows_its_ids_size_and_hash_from_its_parts(terms):
     assert e.size == len(leaves)
     twin = _build(terms)
     assert twin == e and hash(twin) == hash(e)
+    # and it prints as a term and a text that read back to it
+    validate_expression_term(e.to_term())
+    assert expr_from_term(e.to_term(), EMPTY_PROGRAM) == e
+    assert expr(expr_text(e)) == e
 
 
 def test_building_expressions_leaves_no_garbage_cycles():
