@@ -164,17 +164,22 @@ def download(pid: ProgramId, session, chain=(), sigma=()) -> LWProgram:
     already cached; raises FetchError when there is no program.
 
     A cache hit is silent; an actual retrieval leaves a fetch event in the
-    audit log before any bytes move."""
+    audit log before any bytes move. A failed retrieval counts against the
+    program cap as an installed program does."""
     cached = session.store.get(pid)
     if cached is not None:
         return cached
 
     session.audit.emit("fetch", pid.serialize(), tuple(chain), tuple(sigma))
-    resp = fetch_response(pid.url, session.fetch_config, pid.method, pid.post_fields)
     try:
-        program = translate_page(resp, pid)
-    except Exception as exc:
-        raise FetchError("translate", str(exc)) from exc
+        resp = fetch_response(pid.url, session.fetch_config, pid.method, pid.post_fields)
+        try:
+            program = translate_page(resp, pid)
+        except Exception as exc:
+            raise FetchError("translate", str(exc)) from exc
+    except FetchError:
+        session.hooks.on_program_created(pid)
+        raise
 
     session.install_local(program, resp.body)
     session.hooks.on_program_created(pid)

@@ -126,8 +126,11 @@ class Clause(Record):
     __slots__ = ("head", "body")
 
     def __init__(self, head: Term, body: Term = TRUE_ATOM):
-        _set(self, "head", head)
-        _set(self, "body", body)
+        _clause_head(self, head)
+        _clause_body(self, body)
+
+
+_clause_head, _clause_body = Clause.head.__set__, Clause.body.__set__
 
 
 # ---------------------------------------------------------------- expressions

@@ -1,15 +1,16 @@
 """First-order terms, substitutions, and unification.
 
-Terms are immutable. Variables are identified by a globally unique integer
-id; the name is kept only for display. Substitutions are triangular: a
-binding may map a variable to a term that itself contains bound variables,
-and `apply` dereferences all the way down.
+Terms are immutable: set once through their slots' setters, they refuse
+assignment. Variables are identified by a globally unique integer id; the
+name is kept only for display. Substitutions are triangular: a binding may
+map a variable to a term that itself contains bound variables, and `apply`
+dereferences all the way down.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import is_not
+from collections import defaultdict
 from typing import Optional
 
 _var_ids = itertools.count(1)
@@ -64,8 +65,8 @@ class Var(Term):
     __slots__ = ("name", "id")
 
     def __init__(self, name: str, id: int):
-        _set(self, "name", name)
-        _set(self, "id", id)
+        _var_name(self, name)
+        _var_id(self, id)
 
     def __eq__(self, other):
         return (self.id == other.id and self.name == other.name
@@ -79,7 +80,7 @@ class Str(Term):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        _set(self, "value", value)
+        _str_value(self, value)
 
     def __eq__(self, other):
         return self.value == other.value if type(other) is Str else NotImplemented
@@ -92,7 +93,7 @@ class Atom(Term):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _atom_name(self, name)
 
     def __eq__(self, other):
         return self.name == other.name if type(other) is Atom else NotImplemented
@@ -105,7 +106,7 @@ class Num(Term):
     __slots__ = ("value",)
 
     def __init__(self, value: int | float):
-        _set(self, "value", value)
+        _num_value(self, value)
 
     # 1 and 1.0 do not unify, so they are not equal either
     def __eq__(self, other) -> bool:
@@ -122,8 +123,8 @@ class Struct(Term):
     def __init__(self, functor: str, args: tuple[Term, ...]):
         if not args:
             raise ValueError("compound term needs at least one argument")
-        _set(self, "functor", functor)
-        _set(self, "args", args)
+        _struct_functor(self, functor)
+        _struct_args(self, args)
 
     def __eq__(self, other):
         if type(other) is not Struct:
@@ -133,6 +134,11 @@ class Struct(Term):
     def __hash__(self) -> int:
         return hash((self.functor, self.args))
 
+
+# each slot's own setter, bound once: cheaper than `_set` by field name
+(_var_name, _var_id, _str_value, _atom_name, _num_value, _struct_functor,
+ _struct_args) = [getattr(cls, name).__set__ for cls in (Var, Str, Atom, Num, Struct)
+                  for name in cls.__slots__]
 
 TRUE_ATOM = Atom("true")
 NIL = Atom("[]")
@@ -212,13 +218,21 @@ class Substitution:
 
     def apply(self, t: Term) -> Term:
         """Full dereference; any variable left in the result is unbound here.
-        A compound with no bound variable beneath it comes back as itself."""
-        t = self.walk(t)
-        if type(t) is Struct:
-            args = [self.apply(a) for a in t.args]
-            if any(map(is_not, args, t.args)):
-                return Struct(t.functor, tuple(args))
-        return t
+        A compound with no bound variable beneath it comes back as itself.
+        One frame a level: only a variable or compound argument is recursed
+        into, and the arguments are copied only once one of them changes."""
+        while type(t) is Var and (bound := self._b.get(t.id)) is not None:
+            t = bound
+        if type(t) is not Struct:
+            return t
+        args = new = t.args
+        for i, a in enumerate(args):
+            kind = type(a)
+            if (kind is Var or kind is Struct) and (got := self.apply(a)) is not a:
+                if new is args:
+                    new = list(args)
+                new[i] = got
+        return t if new is args else Struct(t.functor, tuple(new))
 
     def compose(self, other: "Substitution") -> "Substitution":
         """s1.compose(s2): applying the result equals apply s1, then s2.
@@ -291,27 +305,33 @@ def rename_apart(t: Term, mapping: dict[int, Var] | None = None) -> Term:
         mapping = {}
     kind = type(t)
     if kind is Var:
-        got = mapping.get(t.id)
-        if got is None:
-            got = mapping[t.id] = Var(t.name, fresh_var_id())
-        return got
+        return mapping.get(t.id) or mapping.setdefault(t.id, Var(t.name, next(_var_ids)))
     if kind is not Struct:
         return t
     args = []
     for a in t.args:
         kind = type(a)
-        args.append(rename_apart(a, mapping) if kind is Struct or kind is Var else a)
+        if kind is Var:     # renamed here: only a compound is recursed into
+            a = mapping.get(a.id) or mapping.setdefault(a.id, Var(a.name, next(_var_ids)))
+        elif kind is Struct:
+            a = rename_apart(a, mapping)
+        args.append(a)
     return Struct(t.functor, tuple(args))
+
+
+_MARKS = defaultdict(object)    # marker n: the nth distinct variable of any key
 
 
 def variant_key(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
     """A flat, hashable key, equal for two terms exactly when they are
     variants: the key of `s.apply(t)`, read through `s` without building it.
-    The term is read in prefix order: a variable becomes the number of its
-    first occurrence, a compound becomes (functor, arity) followed by its
-    arguments, and any other term stays itself."""
+    Read in prefix order, a variable is the marker of its first occurrence's
+    position, an integer its int and a string its str, values that exist
+    already and hash in C; a compound is (functor, arity) before its
+    arguments, and an atom or a float stays itself. So `a`, "a", 1, 1.0 and
+    a variable all give different elements."""
     bindings = s._b
-    numbers: dict[int, int] = {}
+    numbers: dict[int, object] = {}
     out = []
     stack = [t]
     while stack:
@@ -325,9 +345,11 @@ def variant_key(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
             out.append((u.functor, len(u.args)))
             stack.extend(u.args[::-1])
         elif kind is Var:
-            out.append(numbers.setdefault(u.id, len(numbers)))
-        else:
+            out.append(numbers.setdefault(u.id, _MARKS[len(numbers)]))
+        elif kind is Atom or kind is Num and type(u.value) is float:
             out.append(u)
+        else:
+            out.append(u.value)
     return tuple(out)
 
 

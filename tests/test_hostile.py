@@ -78,18 +78,29 @@ def test_len_over_500_elements_ends_lw_query_cleanly(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().out.endswith(", N = 500\n")
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="ROADMAP item 11: term walks nest Python frames")
-def test_a_500_deep_answer_under_the_default_caps_ends_lw_query_cleanly(
-        tmp_path, capsys):
-    # two clause applications double a 250-deep term; no cap is raised
+def _deep_answer(tmp_path, capsys, steps):
+    # each clause application adds a 250-deep layer; no cap is raised
     deep = "X"
     for _ in range(250):
         deep = f"f({deep})"
-    page = f"g(X, {deep}).\nd(Y) :- g(a, X), g(X, Y).\n"
-    code = _lw_query(tmp_path, page, "d(Y), Y = Y")
-    answer = "Y = " + "f(" * 500 + "a" + ")" * 500 + "\n"
+    links = ["a", *(f"X{i}" for i in range(1, steps)), "Y"]
+    body = ", ".join(f"g({a}, {b})" for a, b in zip(links, links[1:]))
+    code = _lw_query(tmp_path, f"g(X, {deep}).\nd(Y) :- {body}.\n", "d(Y), Y = Y")
+    depth = 250 * steps
+    answer = "Y = " + "f(" * depth + "a" + ")" * depth + "\n"
     assert (code, capsys.readouterr().out) == (0, answer)
+
+
+def test_a_500_deep_answer_under_the_default_caps_ends_lw_query_cleanly(
+        tmp_path, capsys):
+    _deep_answer(tmp_path, capsys, 2)
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="ROADMAP item 11: term walks nest Python frames")
+def test_a_1000_deep_answer_under_the_default_caps_ends_lw_query_cleanly(
+        tmp_path, capsys):
+    _deep_answer(tmp_path, capsys, 4)
 
 
 # a fact the reader takes and the printer writes back, at a depth that
@@ -255,3 +266,15 @@ def test_a_switch_stops_fetching_at_its_first_missing_program(tmp_path, capsys):
     assert (code, err) == (1, "")
     fetches = [line for line in out.splitlines() if " fetch " in line]
     assert len(fetches) == 2 and 'hostile.example/p0.html"' in fetches[1]
+
+
+def test_failed_fetches_count_against_the_program_cap(tmp_path, capsys):
+    # each clause switches into its own missing page: uncounted, every one
+    # would be fetched, and with the network on each would be a request
+    page = "".join(f'q :- "http://hostile.example/m{i}.html" #> r.\n'
+                   for i in range(200))
+    code = _lw_query(tmp_path, page, "q", "trace", "--max-programs", "5")
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "stopped: maximum LogicWeb program count exceeded\n")
+    # the page itself, then m0 to m4: the fifth failure crosses the cap
+    assert len([line for line in out.splitlines() if " fetch " in line]) == 6

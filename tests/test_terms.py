@@ -2,11 +2,14 @@
 
 import gc
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import struct
-from logicweb.model import parse_program, rename_clause
+from loop_reference import pairwise_variant
+from logicweb.model import (EMPTY_PROGRAM, Clause, ProgramId, Union,
+                            parse_program, rename_clause)
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Substitution,
                             Var, decode, encode, fresh_var, list_items,
                             make_list, occurs_in, rename_apart, unify, variant,
@@ -166,9 +169,19 @@ def test_variant():
 
 def test_variant_key_is_flat_and_in_prefix_order():
     x, y = fresh_var("X"), fresh_var("Y")
-    assert variant_key(struct("p", y, struct("f", x, y), Atom("a"))) == (
-        ("p", 3), 0, ("f", 2), 1, 0, Atom("a"))
-    assert variant_key(Num(1)) == (Num(1),)
+    big, s = Num(10 ** 30), Str("s")
+    key = variant_key(struct("p", y, struct("f", x, y), Atom("a"), big, s,
+                             Num(1.5)))
+    first, second = key[1], key[3]
+    assert key == (("p", 6), first, ("f", 2), second, first, Atom("a"),
+                   10 ** 30, "s", Num(1.5))
+    # a variable is the marker of its position, the same in every key; an
+    # integer or a string is the term's own value
+    assert type(first) is object and first is not second
+    assert variant_key(struct("g", x, y)) == (("g", 2), first, second)
+    assert key[6] is big.value and key[7] is s.value
+    assert len({variant_key(t) for t in
+                (Atom("a"), Str("a"), Num(1), Num(1.0), x)}) == 5
     # the arities keep nesting apart: f(g(a), b) against f(g(a, b))
     assert (variant_key(struct("f", struct("g", Atom("a")), Atom("b")))
             != variant_key(struct("f", struct("g", Atom("a"), Atom("b")))))
@@ -192,6 +205,20 @@ def test_variant_key_and_variant_take_deep_terms():
     assert not variant(deep_x, Struct("f", (deep_y,)))
 
 
+def test_terms_ids_clauses_and_operator_nodes_refuse_assignment():
+    pid = ProgramId.get("http://a.example/")
+    for record in (Var("X", 1), Atom("a"), Str("s"), Num(1),
+                   struct("f", Atom("a")), Clause(Atom("p")), pid,
+                   Union(pid, EMPTY_PROGRAM)):
+        fields = record._fields()
+        for name in (type(record).__slots__[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, Atom("b"))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record._fields() == fields
+
+
 def test_list_round_trip():
     items = [Atom("a"), Num(1), Str("s")]
     t = make_list(items)
@@ -213,17 +240,41 @@ def test_list_items_partial_tail():
 _atoms = st.sampled_from([Atom("a"), Atom("b"), Atom("c")])
 _nums = st.integers(min_value=-5, max_value=5).map(Num)
 _vars = st.integers(min_value=0, max_value=3).map(lambda i: Var(f"H{i}", -100 - i))
+_leaves = st.one_of(_atoms, _nums, _vars, st.just(Str("s")))
+# leaves equal by value across kinds, small integers beside variables
+_colliding = st.one_of(
+    st.sampled_from([Atom("a"), Str("a"), Atom("1"), Str("1"), Num(0),
+                     Num(1), Num(2), Num(0.0), Num(1.0)]),
+    st.integers(min_value=0, max_value=2).map(lambda i: Var(f"K{i}", -200 - i)))
 
 
-def _terms(depth=2):
-    base = st.one_of(_atoms, _nums, _vars, st.just(Str("s")))
+def _terms(depth=2, leaves=_leaves):
     if depth == 0:
-        return base
+        return leaves
     return st.one_of(
-        base,
+        leaves,
         st.tuples(st.sampled_from("fgh"),
-                  st.lists(_terms(depth - 1), min_size=1, max_size=3))
+                  st.lists(_terms(depth - 1, leaves), min_size=1, max_size=3))
         .map(lambda fa: Struct(fa[0], tuple(fa[1]))))
+
+
+@st.composite
+def _key_pairs(draw):
+    """Two terms over colliding leaves; the second is often a variant."""
+    a = draw(_terms(leaves=_colliding))
+    return a, draw(st.sampled_from([a, rename_apart(a)])
+                   | _terms(leaves=_colliding))
+
+
+@given(_key_pairs())
+@example((struct("f", Atom("a")), struct("f", Str("a"))))
+@example((Num(1), Num(1.0)))
+@example((struct("f", Var("K0", -200), Num(0)),
+          struct("f", Var("K0", -200), Var("K0", -200))))
+@settings(max_examples=500)
+def test_variant_keys_are_equal_exactly_for_variants(pair):
+    a, b = pair
+    assert (variant_key(a) == variant_key(b)) == pairwise_variant(a, b)
 
 
 @st.composite
