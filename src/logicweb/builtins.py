@@ -11,6 +11,7 @@ leaving a notice in the audit log.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from typing import Callable, Iterator, Optional
@@ -400,7 +401,6 @@ def _bi_is(args, session, ctx):
 
 
 def _compare(op: str):
-    import operator
     table = {"<": operator.lt, ">": operator.gt, "=<": operator.le,
              ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
     fn = table[op]

@@ -8,7 +8,7 @@ policy set so the new programs' own policies travel with the derivation.
 System calls are routed through the policy programs; with no policies
 active (a policy's own code, or security switched off) they run directly
 against the built-in table. A session reuses a vetting verdict while the
-clauses it was proved from stand (`verdicts`).
+clauses its proof read stand (`verdicts`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
 from .security import AuditLog, PolicyRegistry
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify, variant_key)
-from .verdicts import Verdict, VerdictMemo, pure_reads
+from .verdicts import PURE_BUILTINS, Verdict, VerdictMemo
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -71,6 +71,9 @@ class Session:
         self.streams: dict[int, object] = {}
         self._stream_ids = itertools.count(0)
         self.verdicts = VerdictMemo()
+        # while a vet that may be kept is proved: the clause bucket of each
+        # (program, predicate) it selected from; None otherwise
+        self._reads: dict | None = None
 
     def new_stream(self, handle) -> int:
         n = next(self._stream_ids)
@@ -82,6 +85,13 @@ class Session:
         for handle in self.streams.values():
             handle.close()
         self.streams.clear()
+
+    def _drop_reads(self) -> None:
+        """The vet being proved does more than pure resolution: drop its
+        record and end the watch on it, so the verdict is not kept."""
+        if self._reads is not None:
+            self._reads = None
+            self.hooks.summary()
 
     def notice(self, message: str) -> None:
         """Leave a notice in the audit log: the one way notices are made."""
@@ -109,6 +119,8 @@ class Session:
     def solve(self, sigma: PolicySet, ctx: ProgramExpression, goal: Term,
               s: Substitution, chain: tuple[ProgramExpression, ...],
               barrier: Barrier) -> Iterator[Substitution]:
+        if type(goal) is Var:
+            self._drop_reads()
         t = s.walk(goal)
         kind = type(t)
         if kind is Var:
@@ -139,13 +151,16 @@ class Session:
                                               None, s, chain, barrier)
                 return
             if functor == "#>":
+                self._drop_reads()
                 yield from self._switch_term(sigma, ctx, t.args[0], t.args[1],
                                              s, chain, barrier)
                 return
-            if (functor == ":" and type(t.args[0]) is Atom
-                    and t.args[0].name == "built_ins"):
-                yield from self._builtin_qualified(sigma, ctx, t.args[1], s, chain)
-                return
+            if functor == ":":
+                self._drop_reads()
+                if type(t.args[0]) is Atom and t.args[0].name == "built_ins":
+                    yield from self._builtin_qualified(sigma, ctx, t.args[1],
+                                                       s, chain)
+                    return
         else:
             raise EngineError(f"goal is not callable: {t!r}")
 
@@ -206,13 +221,17 @@ class Session:
         and tries only the clauses its first-argument index gives, from
         tuples that `assert` and `retract` replace, never edit, so a
         selection walks the clauses as they stood when it began (the
-        logical update view)."""
+        logical update view). A vet being proved records the bucket."""
         if isinstance(e, EmptyProgram):
             return
         if isinstance(e, ProgramId):
             program = self.store.get(e)
             if program is None:
                 return
+            reads = self._reads
+            if reads is not None:
+                pred = functor_of(goal)
+                reads[program, pred] = program.clauses_of(pred)
             for clause in program.candidates(goal, s):
                 renamed = rename_clause(clause)
                 s1 = unify(goal, renamed.head, s)
@@ -298,13 +317,16 @@ class Session:
                         chain=()) -> bool:
         """Whether every given policy proves `goal` (the vet of a call or a
         switch made in `chain`). The session reuses its verdict for a
-        variant of `goal` under the same policies while the clauses that
-        proof read are unchanged and the hooks admit the proof's summary;
-        a reuse leaves one `vet` event in place of the proof's events. A
-        refused reuse proves the goal again, which then stops where it
-        stops without the memo. Only a pure proof that raised nothing,
+        variant of `goal` under the same policies while the clause buckets
+        that proof selected from are unchanged and the hooks admit the
+        proof's summary; a reuse leaves one `vet` event in place of the
+        proof's events. A refused reuse proves the goal again, which then
+        stops where it stops without the memo. Only a proof whose policies
+        were all in the store when it began, that ran nothing but pure
+        resolution (the engine drops its record otherwise), raised nothing,
         exited every goal it entered and left no notice is kept, with the
-        summary the hooks made of it while they watched it."""
+        buckets it read and the summary the hooks made of it while they
+        watched it."""
         sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)
@@ -312,16 +334,22 @@ class Session:
             self.audit.emit("vet", goal, chain, sigma,
                             "allow: " if kept.allowed else "deny: ")
             return kept.allowed
-        reads = pure_reads(self.store, sigma, goal)
-        if reads is None:
+        if not all(p in self.store for p in sigma):
             return self._prove(sigma, goal)
         notices = self.audit.notices
-        # a kept proof vets nothing, so watches never nest
+        # watches never nest: a proof vets only after a switch, which has
+        # dropped its record and ended its watch
+        self._reads = reads = {}
         self.hooks.watch()
-        allowed = self._prove(sigma, goal)
-        summary = self.hooks.summary()
-        if summary is not None and self.audit.notices == notices:
-            self.verdicts.put(key, Verdict(allowed, reads, summary))
+        try:
+            allowed = self._prove(sigma, goal)
+        finally:
+            pure = self._reads is reads
+            self._reads = None
+        if pure:
+            summary = self.hooks.summary()
+            if summary is not None and self.audit.notices == notices:
+                self.verdicts.put(key, Verdict(allowed, reads, summary))
         return allowed
 
     def _prove(self, sigma: PolicySet, goal: Term) -> bool:
@@ -351,6 +379,8 @@ class Session:
     def _run_builtin(self, ctx, g: Term, s, chain):
         """Run the built-in `g` directly, with no policy active, and merge
         each of its answers into `s`."""
+        if self._reads is not None and functor_of(g) not in PURE_BUILTINS:
+            self._drop_reads()
         self.audit.emit("syscall", g, chain, ())
         for delta in bi.call_builtin(g, self, ctx):
             yield s.compose(delta)

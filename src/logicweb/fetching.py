@@ -14,8 +14,10 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 from urllib.parse import unquote, urlsplit
 
-from .model import ExpressionError, LWProgram, ProgramId, parse_program
+from .model import (ExpressionError, LWProgram, ProgramId, clause_text,
+                    parse_program)
 from .pages import HttpResponse, translate_page
+from .syntax import ParseError, parse_term_text, read_text
 
 MAX_REDIRECTS = 5
 MAX_BODY_BYTES = 8 << 20          # a longer body is refused, whatever its source
@@ -212,8 +214,6 @@ def save_store(dirpath: str | Path, session) -> None:
     """One file per program: its serialized id on the first line, followed
     by a tab and its policy's id when it has one, then its clause text. A
     store only grows, so no file already there needs deleting."""
-    from .model import clause_text
-
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     policies = session.registry.program_to_policy
@@ -231,8 +231,6 @@ def load_store(dirpath: str | Path, session) -> None:
     after recording every stored policy, so that a stored policy program
     counts as one whatever its file is named. An entry that does not read
     back is skipped with a warning naming it."""
-    from .syntax import ParseError, parse_term_text, read_text
-
     root = Path(dirpath)
     if not root.is_dir():
         return

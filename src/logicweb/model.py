@@ -273,11 +273,9 @@ def validate_expression_term(t: Term) -> None:
 
 # ---------------------------------------------------------------- clauses
 
-# the control constructs, which no clause may define
-CONNECTIVES = (",", ";", "->")
-CONTROL_ATOMS = ("!", "true", "fail", "false")
-ESCAPES = (("#>", 2), (":", 2))         # a switch and a `built_ins:` goal
-RESERVED_HEADS = {":-", *CONNECTIVES, *CONTROL_ATOMS, *(name for name, _ in ESCAPES)}
+# the control constructs, which no clause may define: the connectives, the
+# control atoms, a switch and a `built_ins:` goal
+RESERVED_HEADS = {":-", ",", ";", "->", "!", "true", "fail", "false", "#>", ":"}
 
 
 def check_body(t: Term) -> None:

@@ -1,13 +1,15 @@
 """A session's memo of pure policy verdicts.
 
 Vetting proves `valid_program/2` or `valid_systemCall/1` in every active
-policy. A verdict is kept when every predicate reachable from the goal in
-each policy calls only control constructs, its policy's own predicates and
-the pure built-ins below. It is reused for a variant of the goal under the
-same policy tuple while the clauses of those predicates are the very ones
-the proof read. So `assert` and `retract` on any other predicate, such as a
-policy's call counter, leave it valid. A policy found impure is walked and
-proved on every vet.
+policy. While the session proves a vet, it records the clause bucket of
+every predicate the proof selects clauses for, in each policy. The engine
+drops that record wherever the proof does more than pure resolution: a
+built-in outside `PURE_BUILTINS`, a variable goal, a switch or a qualified
+goal; and a proof that first fetches a policy is not recorded at all. A
+verdict whose record survives is kept, and reused for a variant of the goal
+under the same policy tuple while each of those predicates still has the
+very clauses the proof read. So `assert` and `retract` on any other
+predicate, such as a policy's call counter, leave it valid.
 
 The guards must see a reused verdict as they saw the proof. The session
 proves a goal it may keep under the hooks' `watch`, and the hooks sum up
@@ -23,10 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .builtins import TABLE
 from .guards import ProofSummary
-from .model import CONNECTIVES, CONTROL_ATOMS, ESCAPES
-from .terms import Atom, Struct, Term, functor_of
 
 # verdicts kept per session; the oldest goes first
 MAX_ENTRIES = 4096
@@ -38,67 +37,11 @@ PURE_BUILTINS = frozenset(
     + [("append", 3)])
 
 
-def user_calls(body: Term) -> list[tuple[str, int]] | None:
-    """The predicates a goal or clause body calls outside the built-in
-    table, or None when it may do more than pure resolution: call any
-    other built-in, a variable, a switch or a qualified goal."""
-    out = []
-    stack = [body]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Struct) and g.functor in CONNECTIVES and len(g.args) == 2:
-            stack.extend(g.args)
-        elif isinstance(g, Atom) and g.name in CONTROL_ATOMS:
-            continue
-        elif isinstance(g, (Atom, Struct)):
-            pred = functor_of(g)
-            if pred in TABLE:
-                if pred not in PURE_BUILTINS:
-                    return None
-            elif pred in ESCAPES:
-                return None
-            else:
-                out.append(pred)
-        else:                               # a variable, a number or a string
-            return None
-    return out
-
-
-def pure_reads(store, pids, goal: Term) -> list | None:
-    """The clause buckets a proof of `goal` under `pids` may read, as
-    (program, predicate, clauses) triples: those of the predicates
-    reachable from the goal in each policy. None when a body met calls
-    more than pure resolution, or when a policy is not in the store yet."""
-    roots = user_calls(goal)
-    if roots is None:
-        return None
-    reads = []
-    for pid in pids:
-        program = store.get(pid)
-        if program is None:
-            return None
-        seen = set()
-        todo = list(roots)
-        while todo:
-            pred = todo.pop()
-            if pred in seen:
-                continue
-            seen.add(pred)
-            bucket = program.clauses_of(pred)
-            reads.append((program, pred, bucket))
-            for clause in bucket:
-                called = user_calls(clause.body)
-                if called is None:
-                    return None
-                todo.extend(called)
-    return reads
-
-
-def unchanged(reads) -> bool:
+def unchanged(reads: dict) -> bool:
     """Whether every bucket read is still the very same tuple: a program
     replaces a predicate's bucket only when `add`, `remove` or its link
     build changes that predicate."""
-    for program, pred, bucket in reads:
+    for (program, pred), bucket in reads.items():
         if program.clauses_of(pred) is not bucket:
             return False
     return True
@@ -106,7 +49,7 @@ def unchanged(reads) -> bool:
 
 class Verdict(NamedTuple):
     allowed: bool
-    reads: list
+    reads: dict             # (program, predicate) -> the bucket the proof read
     summary: ProofSummary
 
 

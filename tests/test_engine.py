@@ -460,18 +460,6 @@ def counting_proofs(monkeypatch):
     return proofs
 
 
-def counting_walks(monkeypatch):
-    walks = []
-    walk = engine.pure_reads
-
-    def counted(store, pids, goal):
-        walks.append(goal)
-        return walk(store, pids, goal)
-
-    monkeypatch.setattr(engine, "pure_reads", counted)
-    return walks
-
-
 def trail(session):
     """Syscall and fetch events outside the vetting proofs, which a reused
     verdict replaces with one `vet` event."""
@@ -552,15 +540,13 @@ def test_a_verdict_survives_changes_to_predicates_it_never_read(monkeypatch):
 def test_an_impure_policy_is_proved_on_every_call(monkeypatch, form):
     s = memo_session(f"valid_systemCall(_) :- check.\ncheck :- {form}.\n")
     proofs = counting_proofs(monkeypatch)
-    walks = counting_walks(monkeypatch)
     for _ in range(2):
         assert count(s, 'contains("ab", "a")') == 1
     assert len(proofs) == 2
-    assert len(walks) == 2
     assert of_kind(s.audit, "vet") == []
 
 
-def test_a_policy_is_walked_again_when_a_clause_it_read_changes(monkeypatch):
+def test_a_policy_is_proved_again_when_a_clause_it_read_changes(monkeypatch):
     # the first call turns `check` impure, so later calls are proved
     s = memo_session("valid_systemCall(_) :- check.\n"
                      "check.\n"
@@ -568,12 +554,72 @@ def test_a_policy_is_walked_again_when_a_clause_it_read_changes(monkeypatch):
                      "assert((check :- assert(seen(x)))) ; true), "
                      "built_ins:call_builtin(C).\n")
     proofs = counting_proofs(monkeypatch)
-    walks = counting_walks(monkeypatch)
     for _ in range(3):
         assert count(s, 'contains("ab", "a")') == 1
     assert len(proofs) == 3
-    assert len(walks) == 3
     assert of_kind(s.audit, "vet") == []
+
+
+def test_a_verdict_is_kept_when_its_proof_never_selects_an_impure_clause(
+        monkeypatch):
+    s = memo_session("valid_systemCall(open(F, _, _)) :- display(F).\n"
+                     "valid_systemCall(contains(_, _)).\n")
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(3):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 1
+    assert len(of_kind(s.audit, "vet")) == 2
+
+
+def test_a_proof_that_fetches_its_policy_is_not_kept(monkeypatch):
+    # as `memo_session`, but the first vet downloads the policy
+    s = sess({MAIN: "", MEMO_URL: "valid_program(_, _).\n"
+                                  "valid_systemCall(_) :- check.\ncheck.\n"
+                                  "call_system(C) :- built_ins:call_builtin(C).\n"},
+             security=True, default_policy=MEMO_URL)
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(3):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 2
+    assert len(of_kind(s.audit, "vet")) == 1
+
+
+def test_a_verdict_is_dropped_when_its_predicate_gains_a_clause_it_never_selects(
+        monkeypatch):
+    # the bucket read is the predicate's, not the clauses the index offered
+    s = memo_session("valid_systemCall(contains(_, _)).\n"
+                     "call_system(C) :- assert(valid_systemCall(open(_, _, _))), "
+                     "built_ins:call_builtin(C).\n")
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(3):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 3
+    assert of_kind(s.audit, "vet") == []
+
+
+def test_a_vet_made_inside_an_unkept_proof_is_kept_on_its_own(monkeypatch):
+    # the switch drops the outer proof's record and ends its watch, so the
+    # guard watches the vet of the inner switch by itself
+    s = memo_session(f'valid_systemCall(_) :- lw(get, "{MAIN}") #> '
+                     f'(lw(get, "{HOME_URL}") #> true).\n', guard=Guard())
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(3):
+        assert count(s, 'contains("ab", "a")') == 1
+    outer = 'valid_systemCall(contains("ab", "a"))'
+    assert proofs == [outer, f'valid_program(get, "{HOME_URL}")', outer, outer]
+    assert len(of_kind(s.audit, "vet")) == 2
+
+
+def test_a_session_runs_on_after_a_guard_stops_a_vet_proof():
+    s = memo_session("valid_systemCall(_) :- down(30).\n"
+                     "down(0).\ndown(N) :- N > 0, M is N - 1, down(M).\n",
+                     guard=Guard(GuardConfig(max_depth=10)))
+    main = ProgramId.get(MAIN)
+    out = guarded_solve(s, main, parse_goal('contains("ab", "a")')[0])
+    assert out.termination.reason == "depth_exceeded"
+    # the stopped proof's record is gone, so this switch finds none to drop
+    out = guarded_solve(s, main, parse_goal(f'lw(get, "{MAIN}") #> true')[0])
+    assert len(out.solutions) == 1 and out.termination is None
 
 
 def test_a_proof_that_leaves_a_notice_is_not_kept(monkeypatch):
