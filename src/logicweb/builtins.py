@@ -26,11 +26,16 @@ UNTIMED_CEILING_S = 30  # the longest system/1 or sleep/1 runs with no guard dea
 
 # (name, arity) -> implementation, called as impl(args, session, ctx)
 TABLE: dict[tuple[str, int], Callable] = {}
+# the built-ins that only read their arguments: a vet whose proof runs no
+# other may be kept (`engine.Session._prove_isolated`)
+PURE: set[tuple[str, int]] = set()
 
 
-def _register(name: str, arity: int):
+def _register(name: str, arity: int, pure: bool = False):
     def deco(fn):
         TABLE[(name, arity)] = fn
+        if pure:
+            PURE.add((name, arity))
         return fn
     return deco
 
@@ -248,7 +253,7 @@ def _bi_program_exists(args, session, ctx):
 
 # ---------------------------------------------------------------- text & lists
 
-@_register("contains", 2)
+@_register("contains", 2, pure=True)
 def _bi_contains(args, session, ctx):
     """contains(Text, Sub): substring test"""
     text, sub = _text(args[0]), _text(args[1])
@@ -259,7 +264,7 @@ def _bi_contains(args, session, ctx):
         yield EMPTY_SUBST
 
 
-@_register("append", 3)
+@_register("append", 3, pure=True)
 def _bi_append(args, session, ctx):
     """append/3 over lists, or strings by concatenation"""
     a, b, c = args
@@ -318,7 +323,7 @@ def _append_lists(a, b, c):
     # both open-ended: not needed by any policy we ship
 
 
-@_register("member", 2)
+@_register("member", 2, pure=True)
 def _bi_member(args, session, ctx):
     """member(X, List): enumerate elements"""
     x, lst = args
@@ -331,7 +336,7 @@ def _bi_member(args, session, ctx):
 
 # ---------------------------------------------------------------- comparison
 
-@_register("=", 2)
+@_register("=", 2, pure=True)
 def _bi_unify(args, session, ctx):
     """unification"""
     s = unify(args[0], args[1])
@@ -339,21 +344,21 @@ def _bi_unify(args, session, ctx):
         yield s
 
 
-@_register("\\=", 2)
+@_register("\\=", 2, pure=True)
 def _bi_not_unify(args, session, ctx):
     """not unifiable"""
     if unify(args[0], args[1]) is None:
         yield EMPTY_SUBST
 
 
-@_register("==", 2)
+@_register("==", 2, pure=True)
 def _bi_eq(args, session, ctx):
     """structural equality"""
     if args[0] == args[1]:
         yield EMPTY_SUBST
 
 
-@_register("\\==", 2)
+@_register("\\==", 2, pure=True)
 def _bi_neq(args, session, ctx):
     """structural inequality"""
     if args[0] != args[1]:
@@ -379,7 +384,7 @@ def _eval_arith(t: Term):
     raise _ArithmeticError(f"not arithmetic: {syntax.to_text(t)}")
 
 
-@_register("is", 2)
+@_register("is", 2, pure=True)
 def _bi_is(args, session, ctx):
     """is(X, Expr): evaluate +, -, * over numbers"""
     try:
@@ -418,7 +423,7 @@ def _compare(op: str):
 
 
 for _op in ("<", ">", "=<", ">=", "=:=", "=\\="):
-    TABLE[(_op, 2)] = _compare(_op)
+    _register(_op, 2, pure=True)(_compare(_op))
 
 
 # ---------------------------------------------------------------- type tests
@@ -433,5 +438,5 @@ def _type_test(kind: type):
 
 for _name, _kind in (("atom", Atom), ("var", Var), ("number", Num),
                      ("string", Str)):
-    TABLE[(_name, 1)] = _type_test(_kind)
+    _register(_name, 1, pure=True)(_type_test(_kind))
 

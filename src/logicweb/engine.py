@@ -8,7 +8,7 @@ policy set so the new programs' own policies travel with the derivation.
 System calls are routed through the policy programs; with no policies
 active (a policy's own code, or security switched off) they run directly
 against the built-in table. A session reuses a vetting verdict while the
-clauses its proof read stand (`verdicts`).
+clauses its proof read stand (`VerdictMemo`).
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import builtins as bi
 from .fetching import FetchConfig, add_programs
-from .guards import EngineHooks
+from .guards import EngineHooks, ProofSummary
 from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
                     ExpressionError, Intersection, LWProgram,
                     ProgramExpression, ProgramId, Restriction, Union,
                     expr_from_term, parse_goal, rename_clause)
 from .security import AuditLog, PolicyRegistry
+from .syntax import to_text
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
                     Term, Var, functor_of, unify, variant_key)
-from .verdicts import PURE_BUILTINS, Verdict, VerdictMemo
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -51,6 +51,42 @@ class Barrier:
 
     def __init__(self):
         self.cut = False
+
+
+# verdicts kept per session; the oldest goes first
+MAX_VERDICTS = 4096
+
+
+class Verdict(NamedTuple):
+    allowed: bool
+    reads: dict             # (program, predicate) -> the bucket the proof read
+    summary: ProofSummary
+
+
+class VerdictMemo:
+    """Kept vetting verdicts, keyed by (policy tuple, variant key of the
+    goal). A verdict stands while every bucket its proof read is still the
+    very same tuple: a program replaces a predicate's bucket only when
+    `add`, `remove` or its link build changes that predicate."""
+
+    def __init__(self):
+        self._entries: dict[tuple, Verdict] = {}
+
+    def get(self, key) -> Verdict | None:
+        verdict = self._entries.get(key)
+        if verdict is None:
+            return None
+        for (program, pred), bucket in verdict.reads.items():
+            if program.clauses_of(pred) is not bucket:
+                return None
+        return verdict
+
+    def put(self, key, verdict: Verdict) -> None:
+        entries = self._entries
+        entries.pop(key, None)
+        if len(entries) >= MAX_VERDICTS:
+            del entries[next(iter(entries))]
+        entries[key] = verdict
 
 
 class Session:
@@ -87,14 +123,17 @@ class Session:
         self.streams.clear()
 
     def _drop_reads(self) -> None:
-        """The vet being proved does more than pure resolution: drop its
-        record and end the watch on it, so the verdict is not kept."""
+        """The vet being proved does more than pure resolution or leaves a
+        notice: drop its record and end the watch on it, so the verdict is
+        not kept."""
         if self._reads is not None:
             self._reads = None
             self.hooks.summary()
 
     def notice(self, message: str) -> None:
-        """Leave a notice in the audit log: the one way notices are made."""
+        """Leave a notice in the audit log: the one way notices are made. A
+        vet whose proof leaves one is not kept."""
+        self._drop_reads()
         self.audit.emit("notice", message)
 
     def install_local(self, program: LWProgram, contents: str = "") -> None:
@@ -162,7 +201,7 @@ class Session:
                                                        s, chain)
                     return
         else:
-            raise EngineError(f"goal is not callable: {t!r}")
+            raise EngineError(f"goal is not callable: {to_text(t)}")
 
         # A built-in goal is a system call and nothing else: clauses a page
         # writes for a built-in's name and arity are never selected.
@@ -323,10 +362,10 @@ class Session:
         proof's events. A refused reuse proves the goal again, which then
         stops where it stops without the memo. Only a proof whose policies
         were all in the store when it began, that ran nothing but pure
-        resolution (the engine drops its record otherwise), raised nothing,
-        exited every goal it entered and left no notice is kept, with the
-        buckets it read and the summary the hooks made of it while they
-        watched it."""
+        resolution and left no notice (the session drops its record
+        otherwise), raised nothing and exited every goal it entered is kept,
+        with the buckets it read and the summary the hooks made of it while
+        they watched it."""
         sigma = tuple(pids)
         key = (sigma, variant_key(goal))
         kept = self.verdicts.get(key)
@@ -336,7 +375,6 @@ class Session:
             return kept.allowed
         if not all(p in self.store for p in sigma):
             return self._prove(sigma, goal)
-        notices = self.audit.notices
         # watches never nest: a proof vets only after a switch, which has
         # dropped its record and ended its watch
         self._reads = reads = {}
@@ -348,7 +386,7 @@ class Session:
             self._reads = None
         if pure:
             summary = self.hooks.summary()
-            if summary is not None and self.audit.notices == notices:
+            if summary is not None:
                 self.verdicts.put(key, Verdict(allowed, reads, summary))
         return allowed
 
@@ -379,7 +417,7 @@ class Session:
     def _run_builtin(self, ctx, g: Term, s, chain):
         """Run the built-in `g` directly, with no policy active, and merge
         each of its answers into `s`."""
-        if self._reads is not None and functor_of(g) not in PURE_BUILTINS:
+        if self._reads is not None and functor_of(g) not in bi.PURE:
             self._drop_reads()
         self.audit.emit("syscall", g, chain, ())
         for delta in bi.call_builtin(g, self, ctx):

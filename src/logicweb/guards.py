@@ -8,9 +8,9 @@ through the goal's substitution, so a goal is a loop exactly when its key
 is already live: one set lookup, in time linear in the goal's size. A
 context's size and hash come with it, worked out from its parts when it
 was built, so the size cap and the loop key never walk the context. A
-policy verdict the session may keep (`verdicts`) is proved under `watch`,
-and the Guard sums up the goals it enters and the clauses it applies while
-that proof runs. A reused verdict is offered to `admits` as that summary,
+policy verdict the session may keep (`engine.VerdictMemo`) is proved under
+`watch`, and the Guard sums up the goals it enters and the clauses it
+applies while that proof runs. A reused verdict is offered to `admits` as that summary,
 which a Guard checks against its live state in one step; when the summary
 would cross a bound, the guard refuses it and the goal is proved again, so
 the stop falls at its exact point with its reason. Aborts unwind the

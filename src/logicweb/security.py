@@ -117,7 +117,7 @@ class PolicyRegistry:
                 continue
             kind, _, rest = line.partition(" ")
             rest = rest.strip()
-            if kind == "default":
+            if kind == "default" and rest:
                 signer_map[UNKNOWN_SIGNER] = ProgramId.get(rest)
             elif kind == "signer":
                 signer, _, url = rest.rpartition(" ")
@@ -171,12 +171,11 @@ MAX_EVENTS = 10_000
 
 class AuditLog:
     """Always-on in-memory event trail that keeps the newest `MAX_EVENTS`
-    events and counts every one emitted and of kind `notice`."""
+    events and counts every one emitted."""
 
     def __init__(self):
         self.events: deque[AuditEvent] = deque(maxlen=MAX_EVENTS)
         self.emitted = 0
-        self.notices = 0
 
     @property
     def dropped(self) -> int:
@@ -186,8 +185,6 @@ class AuditLog:
     def emit(self, kind: str, subject: str | Term,
              chain: tuple[ProgramExpression, ...] = (),
              sigma: tuple[ProgramId, ...] = (), prefix: str = "") -> AuditEvent:
-        if kind == "notice":
-            self.notices += 1
         self.emitted += 1
         record = subject if type(subject) is str else encode(subject)
         ev = AuditEvent(time.time(), kind, record, chain, sigma, prefix)

@@ -1,0 +1,116 @@
+"""Pins of the audit trail of the two gated benchmark workloads.
+
+For every seed-1 query of `secured_syscalls` (the secured session and its
+open twin) and of `site_crawl` (`lw trace`, secured and `--no-security`),
+this keeps one sha256 of what the query leaves: the session's new audit
+lines for the first, the exit code and the whole output of `lw trace` for
+the second. Timestamps are stripped and fresh variable names `_G<n>` read
+`_G`, so a digest depends on the interpreter's behaviour alone. A change
+that moves the trail on purpose rewrites the pins and says why.
+
+    PYTHONPATH=src python tests/golden.py --check   # exit 1 naming each query that moved
+    PYTHONPATH=src python tests/golden.py --write   # rewrite tests/golden/trail.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import Iterator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from logicweb import cli  # noqa: E402
+from workloads import SecuredSyscalls, SiteCrawl  # noqa: E402
+
+PINS = Path(__file__).resolve().parent / "golden" / "trail.json"
+SEED = 1
+
+_STAMP = re.compile(r"^\d+\.\d+ ", re.MULTILINE)     # an audit line's time
+_FRESH = re.compile(r"_G\d+")
+
+
+def digest(lines: list[str]) -> str:
+    text = _FRESH.sub("_G", _STAMP.sub("", "\n".join(lines)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def secured_syscalls_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
+    wl = SecuredSyscalls(SEED, workdir)
+    for twin, session, run in (("secured", wl.session, wl.run),
+                               ("open", wl.open_session, wl.run_open)):
+        audit = session.audit
+        for i, query in enumerate(wl.queries):
+            before = audit.emitted
+            run(query)
+            new = audit.emitted - before
+            if new > len(audit.events):
+                raise RuntimeError(f"query {i} overflowed the audit ring")
+            events = list(audit.events)[len(audit.events) - new:]
+            yield (f"secured_syscalls {twin} {i:03d} {query.goal}",
+                   [ev.format_line() for ev in events])
+
+
+def site_crawl_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
+    wl = SiteCrawl(SEED, workdir)
+    for twin, extra in (("secured", []), ("open", ["--no-security"])):
+        for i, query in enumerate(wl.queries):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["trace", query.start, query.goal,
+                                 *wl.session_args, *extra])
+            yield (f"site_crawl {twin} {i:03d} {query.start} {query.goal}",
+                   [f"exit {code}", *out.getvalue().splitlines(),
+                    *err.getvalue().splitlines()])
+
+
+def digests() -> dict[str, str]:
+    """The digest of every pinned query's trail, run afresh."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for trails in (secured_syscalls_trails(Path(tmp)),
+                       site_crawl_trails(Path(tmp))):
+            for key, lines in trails:
+                out[key] = digest(lines)
+    return out
+
+
+def load() -> dict[str, str]:
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def moved(got: dict[str, str], pinned: dict[str, str]) -> list[str]:
+    """The queries whose digest differs from its pin, or that only one side has."""
+    return [key for key in dict.fromkeys([*pinned, *got])
+            if got.get(key) != pinned.get(key)]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true", help="rewrite the pins")
+    mode.add_argument("--check", action="store_true",
+                      help="compare with the pins; exit 1 if any query moved")
+    args = p.parse_args(argv)
+    got = digests()
+    if args.write:
+        PINS.parent.mkdir(exist_ok=True)
+        PINS.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
+        print(f"queries={len(got)} written to {PINS}")
+        return 0
+    bad = moved(got, load())
+    for key in bad:
+        print(f"moved: {key}")
+    print(f"queries={len(got)} moved={len(bad)}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

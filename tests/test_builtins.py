@@ -231,6 +231,22 @@ def test_type_tests(open_session):
     assert run(open_session, "X = 1, var(X)") == []
 
 
+# ---------------------------------------------------------------- purity
+
+def test_the_pure_builtins_are_the_ones_the_readme_lists():
+    two = ["<", ">", "=<", ">=", "=:=", "=\\=", "=", "\\=", "==", "\\==", "is",
+           "contains", "member"]
+    listed = ({(name, 2) for name in two} | {("append", 3)}
+              | {(name, 1) for name in ("atom", "var", "number", "string")})
+    assert len(listed) == 18
+    assert bi.PURE == listed
+    assert bi.PURE <= bi.TABLE.keys()
+    for impure in [("assert", 1), ("retract", 1), ("open", 3), ("close", 1),
+                   ("system", 1), ("display", 1), ("sleep", 1),
+                   ("report_deletion", 1), ("program_exists", 1)]:
+        assert impure in bi.TABLE and impure not in bi.PURE
+
+
 # ---------------------------------------------------------------- store
 
 def test_program_exists(session):

@@ -206,6 +206,25 @@ def test_bad_goal_is_a_usage_error(site, capsys):
     assert err.startswith("error: bad goal")
 
 
+def test_a_goal_that_is_not_callable_is_named_by_its_text(site, capsys):
+    d, _ = site
+    (d / "call.html").write_text("<html><LW_CODE>q(X) :- X.\n</LW_CODE></html>\n",
+                                 encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", SITE + "call.html", "q(1)",
+                             *base(site))
+    assert (code, out) == (3, "")
+    assert err == "error: goal is not callable: 1\n"
+
+
+def test_a_default_line_with_no_url_is_a_bad_registry_line(site, capsys):
+    _, registry = site
+    registry.write_text("# policies\ndefault\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", SITE + "index.html", "p(X)",
+                             *base(site))
+    assert (code, out) == (3, "")
+    assert err == "error: bad registry line 2: 'default'\n"
+
+
 def test_bad_mount_spec(site, capsys):
     _, registry = site
     code, _, err = run_cli(capsys, "query", SITE + "index.html", "p(X)",

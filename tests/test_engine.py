@@ -10,7 +10,7 @@ import pytest
 import verdict_reference
 from conftest import (DEPT_URL, HOME_URL, PERMISSIVE_CLAUSES, PERMISSIVE_URL,
                       RMIT_URL, base_pages, make_session, of_kind, policy_page)
-from logicweb import engine, security, verdicts
+from logicweb import engine, security
 from logicweb.engine import EngineError, solutions
 from logicweb.fetching import PageEntry
 from logicweb.guards import (Guard, GuardConfig, GuardTermination,
@@ -785,7 +785,7 @@ def test_a_live_variant_of_a_goal_in_a_kept_proof_stops_its_reuse(monkeypatch):
 
 
 class Kept(NamedTuple):
-    verdict: verdicts.Verdict
+    verdict: engine.Verdict
     steps: list             # the hook calls its proof made, as recorded
     session: engine.Session
     sigma: tuple
@@ -799,7 +799,7 @@ def kept_verdicts(monkeypatch):
     import workloads
 
     kept, last = [], {}
-    prove, put = engine.Session._prove, verdicts.VerdictMemo.put
+    prove, put = engine.Session._prove, engine.VerdictMemo.put
 
     def proved(self, sigma, goal):
         # the live guard watches the proof through the recorder
@@ -816,7 +816,7 @@ def kept_verdicts(monkeypatch):
         put(self, key, verdict)
 
     monkeypatch.setattr(engine.Session, "_prove", proved)
-    monkeypatch.setattr(verdicts.VerdictMemo, "put", keep)
+    monkeypatch.setattr(engine.VerdictMemo, "put", keep)
     s = workloads.chain_session(security=True)
     for n in (1, 3):
         for path, _refuse in workloads.CHAINS.values():
@@ -967,10 +967,10 @@ def test_an_evicted_verdict_changes_nothing_on_the_benchmark_chains(monkeypatch)
     import workloads
 
     puts = []
-    put = verdicts.VerdictMemo.put
-    monkeypatch.setattr(verdicts.VerdictMemo, "put",
+    put = engine.VerdictMemo.put
+    monkeypatch.setattr(engine.VerdictMemo, "put",
                         lambda memo, key, v: puts.append(key) or put(memo, key, v))
-    monkeypatch.setattr(verdicts, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(engine, "MAX_VERDICTS", 3)
 
     def runs():
         s = workloads.chain_session(security=True)

@@ -1,0 +1,23 @@
+"""The audit trail of every seed-1 query of the gated benchmark workloads
+matches its pin in `tests/golden/trail.json` (see `golden.py`)."""
+
+import golden
+
+
+def test_the_gated_workloads_leave_their_pinned_trails():
+    got = golden.digests()
+    assert len(got) == 328
+    assert golden.moved(got, golden.load()) == []
+
+
+def test_a_moved_line_moves_its_query_and_no_other():
+    pinned = {"a": golden.digest(["x"]), "b": golden.digest(["y"])}
+    got = {"a": golden.digest(["x", "switch"]), "b": golden.digest(["y"]),
+           "c": golden.digest([])}
+    assert golden.moved(got, pinned) == ["a", "c"]
+
+
+def test_times_and_fresh_variable_numbers_do_not_count():
+    assert (golden.digest(["1792604446.571405 syscall X = _G12 | context: -"])
+            == golden.digest(["1.5 syscall X = _G7 | context: -"]))
+    assert golden.digest(["syscall 1"]) != golden.digest(["syscall 2"])

@@ -130,6 +130,7 @@ def test_load_registry_file(tmp_path):
 
 def test_load_registry_rejects_bad_lines(tmp_path):
     for body in ("garbage http://x/\n",
+                 "default\n",
                  "signer onlyurl\n",
                  "signer alice http://a/\n"):  # no default line
         path = tmp_path / "registry"
@@ -164,8 +165,7 @@ def test_audit_log_keeps_the_newest_events_and_counts_the_dropped():
     assert len(log.events) == MAX_EVENTS
     assert [ev.detail for ev in (log.events[0], log.events[-1])] == [
         f"n{k}", f"n{MAX_EVENTS + k - 1}"]
-    assert (log.emitted, log.dropped, log.notices) == (
-        MAX_EVENTS + k, k, MAX_EVENTS + k)
+    assert (log.emitted, log.dropped) == (MAX_EVENTS + k, k)
 
 
 def test_an_event_keeps_its_goal_in_a_record_the_collector_does_not_track():
