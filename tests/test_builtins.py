@@ -5,7 +5,8 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import HOME_URL, PERMISSIVE_URL, make_session, of_kind
+from conftest import (HOME_URL, PERMISSIVE_URL, make_session, of_kind,
+                      policy_page)
 from logicweb import builtins as bi
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
@@ -327,6 +328,7 @@ def test_stateful_policy_counter(pages):
     assert in_policy("retract(counter(5))") == []
 
 
+LEDGER_URL = "http://policies.example.org/ledger.html"
 LEDGER = ("first(1).\n"
           "valid_program(_, _).\n"
           "valid_systemCall(_).\n"
@@ -341,17 +343,16 @@ LEDGER = ("first(1).\n"
 def ledger(pages):
     """A session whose default policy is LEDGER, a runner of goals inside
     it, and its stored program once fetched."""
-    from conftest import policy_page
-    url = "http://policies.example.org/ledger.html"
     pages = dict(pages)
-    pages[url] = PageEntry(policy_page("Ledger", LEDGER))
-    session = make_session(pages, default_policy=url)
+    pages[LEDGER_URL] = PageEntry(policy_page("Ledger", LEDGER))
+    session = make_session(pages, default_policy=LEDGER_URL)
 
     def in_policy(goal):
-        return solutions(session, HOME_URL, f'lw(get, "{url}") #> ({goal})')
+        return solutions(session, HOME_URL,
+                         f'lw(get, "{LEDGER_URL}") #> ({goal})')
 
     assert in_policy("calls(0)") == [{}]
-    return in_policy, session.store.get(ProgramId.get(url))
+    return in_policy, session.store.get(ProgramId.get(LEDGER_URL))
 
 
 def test_assert_keeps_the_buckets_of_other_predicates(ledger):
@@ -393,3 +394,73 @@ def test_qualified_unknown_builtin_leaves_notice(open_session):
     assert run(open_session, "built_ins:call_builtin(no_such_builtin(1))") == []
     notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert any("no_such_builtin" in n for n in notes)
+
+
+# ---------------------------------------------------------------- refusals
+
+TOO_LONG = "1" + "0" * 2200     # its square has more digits than Python prints
+
+# (goal, the one notice it leaves, run inside a policy program), one case
+# per place a built-in refuses its call
+REFUSALS = {
+    "unknown": ("built_ins:call_builtin(no_such_builtin(1))",
+                "unknown built-in: no_such_builtin(1)", False),
+    "open-name": ("open(37, read, S)",
+                  "open/3: file name must be an atom or string", False),
+    "open-mode": ('open("f", sideways, S)',
+                  "open/3: mode must be read or write", False),
+    "open-stream": ('open("f", read, bound)',
+                    "open/3: stream argument must be unbound", False),
+    "open-fails": ('open("a\0b", read, S)',
+                   "open/3 failed: embedded null byte", False),
+    "close": ("close(3)", "close/1: not an open stream", False),
+    "system-text": ("system(37)",
+                    "system/1: command must be an atom or string", False),
+    "system-nul": ('system("a\0b")', "system/1 failed: embedded null byte",
+                   False),
+    "system-ceiling": ('system("sleep 5")',
+                       "system/1 failed: 'sleep 5' ran past 0 seconds", False),
+    "sleep-number": ("sleep(a)", "sleep/1: milliseconds must be a number",
+                     False),
+    "sleep-ceiling": ("sleep(1.0e300)",
+                      "sleep/1 failed: over 30 seconds with no time limit",
+                      False),
+    "assert-context": ("assert(f(a))",
+                       "assert/1: only policy programs may change their clauses",
+                       False),
+    "assert-head": ("assert(3)", "assert/1: illegal clause head: 3", True),
+    "retract-context": ("retract(f(a))",
+                        "retract/1: only policy programs may change their clauses",
+                        False),
+    "program-id": ("program_exists(foo)",
+                   "program_exists/1: not a program identifier", False),
+    "contains": ("contains(X, a)", "contains/2: both arguments must be text",
+                 False),
+    "is-arith": ("X is foo + 1", "is/2: not arithmetic: foo", False),
+    "is-overflow": (f"X is 1.0 + {HUGE}",
+                    "is/2: int too large to convert to float", False),
+    "is-infinite": ("X is 1.0e300 * 1.0e300",
+                    "is/2: non-finite result: 1e+300 * 1e+300", False),
+    "is-too-long": (f"X is {TOO_LONG} * {TOO_LONG}",
+                    "is/2: integer result too long to print", False),
+    "compare": ("a < b", "<: not arithmetic: a", False),
+    "compare-overflow": (f"1.0 + {HUGE} >= 1",
+                         ">=: int too large to convert to float", False),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_a_refused_call_fails_and_leaves_one_notice_naming_why(case, pages,
+                                                               monkeypatch):
+    goal, notice, in_policy = REFUSALS[case]
+    if case == "system-ceiling":
+        monkeypatch.setattr(bi, "UNTIMED_CEILING_S", 0)
+    if in_policy:
+        pages = dict(pages)
+        pages[LEDGER_URL] = PageEntry(policy_page("Ledger", LEDGER))
+        session = make_session(pages, default_policy=LEDGER_URL)
+        goal = f'lw(get, "{LEDGER_URL}") #> ({goal})'
+    else:
+        session = make_session(pages, security=False)
+    assert solutions(session, HOME_URL, goal) == []
+    assert [e.detail for e in of_kind(session.audit, "notice")] == [notice]
