@@ -4,8 +4,8 @@ Everything a program can do to the world outside pure resolution lives
 here. An implementation takes the arguments, fully dereferenced, the
 session and the calling context, and yields fresh substitutions over the
 remaining variables, which the engine composes into the current answer.
-Failures (type errors included) are quiet: the goal just fails, optionally
-leaving a notice in the audit log.
+One that refuses its call raises `Refusal`; `call_builtin` then fails the
+goal quietly and leaves the reason as one notice in the audit log.
 """
 
 from __future__ import annotations
@@ -45,14 +45,20 @@ def lookup(t: Term) -> Optional[Callable]:
     return TABLE.get(key) if key else None
 
 
+class Refusal(Exception):
+    """A built-in refuses its call; the message says which and why."""
+
+
 def call_builtin(t: Term, session, ctx) -> Iterator[Substitution]:
-    """Type-checked execution of one built-in call made by `ctx`."""
-    impl = lookup(t)
-    if impl is None:
-        session.notice(f"unknown built-in: {syntax.to_text(t)}")
-        return
-    args = t.args if isinstance(t, Struct) else ()
-    yield from impl(args, session, ctx)
+    """Type-checked execution of one built-in call made by `ctx`. A refused
+    call fails and leaves its reason as a notice."""
+    try:
+        impl = lookup(t)
+        if impl is None:
+            raise Refusal(f"unknown built-in: {syntax.to_text(t)}")
+        yield from impl(t.args if isinstance(t, Struct) else (), session, ctx)
+    except Refusal as exc:
+        session.notice(str(exc))
 
 
 # ---------------------------------------------------------------- helpers
@@ -73,19 +79,15 @@ def _bi_open(args, session, ctx):
     fname, mode, stream = args
     path = _text(fname)
     if path is None:
-        session.notice("open/3: file name must be an atom or string")
-        return
+        raise Refusal("open/3: file name must be an atom or string")
     if not (isinstance(mode, Atom) and mode.name in ("read", "write")):
-        session.notice("open/3: mode must be read or write")
-        return
+        raise Refusal("open/3: mode must be read or write")
     if not isinstance(stream, Var):
-        session.notice("open/3: stream argument must be unbound")
-        return
+        raise Refusal("open/3: stream argument must be unbound")
     try:
         handle = open(path, "r" if mode.name == "read" else "w", encoding="utf-8")
     except (OSError, ValueError) as exc:    # ValueError: a NUL in the name
-        session.notice(f"open/3 failed: {exc}")
-        return
+        raise Refusal(f"open/3 failed: {exc}")
     n = session.new_stream(handle)
     yield EMPTY_SUBST.bind(stream, Struct("$stream", (Num(n),)))
 
@@ -101,7 +103,7 @@ def _bi_close(args, session, ctx):
             handle.close()
             yield EMPTY_SUBST
             return
-    session.notice("close/1: not an open stream")
+    raise Refusal("close/1: not an open stream")
 
 
 @_register("system", 1)
@@ -112,8 +114,7 @@ def _bi_system(args, session, ctx):
     except one that moved to a session of its own (`setsid`)."""
     cmd = _text(args[0])
     if cmd is None:
-        session.notice("system/1: command must be an atom or string")
-        return
+        raise Refusal("system/1: command must be an atom or string")
     hooks = session.hooks
     ceiling = (time.monotonic() + UNTIMED_CEILING_S
                if hooks.deadline is None else None)
@@ -124,8 +125,7 @@ def _bi_system(args, session, ctx):
         proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL, start_new_session=True)
     except (OSError, ValueError) as exc:    # ValueError: a NUL in the command
-        session.notice(f"system/1 failed: {exc}")
-        return
+        raise Refusal(f"system/1 failed: {exc}")
     delay = 0.0005
     try:
         # the exited shell stays unreaped until its group is killed, so its
@@ -134,8 +134,7 @@ def _bi_system(args, session, ctx):
                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
             hooks.check_now()
             if ceiling is not None and time.monotonic() > ceiling:
-                session.notice(f"system/1 failed: {cmd!r} ran past {UNTIMED_CEILING_S} seconds")
-                return
+                raise Refusal(f"system/1 failed: {cmd!r} ran past {UNTIMED_CEILING_S} seconds")
             time.sleep(delay)
             delay = min(delay * 2, 0.02)
     finally:
@@ -169,12 +168,10 @@ def _bi_sleep(args, session, ctx):
     """sleep(Millis): cooperative pause, wakes early on guard stop; with no
     guard deadline it may last `UNTIMED_CEILING_S`"""
     if not isinstance(args[0], Num):
-        session.notice("sleep/1: milliseconds must be a number")
-        return
+        raise Refusal("sleep/1: milliseconds must be a number")
     hooks, millis = session.hooks, args[0].value
     if millis > UNTIMED_CEILING_S * 1000 and hooks.deadline is None:
-        session.notice(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
-        return
+        raise Refusal(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
     # past the float range, only the deadline ends the pause
     remaining = millis / 1000.0 if millis < 1e300 else math.inf
     while remaining > 0:
@@ -201,14 +198,12 @@ def _bi_assert(args, session, ctx):
     """assert(Clause): extend the calling policy program"""
     prog = policy_program(session, ctx)
     if prog is None:
-        session.notice("assert/1: only policy programs may change their clauses")
-        return
+        raise Refusal("assert/1: only policy programs may change their clauses")
     try:
         # a copy, so the stored clause shares no variable with the caller
         clause = clause_from_term(rename_apart(args[0]))
     except Exception as exc:
-        session.notice(f"assert/1: {exc}")
-        return
+        raise Refusal(f"assert/1: {exc}")
     prog.add(clause)
     yield EMPTY_SUBST
 
@@ -218,8 +213,7 @@ def _bi_retract(args, session, ctx):
     """retract(Clause): remove the first matching clause"""
     prog = policy_program(session, ctx)
     if prog is None:
-        session.notice("retract/1: only policy programs may change their clauses")
-        return
+        raise Refusal("retract/1: only policy programs may change their clauses")
     # a fact's clause term is its head, so a bare pattern matches facts and
     # a ':-'/2 pattern matches rules; only a variable head can match clauses
     # of more than one predicate
@@ -245,8 +239,7 @@ def _bi_program_exists(args, session, ctx):
     try:
         pid = ProgramId.from_term(args[0])
     except Exception:
-        session.notice("program_exists/1: not a program identifier")
-        return
+        raise Refusal("program_exists/1: not a program identifier")
     if pid in session.store:
         yield EMPTY_SUBST
 
@@ -258,8 +251,7 @@ def _bi_contains(args, session, ctx):
     """contains(Text, Sub): substring test"""
     text, sub = _text(args[0]), _text(args[1])
     if text is None or sub is None:
-        session.notice("contains/2: both arguments must be text")
-        return
+        raise Refusal("contains/2: both arguments must be text")
     if sub in text:
         yield EMPTY_SUBST
 
@@ -365,10 +357,6 @@ def _bi_neq(args, session, ctx):
         yield EMPTY_SUBST
 
 
-class _ArithmeticError(Exception):
-    pass
-
-
 def _eval_arith(t: Term):
     if isinstance(t, Num):
         return t.value
@@ -381,7 +369,7 @@ def _eval_arith(t: Term):
         return lhs * rhs
     if isinstance(t, Struct) and t.functor == "-" and len(t.args) == 1:
         return -_eval_arith(t.args[0])
-    raise _ArithmeticError(f"not arithmetic: {syntax.to_text(t)}")
+    raise Refusal(f"not arithmetic: {syntax.to_text(t)}")
 
 
 @_register("is", 2, pure=True)
@@ -389,17 +377,14 @@ def _bi_is(args, session, ctx):
     """is(X, Expr): evaluate +, -, * over numbers"""
     try:
         value = _eval_arith(args[1])
-    except (_ArithmeticError, OverflowError) as exc:
-        session.notice(f"is/2: {exc}")
-        return
+    except (Refusal, OverflowError) as exc:
+        raise Refusal(f"is/2: {exc}")
     if isinstance(value, float) and not math.isfinite(value):
         # no text reads back as an infinity, so none may be stored
-        session.notice(f"is/2: non-finite result: {syntax.to_text(args[1])}")
-        return
+        raise Refusal(f"is/2: non-finite result: {syntax.to_text(args[1])}")
     # nor an integer the printer refuses
     if isinstance(value, int) and not syntax.int_printable(value):
-        session.notice("is/2: integer result too long to print")
-        return
+        raise Refusal("is/2: integer result too long to print")
     s = unify(args[0], Num(value))
     if s is not None:
         yield s
@@ -414,9 +399,8 @@ def _compare(op: str):
         """Arithmetic comparison of two evaluated expressions."""
         try:
             lhs, rhs = _eval_arith(args[0]), _eval_arith(args[1])
-        except (_ArithmeticError, OverflowError) as exc:
-            session.notice(f"{op}: {exc}")
-            return
+        except (Refusal, OverflowError) as exc:
+            raise Refusal(f"{op}: {exc}")
         if fn(lhs, rhs):
             yield EMPTY_SUBST
     return impl

@@ -129,6 +129,8 @@ def _build_session(args) -> Session:
     session = Session(registry, fetch_cfg, config, hooks=guard)
 
     if args.store_dir:
+        # a store that cannot be saved stops the command before it runs
+        Path(args.store_dir).mkdir(parents=True, exist_ok=True)
         load_store(args.store_dir, session)
     return session
 

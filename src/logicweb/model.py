@@ -293,7 +293,7 @@ def clause_from_term(t: Term) -> Clause:
     if isinstance(t, Struct) and t.functor == ":-" and len(t.args) == 2:
         head, body = t.args
     else:
-        head, body = t, Atom("true")
+        head, body = t, TRUE_ATOM
     key = functor_of(head)
     if key is None or key[0] in RESERVED_HEADS:
         raise ExpressionError(f"illegal clause head: {syntax.to_text(head)}")

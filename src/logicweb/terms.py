@@ -194,9 +194,6 @@ class Substitution:
     def __init__(self, bindings: dict[int, Term] | None = None):
         self._b: dict[int, Term] = bindings or {}
 
-    def __contains__(self, v: Var) -> bool:
-        return v.id in self._b
-
     def __repr__(self) -> str:
         return f"Substitution({self._b!r})"
 

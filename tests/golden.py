@@ -10,6 +10,9 @@ that moves the trail on purpose rewrites the pins and says why.
 
     PYTHONPATH=src python tests/golden.py --check   # exit 1 naming each query that moved
     PYTHONPATH=src python tests/golden.py --write   # rewrite tests/golden/trail.json
+
+Under each of the first three queries that moved, `--check` prints that
+query's new trail lines as they were digested.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -32,14 +36,18 @@ from workloads import SecuredSyscalls, SiteCrawl  # noqa: E402
 
 PINS = Path(__file__).resolve().parent / "golden" / "trail.json"
 SEED = 1
+SHOWN = 3       # moved queries whose new lines --check prints
 
 _STAMP = re.compile(r"^\d+\.\d+ ", re.MULTILINE)     # an audit line's time
 _FRESH = re.compile(r"_G\d+")
 
 
+def normalised(lines: list[str]) -> str:
+    return _FRESH.sub("_G", _STAMP.sub("", "\n".join(lines)))
+
+
 def digest(lines: list[str]) -> str:
-    text = _FRESH.sub("_G", _STAMP.sub("", "\n".join(lines)))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(normalised(lines).encode()).hexdigest()
 
 
 def secured_syscalls_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
@@ -71,15 +79,16 @@ def site_crawl_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
                     *err.getvalue().splitlines()])
 
 
+def trails() -> dict[str, list[str]]:
+    """The trail lines of every pinned query, run afresh."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return dict(chain(secured_syscalls_trails(Path(tmp)),
+                          site_crawl_trails(Path(tmp))))
+
+
 def digests() -> dict[str, str]:
     """The digest of every pinned query's trail, run afresh."""
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for trails in (secured_syscalls_trails(Path(tmp)),
-                       site_crawl_trails(Path(tmp))):
-            for key, lines in trails:
-                out[key] = digest(lines)
-    return out
+    return {key: digest(lines) for key, lines in trails().items()}
 
 
 def load() -> dict[str, str]:
@@ -99,15 +108,19 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare with the pins; exit 1 if any query moved")
     args = p.parse_args(argv)
-    got = digests()
+    runs = trails()
+    got = {key: digest(lines) for key, lines in runs.items()}
     if args.write:
         PINS.parent.mkdir(exist_ok=True)
         PINS.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
         print(f"queries={len(got)} written to {PINS}")
         return 0
     bad = moved(got, load())
-    for key in bad:
+    for i, key in enumerate(bad):
         print(f"moved: {key}")
+        if i < SHOWN and key in runs:
+            for line in normalised(runs[key]).splitlines():
+                print(f"    {line}")
     print(f"queries={len(got)} moved={len(bad)}")
     return 1 if bad else 0
 

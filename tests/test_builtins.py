@@ -400,8 +400,8 @@ def test_qualified_unknown_builtin_leaves_notice(open_session):
 
 TOO_LONG = "1" + "0" * 2200     # its square has more digits than Python prints
 
-# (goal, the one notice it leaves, run inside a policy program), one case
-# per place a built-in refuses its call
+# (goal, the one notice it leaves, run inside a policy program): every
+# place a built-in refuses its call, and each cause of an arithmetic refusal
 REFUSALS = {
     "unknown": ("built_ins:call_builtin(no_such_builtin(1))",
                 "unknown built-in: no_such_builtin(1)", False),

@@ -599,6 +599,20 @@ def test_a_query_answers_over_a_store_with_a_file_that_does_not_read_back(
     assert str(sd / "0123456789abcdef.lwp") in caplog.text
 
 
+def test_a_store_directory_that_cannot_be_made_stops_the_query_first(
+        site, capsys, tmp_path):
+    # answers are printed after the store is saved, so a store that could
+    # not be saved once ran the query and then hid its answers
+    d, _ = site
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    bad = str(tmp_path / "afile" / "sub")
+    code, out, err = run_cli(capsys, "query", SITE + "index.html",
+                             "display(hi), p(X)", "--mount", f"{SITE}={d}",
+                             "--offline", "--no-security", "--store-dir", bad)
+    assert (code, out) == (3, "")
+    assert bad in err
+
+
 # ---------------------------------------------------------------- signing
 
 def test_keygen_sign_authenticate_pipeline(site, capsys, tmp_path):

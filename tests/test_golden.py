@@ -21,3 +21,18 @@ def test_times_and_fresh_variable_numbers_do_not_count():
     assert (golden.digest(["1792604446.571405 syscall X = _G12 | context: -"])
             == golden.digest(["1.5 syscall X = _G7 | context: -"]))
     assert golden.digest(["syscall 1"]) != golden.digest(["syscall 2"])
+
+
+def test_check_shows_the_new_lines_of_the_first_three_moved_queries(
+        monkeypatch, capsys):
+    runs = {f"q{i}": [f"1.5 syscall {i} X = _G{i}"] for i in range(5)}
+    monkeypatch.setattr(golden, "trails", lambda: runs)
+    monkeypatch.setattr(golden, "load",
+                        lambda: {"q0": golden.digest(runs["q0"])})
+    assert golden.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "moved: q1", "    syscall 1 X = _G",
+        "moved: q2", "    syscall 2 X = _G",
+        "moved: q3", "    syscall 3 X = _G",
+        "moved: q4",
+        "queries=5 moved=4"]

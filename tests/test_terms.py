@@ -76,6 +76,7 @@ def test_unify_arity_mismatch_fails():
 def test_occurs_check_rejects_cyclic_binding():
     x = fresh_var("X")
     assert unify(x, struct("f", x)) is None
+    assert unify(struct("f", x), x) is None     # the variable on the right
 
 
 def test_occurs_check_through_chains():
@@ -111,8 +112,8 @@ def test_walk_is_shallow():
 def test_bind_is_persistent():
     x = fresh_var("X")
     s1 = EMPTY_SUBST.bind(x, Atom("a"))
-    assert x not in EMPTY_SUBST
-    assert x in s1
+    assert EMPTY_SUBST.apply(x) is x
+    assert s1.apply(x) == Atom("a")
 
 
 def test_compose_applies_later_bindings():
