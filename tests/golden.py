@@ -1,10 +1,15 @@
-"""Pins of the audit trail of the two gated benchmark workloads.
+"""Pins of the audit trail of the two gated benchmark workloads and of
+a few composed and hostile pages.
 
 For every seed-1 query of `secured_syscalls` (the secured session and its
 open twin) and of `site_crawl` (`lw trace`, secured and `--no-security`),
 this keeps one sha256 of what the query leaves: the session's new audit
 lines for the first, the exit code and the whole output of `lw trace` for
-the second. Timestamps are stripped and fresh variable names `_G<n>` read
+the second. It keeps the same for `lw trace` over the doubling-context
+page and composed programs (secured and `--no-security`), whose goals take
+every path of clause selection: the three reduce forms, union,
+intersection, restriction and encapsulation; and over each hostile page of
+`hostile_pages.py` that ends in well under a second. Timestamps are stripped and fresh variable names `_G<n>` read
 `_G`, so a digest depends on the interpreter's behaviour alone. A change
 that moves the trail on purpose rewrites the pins and says why.
 
@@ -21,6 +26,7 @@ import argparse
 import hashlib
 import io
 import json
+import logging
 import re
 import sys
 import tempfile
@@ -31,12 +37,19 @@ from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+from hostile_pages import (DOUBLING, HOSTILE_PAGES, READ_LINKS,  # noqa: E402
+                           SLOW_PAGES)
 from logicweb import cli  # noqa: E402
 from workloads import SecuredSyscalls, SiteCrawl  # noqa: E402
 
 PINS = Path(__file__).resolve().parent / "golden" / "trail.json"
 SEED = 1
 SHOWN = 3       # moved queries whose new lines --check prints
+
+# a page's logged warnings are not its trail: this handler keeps Python's
+# last-resort one from writing them into the `lw trace` stderr read here,
+# as pytest's log capture does
+logging.getLogger("logicweb").addHandler(logging.NullHandler())
 
 _STAMP = re.compile(r"^\d+\.\d+ ", re.MULTILINE)     # an audit line's time
 _FRESH = re.compile(r"_G\d+")
@@ -66,24 +79,87 @@ def secured_syscalls_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
                    [ev.format_line() for ev in events])
 
 
+def lw_trace(argv: list[str]) -> list[str]:
+    """The exit code and every output line of `lw trace` run on `argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["trace", *argv])
+    return [f"exit {code}", *out.getvalue().splitlines(),
+            *err.getvalue().splitlines()]
+
+
 def site_crawl_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
     wl = SiteCrawl(SEED, workdir)
     for twin, extra in (("secured", []), ("open", ["--no-security"])):
         for i, query in enumerate(wl.queries):
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(["trace", query.start, query.goal,
-                                 *wl.session_args, *extra])
             yield (f"site_crawl {twin} {i:03d} {query.start} {query.goal}",
-                   [f"exit {code}", *out.getvalue().splitlines(),
-                    *err.getvalue().splitlines()])
+                   lw_trace([query.start, query.goal, *wl.session_args, *extra]))
+
+
+SITE = "http://progs.example/"
+POLICY_HOST = "http://policies.example.org/"
+A, B, C = (f'"{SITE}{name}.html"' for name in "abc")
+PROGRAMS = {
+    "main": "",
+    "a": "p(1).\np(3).\nq(2).\ns(2).\npub(X) :- helper(X).\nhelper(1).\n",
+    "b": "p(2).\ns(2).\ns(9).\nhelper(2).\n",
+    "c": "p(5).\nr(7).\n",
+    "doubling": DOUBLING,
+}
+RESTRICTED = f"(/)<>({A} + {C}, [{B}])"
+# (page, goal): the reduce forms, each operator and the doubling context
+PAGE_GOALS = [("main", f"{RESTRICTED} #> {g}") for g in ("p(X)", "q(X)", "r(X)")] + [
+    ("main", f"(+)<>[{A}, {B}, {C}] #> p(X)"),
+    ("main", f"(*)<>[{A}, {B}] #> s(X)"),
+    ("main", f"({A} * {B}) #> s(X)"),
+    ("main", f"(@{A} + {B}) #> pub(X)"),
+    ("main", f"({A} + {B}) #> pub(X)"),
+    ("doubling", "g"),
+]
+PERMISSIVE = ("valid_program(_, _).\nvalid_systemCall(_).\n"
+              "call_system(Call) :- built_ins:call_builtin(Call).\n")
+
+
+def page(clauses: str) -> str:
+    return f"<HTML><BODY>\n<!--\n<LW_CODE>\n{clauses}</LW_CODE>\n-->\n</BODY></HTML>\n"
+
+
+def page_trails(workdir: Path) -> Iterator[tuple[str, list[str]]]:
+    workdir = workdir / "pages"
+    site, policies = workdir / "progs", workdir / "policies"
+    site.mkdir(parents=True)
+    policies.mkdir()
+    for name, clauses in PROGRAMS.items():
+        (site / f"{name}.html").write_text(page(clauses), encoding="utf-8")
+    (policies / "permissive.html").write_text(page(PERMISSIVE), encoding="utf-8")
+    registry = workdir / "registry"
+    registry.write_text(f"default {POLICY_HOST}permissive.html\n", encoding="utf-8")
+    common = ["--offline", "--mount", f"{SITE}={site}",
+              "--mount", f"{POLICY_HOST}={policies}",
+              "--registry", str(registry), "--timeout-ms", "3000"]
+    for twin, extra in (("secured", []), ("open", ["--no-security"])):
+        for name, goal in PAGE_GOALS:
+            url = f"{SITE}{name}.html"
+            yield (f"pages {twin} {url} {goal}",
+                   lw_trace([url, goal, *common, *extra]))
+    for case, (body, _, _) in HOSTILE_PAGES.items():
+        if case in SLOW_PAGES:
+            continue
+        root = workdir / "hostile" / case
+        root.mkdir(parents=True)
+        (root / "index.html").write_bytes(
+            body if isinstance(body, bytes) else body.encode("utf-8"))
+        for goal in ("p(X)", READ_LINKS):
+            yield (f"hostile {case} {goal}",
+                   lw_trace(["http://hostile.example/", goal, "--no-security",
+                             "--offline", "--mount", f"http://hostile.example/={root}"]))
 
 
 def trails() -> dict[str, list[str]]:
     """The trail lines of every pinned query, run afresh."""
     with tempfile.TemporaryDirectory() as tmp:
         return dict(chain(secured_syscalls_trails(Path(tmp)),
-                          site_crawl_trails(Path(tmp))))
+                          site_crawl_trails(Path(tmp)), page_trails(Path(tmp))))
 
 
 def digests() -> dict[str, str]:

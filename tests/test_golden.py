@@ -6,7 +6,7 @@ import golden
 
 def test_the_gated_workloads_leave_their_pinned_trails():
     got = golden.digests()
-    assert len(got) == 328
+    assert len(got) == 368
     assert golden.moved(got, golden.load()) == []
 
 
