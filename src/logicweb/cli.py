@@ -153,7 +153,6 @@ def cmd_query(args) -> int:
                                 limit=args.limit)
     finally:
         session.close_streams()
-    _flush_store(session, args.store_dir)
 
     qvars = list(varmap.values())
     for sol in outcome.solutions:
@@ -169,23 +168,25 @@ def cmd_query(args) -> int:
             print(f"# {session.audit.dropped} earlier events dropped")
         for line in session.audit.lines():
             print(line)
+    code = EXIT_OK if outcome.solutions else EXIT_NO
     if outcome.terminated:
         print(f"stopped: {outcome.termination.message}", file=sys.stderr)
-        return EXIT_STOPPED
-    return EXIT_OK if outcome.solutions else EXIT_NO
+        code = EXIT_STOPPED
+    _flush_store(session, args.store_dir)     # last: a failed save hides no answer
+    return code
 
 
 def cmd_fetch(args) -> int:
     session = _build_session(args)
     try:
         program = download(ProgramId(args.method, args.url), session)
+        for clause in program.clauses:
+            print(clause_text(clause))
     except FetchError as exc:
         print(f"fetch failed ({exc.reason}): {exc.detail}", file=sys.stderr)
         return EXIT_NO
     finally:
         _flush_store(session, args.store_dir)
-    for clause in program.clauses:
-        print(clause_text(clause))
     return EXIT_OK
 
 

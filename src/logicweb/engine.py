@@ -27,7 +27,7 @@ from .model import (EMPTY_PROGRAM, EmptyProgram, Encapsulation,
 from .security import AuditLog, PolicyRegistry
 from .syntax import to_text
 from .terms import (TRUE_ATOM, Atom, EMPTY_SUBST, Str, Struct, Substitution,
-                    Term, Var, functor_of, unify, variant_key)
+                    Term, Var, fresh_var_id, functor_of, unify, variant_key)
 
 PolicySet = tuple[ProgramId, ...]      # newest first; the last entry belongs
                                        # to the query's main program
@@ -205,10 +205,12 @@ class Session:
 
         # A built-in goal is a system call and nothing else: clauses a page
         # writes for a built-in's name and arity are never selected.
-        if bi.lookup(t) is not None:
-            yield from self._system_call(sigma, ctx, t, s, chain)
-        else:
+        if bi.lookup(t) is None:
             yield from self._user_call(sigma, ctx, t, s, chain)
+        elif sigma:
+            yield from self._system_call(sigma, t, s, chain)
+        else:
+            yield from self._run_builtin(ctx, s.apply(t), s, chain)
 
     def _disjunction(self, sigma, ctx, t, s, chain, barrier):
         lhs, rhs = t.args
@@ -256,11 +258,12 @@ class Session:
                       s: Substitution, chain: tuple[ProgramExpression, ...]
                       ) -> Iterator[tuple[Substitution, Term]]:
         """Clauses of the composition `e` whose head unifies with `goal`,
-        as (extended substitution, renamed body) pairs. A program renames
-        and tries only the clauses its first-argument index gives, from
-        tuples that `assert` and `retract` replace, never edit, so a
-        selection walks the clauses as they stood when it began (the
-        logical update view). A vet being proved records the bucket."""
+        as (extended substitution, renamed body) pairs. A program tries
+        only the clauses its first-argument index gives, from tuples that
+        `assert` and `retract` replace, never edit, so a selection walks
+        the clauses as they stood when it began (the logical update view).
+        A head is matched in its clause's own frame, and only a matched
+        clause's body is renamed. A vet being proved records the bucket."""
         if isinstance(e, EmptyProgram):
             return
         if isinstance(e, ProgramId):
@@ -272,12 +275,12 @@ class Session:
                 pred = functor_of(goal)
                 reads[program, pred] = program.clauses_of(pred)
             for clause in program.candidates(goal, s):
-                renamed = rename_clause(clause)
-                s1 = unify(goal, renamed.head, s)
+                mapping = {} if reads is None else goal_variables(clause.body)
+                s1 = unify(goal, clause.head, s, mapping)
                 if s1 is None:
                     continue
                 self.hooks.on_clause_applied()
-                yield s1, renamed.body
+                yield s1, rename_clause(clause, mapping)
         elif isinstance(e, Union):
             yield from self.select_clause(sigma, e.left, goal, s, chain)
             yield from self.select_clause(sigma, e.right, goal, s, chain)
@@ -402,11 +405,8 @@ class Session:
 
     # ------------------------------------------------------------- system calls
 
-    def _system_call(self, sigma, ctx, t: Term, s, chain):
+    def _system_call(self, sigma, t: Term, s, chain):
         g = s.apply(t)
-        if not sigma:
-            yield from self._run_builtin(ctx, g, s, chain)
-            return
         if not self._call_allowed(sigma, g, chain):
             return
         self.audit.emit("syscall", g, chain, sigma)
@@ -442,6 +442,21 @@ class Session:
 
 
 Engine = Session  # bench/tracer.py patches the evaluator through this name
+
+
+def goal_variables(body: Term) -> dict[int, Term]:
+    """A fresh variable for each variable that `solve` reads as a goal of
+    `body`: the body itself, or an argument of a `,`, `;` or `->` there. A
+    variable goal drops a vet's record, so a recorded vet keeps them so."""
+    out: dict[int, Term] = {}
+    stack = [body]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            out.setdefault(t.id, Var(t.name, fresh_var_id()))
+        elif type(t) is Struct and t.functor in (",", ";", "->") and len(t.args) == 2:
+            stack.extend(t.args)
+    return out
 
 
 def solutions(session: Session, main_url: str, goal_text: str,

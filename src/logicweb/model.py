@@ -325,10 +325,10 @@ def parse_goal(text: str) -> tuple[Term, dict[str, Var]]:
     return t, varmap
 
 
-def rename_clause(c: Clause) -> Clause:
-    """Fresh-variable copy; head and body keep their shared variables."""
-    mapping: dict[int, Var] = {}
-    return Clause(rename_apart(c.head, mapping), rename_apart(c.body, mapping))
+def rename_clause(c: Clause, mapping: dict[int, Term]) -> Term:
+    """The body of `c` renamed apart through the `mapping` that matching its
+    head left (`unify(goal, c.head, s, mapping)`)."""
+    return rename_apart(c.body, mapping)
 
 
 # ---------------------------------------------------------------- indexed programs

@@ -258,15 +258,37 @@ def occurs_in(vid: int, t: Term, s: Substitution) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term,
-          subst: Substitution | None = None) -> Optional[Substitution]:
+def unify(t1: Term, t2: Term, subst: Substitution | None = None,
+          mapping: dict[int, Term] | None = None) -> Optional[Substitution]:
     """Most general unifier extending `subst`, or None. The occurs check is
-    always on, so the result never contains a cyclic binding."""
+    always on, so the result never contains a cyclic binding.
+
+    Given `mapping`, `t2` is read as `rename_apart(t2, mapping)` would copy
+    it, without building the copy: a clause head matched in its own frame.
+    A variable of `t2` first met against a goal term that is not a variable
+    stands for that term in `mapping`; one first met against a variable
+    becomes a fresh variable, which that variable is bound to. The rest is
+    unified as without `mapping`, in the same order."""
     s = subst if subst is not None else EMPTY_SUBST
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = s.walk(a)
+        while type(a) is Var and (bound := s._b.get(a.id)) is not None:
+            a = bound
+        if mapping is not None and ((kind := type(b)) is Var or kind is Struct):
+            if kind is Struct and type(a) is Struct:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return None
+                stack.extend(zip(a.args, b.args))
+            elif kind is Var and b.id not in mapping:
+                if type(a) is Var:
+                    s = s.bind(a, mapping.setdefault(b.id, Var(b.name, next(_var_ids))))
+                else:
+                    mapping[b.id] = a
+            # a repeated variable, or a compound against a goal term that is not one
+            elif (s := unify(a, rename_apart(b, mapping), s)) is None:
+                return None
+            continue
         b = s.walk(b)
         if a is b:
             continue
@@ -295,9 +317,10 @@ def unify(t1: Term, t2: Term,
     return s
 
 
-def rename_apart(t: Term, mapping: dict[int, Var] | None = None) -> Term:
+def rename_apart(t: Term, mapping: dict[int, Term] | None = None) -> Term:
     """Copy with fresh variables. Shared variables stay shared; passing the
-    same mapping across calls extends the sharing to sibling terms."""
+    same mapping across calls extends the sharing to sibling terms. A mapped
+    variable may stand for a goal term, as `unify` given a mapping leaves it."""
     if mapping is None:
         mapping = {}
     kind = type(t)

@@ -601,8 +601,8 @@ def test_a_query_answers_over_a_store_with_a_file_that_does_not_read_back(
 
 def test_a_store_directory_that_cannot_be_made_stops_the_query_first(
         site, capsys, tmp_path):
-    # answers are printed after the store is saved, so a store that could
-    # not be saved once ran the query and then hid its answers
+    # the store directory is made before the query runs, so one that
+    # cannot be made stops the command before it prints anything
     d, _ = site
     (tmp_path / "afile").write_text("", encoding="utf-8")
     bad = str(tmp_path / "afile" / "sub")
@@ -611,6 +611,26 @@ def test_a_store_directory_that_cannot_be_made_stops_the_query_first(
                              "--offline", "--no-security", "--store-dir", bad)
     assert (code, out) == (3, "")
     assert bad in err
+
+
+@pytest.mark.parametrize("command, goal", [("query", ["display(hi), p(X)"]),
+                                           ("fetch", [])])
+def test_a_store_file_that_cannot_be_written_hides_no_answers(
+        command, goal, site, capsys, tmp_path):
+    # the answers, or the fetched clauses, are printed before the store is
+    # saved; the failed save still ends the command with exit 3
+    d, _ = site
+    store = tmp_path / "st"
+    args = [SITE + "index.html", *goal, "--mount", f"{SITE}={d}", "--offline",
+            "--no-security", "--store-dir", str(store)]
+    assert run_cli(capsys, command, *args)[0] == 0
+    [cached] = store.glob("*.lwp")
+    cached.unlink()
+    cached.mkdir()
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 3 and str(cached) in err
+    assert out.endswith("X = 1\nX = 2\n" if goal else "p(1).\np(2).\nloop :- loop.\n"
+                        "greet(X) :- member(X, [hi, bye]).\n")
 
 
 # ---------------------------------------------------------------- signing

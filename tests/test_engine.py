@@ -389,17 +389,17 @@ def test_a_keyed_lookup_renames_one_clause_of_twenty_thousand(monkeypatch):
     s = sess({})
     facts = [Clause(Struct("f", (Atom(f"k{i}"), Num(i)))) for i in range(20000)]
     s.install_local(LWProgram(ProgramId.get(MAIN), facts))
-    renamed, original = [], engine.rename_clause
+    tried, original = [], engine.unify
 
-    def counting(c):
-        renamed.append(c)
-        return original(c)
+    def counting(goal, head, *rest):
+        tried.append(head)
+        return original(goal, head, *rest)
 
-    monkeypatch.setattr(engine, "rename_clause", counting)
-    assert q(s, "f(k19999, X)") == ["19999"] and len(renamed) == 1
-    assert q(s, "f(k20000, X)") == [] and len(renamed) == 1
+    monkeypatch.setattr(engine, "unify", counting)
+    assert q(s, "f(k19999, X)") == ["19999"] and len(tried) == 1
+    assert q(s, "f(k20000, X)") == [] and len(tried) == 1
     # an unbound first argument takes every clause
-    assert q(s, "f(K, 7)", var="K") == ["k7"] and len(renamed) == 20001
+    assert q(s, "f(K, 7)", var="K") == ["k7"] and len(tried) == 20001
 
 
 GROWING_URL = "http://policies.example.org/growing.html"
@@ -539,6 +539,17 @@ def test_a_verdict_survives_changes_to_predicates_it_never_read(monkeypatch):
 ])
 def test_an_impure_policy_is_proved_on_every_call(monkeypatch, form):
     s = memo_session(f"valid_systemCall(_) :- check.\ncheck :- {form}.\n")
+    proofs = counting_proofs(monkeypatch)
+    for _ in range(2):
+        assert count(s, 'contains("ab", "a")') == 1
+    assert len(proofs) == 2
+    assert of_kind(s.audit, "vet") == []
+
+
+def test_a_policy_calling_what_a_head_variable_stands_for_is_proved_every_time(
+        monkeypatch):
+    # `G` stands for the goal's own `contains/2` term: still a variable goal
+    s = memo_session("valid_systemCall(C) :- allowed(C).\nallowed(G) :- G.\n")
     proofs = counting_proofs(monkeypatch)
     for _ in range(2):
         assert count(s, 'contains("ab", "a")') == 1

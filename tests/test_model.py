@@ -15,7 +15,8 @@ from logicweb.model import (EMPTY_PROGRAM, Clause, Encapsulation,
                             validate_expression_term)
 from logicweb.syntax import parse_term_text
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Var,
-                            fresh_var, functor_of, make_list, unify)
+                            fresh_var, functor_of, make_list, rename_apart,
+                            unify)
 
 
 ME = ProgramId.get("http://me/")
@@ -312,9 +313,11 @@ def test_clause_text_round_trip():
 
 def test_rename_clause_keeps_head_body_sharing():
     c = parse_program("p(X) :- q(X).")[0]
-    r = rename_clause(c)
-    assert r.head.args[0] == r.body.args[0]
-    assert r.head.args[0] != c.head.args[0]
+    mapping = {}
+    head = rename_apart(c.head, mapping)
+    body = rename_clause(c, mapping)
+    assert head.args[0] == body.args[0]
+    assert head.args[0] != c.head.args[0]
 
 
 # ---------------------------------------------------------------- store
@@ -372,7 +375,7 @@ def _indexed_cases(draw):
 
 def _unifying(clauses, goal, s):
     return [c for c in clauses
-            if unify(goal, rename_clause(c).head, s) is not None]
+            if unify(goal, c.head, s, {}) is not None]
 
 
 @given(_indexed_cases())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rename_reference
 from conftest import struct
 from loop_reference import pairwise_variant
 from logicweb.model import (EMPTY_PROGRAM, Clause, ProgramId, Union,
@@ -137,12 +138,15 @@ def test_rename_apart_preserves_sharing():
 
 def test_renaming_clauses_leaves_no_garbage_cycles():
     clause = parse_program("p(X, f(Y, [X|T])) :- q(Y), r(T, Z), s(Z).\n")[0]
+    goal = struct("p", fresh_var("A"), struct("f", Atom("b"), fresh_var("L")))
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         for _ in range(1000):
-            rename_clause(clause)
+            mapping = {}
+            assert unify(goal, clause.head, EMPTY_SUBST, mapping) is not None
+            rename_clause(clause, mapping)
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -322,6 +326,87 @@ def test_rename_apart_gives_variant(t):
 @settings(max_examples=150)
 def test_unification_is_symmetric_in_success(a, b):
     assert (unify(a, b) is None) == (unify(b, a) is None)
+
+
+# a clause's own variables, apart from the goal's `H0`-`H3`, and so few that
+# they repeat; `C2` is met only in a body
+_clause_vars = st.integers(min_value=0, max_value=1).map(lambda i: Var(f"C{i}", -300 - i))
+_match_leaves = st.sampled_from([Atom("a"), Atom("b"), Num(1), Num(1.0)])
+_goal_vars = st.integers(min_value=0, max_value=1).map(lambda i: Var(f"H{i}", -100 - i))
+
+
+@st.composite
+def _clause_matches(draw):
+    """A goal, a clause head and body, and a substitution that binds some
+    of the goal's variables. The arguments of the goal, and of the head,
+    are drawn from one or two parts, each as it is or under `f/1`, so
+    repeated variables, and a variable beside a compound holding it, come
+    up often."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+
+    def arguments(leaves) -> tuple:
+        part = st.sampled_from(draw(st.lists(_terms(1, leaves), min_size=1, max_size=2)))
+        return tuple(draw(st.lists(part | part.map(lambda t: Struct("f", (t,))),
+                                   min_size=arity, max_size=arity)))
+
+    goal = Struct("p", arguments(_match_leaves | _goal_vars))
+    head = Struct("p", arguments(_match_leaves | _clause_vars))
+    body = draw(_terms(2, _match_leaves | _clause_vars | st.just(Var("C2", -302))))
+    return goal, head, body, draw(_substitutions())
+
+
+def _match_agrees(goal, head, body, s) -> Substitution | None:
+    """Match in the clause's frame, checked against the two-step reference:
+    both fail, or both give variants of `r(Goal, Body)`."""
+    mapping = {}
+    got = unify(goal, head, s, mapping)
+    want = rename_reference.match(goal, head, body, s)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert variant(
+            got.apply(Struct("r", (goal, rename_clause(Clause(head, body), mapping)))),
+            want[0].apply(Struct("r", (goal, want[1]))))
+    return got
+
+
+@given(_clause_matches())
+@settings(max_examples=200, derandomize=True)
+def test_a_head_matched_in_its_frame_agrees_with_renaming_it_first(case):
+    _match_agrees(*case)
+
+
+def test_a_repeated_head_variable_is_checked_for_occurrence():
+    y = fresh_var("Y")
+    for clause in ("p(X, f(X)).", "p(f(X), X)."):
+        head = parse_program(clause)[0].head
+        assert _match_agrees(struct("p", y, y), head, Atom("true"), EMPTY_SUBST) is None
+
+
+def test_a_repeated_head_variable_is_checked_against_what_it_stands_for():
+    y = fresh_var("Y")
+    head = parse_program("p(X, X).")[0].head
+    goal = struct("p", y, struct("f", y))
+    assert _match_agrees(goal, head, Atom("true"), EMPTY_SUBST) is None
+
+
+def test_a_repeated_head_variable_binds_a_later_goal_variable():
+    y = fresh_var("Y")
+    head = parse_program("p(X, X).")[0].head
+    s = _match_agrees(struct("p", Atom("a"), y), head, Atom("true"), EMPTY_SUBST)
+    assert s.apply(y) == Atom("a")
+
+
+def test_a_head_variable_first_met_against_a_term_stands_for_it():
+    y = fresh_var("Y")
+    goal = struct("p", struct("f", y), y)
+    clause = parse_program("p(X, Z) :- q(X, Z).")[0]
+    mapping = {}
+    s = unify(goal, clause.head, EMPTY_SUBST, mapping)
+    # X is the goal's f(Y) itself, neither made nor bound; Z is made and Y
+    # is bound to it
+    assert mapping[clause.head.args[0].id] is goal.args[0]
+    assert s.apply(y) is mapping[clause.head.args[1].id]
+    assert rename_clause(clause, mapping).args[0] is goal.args[0]
 
 
 # the records an audit event keeps its goal in
