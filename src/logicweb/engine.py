@@ -445,9 +445,9 @@ Engine = Session  # bench/tracer.py patches the evaluator through this name
 
 
 def goal_variables(body: Term) -> dict[int, Term]:
-    """A fresh variable for each variable that `solve` reads as a goal of
-    `body`: the body itself, or an argument of a `,`, `;` or `->` there. A
-    variable goal drops a vet's record, so a recorded vet keeps them so."""
+    """A fresh variable for each variable `solve` reads as a goal of `body`
+    (the body, or an argument of a `,`, `;` or `->` there): a recorded vet's
+    bodies keep them variables, since a variable goal drops the record."""
     out: dict[int, Term] = {}
     stack = [body]
     while stack:

@@ -285,7 +285,7 @@ def unify(t1: Term, t2: Term, subst: Substitution | None = None,
                     s = s.bind(a, mapping.setdefault(b.id, Var(b.name, next(_var_ids))))
                 else:
                     mapping[b.id] = a
-            # a repeated variable, or a compound against a goal term that is not one
+            # a repeated variable, or a compound met by a variable or a constant
             elif (s := unify(a, rename_apart(b, mapping), s)) is None:
                 return None
             continue

@@ -10,7 +10,7 @@ import rename_reference
 from conftest import struct
 from loop_reference import pairwise_variant
 from logicweb.model import (EMPTY_PROGRAM, Clause, ProgramId, Union,
-                            parse_program, rename_clause)
+                            parse_goal, parse_program, rename_clause)
 from logicweb.terms import (EMPTY_SUBST, Atom, Num, Str, Struct, Substitution,
                             Var, decode, encode, fresh_var, list_items,
                             make_list, occurs_in, rename_apart, unify, variant,
@@ -375,18 +375,12 @@ def test_a_head_matched_in_its_frame_agrees_with_renaming_it_first(case):
     _match_agrees(*case)
 
 
-def test_a_repeated_head_variable_is_checked_for_occurrence():
-    y = fresh_var("Y")
-    for clause in ("p(X, f(X)).", "p(f(X), X)."):
-        head = parse_program(clause)[0].head
-        assert _match_agrees(struct("p", y, y), head, Atom("true"), EMPTY_SUBST) is None
-
-
-def test_a_repeated_head_variable_is_checked_against_what_it_stands_for():
-    y = fresh_var("Y")
-    head = parse_program("p(X, X).")[0].head
-    goal = struct("p", y, struct("f", y))
-    assert _match_agrees(goal, head, Atom("true"), EMPTY_SUBST) is None
+@pytest.mark.parametrize("clause, goal", [("p(X, f(X)).", "p(Y, Y)"),
+                                          ("p(f(X), X).", "p(Y, Y)"),
+                                          ("p(X, X).", "p(Y, f(Y))")])
+def test_a_repeated_head_variable_is_checked_for_occurrence(clause, goal):
+    head = parse_program(clause)[0].head
+    assert _match_agrees(parse_goal(goal)[0], head, Atom("true"), EMPTY_SUBST) is None
 
 
 def test_a_repeated_head_variable_binds_a_later_goal_variable():
