@@ -10,11 +10,18 @@ page and composed programs (secured and `--no-security`), whose goals take
 every path of clause selection: the three reduce forms, union,
 intersection, restriction and encapsulation; and over each hostile page of
 `hostile_pages.py` that ends in well under a second. Timestamps are stripped and fresh variable names `_G<n>` read
-`_G`, so a digest depends on the interpreter's behaviour alone. A change
-that moves the trail on purpose rewrites the pins and says why.
+`_G`, so a digest depends on the interpreter's behaviour alone.
 
-    PYTHONPATH=src python tests/golden.py --check   # exit 1 naming each query that moved
-    PYTHONPATH=src python tests/golden.py --write   # rewrite tests/golden/trail.json
+It also pins the work of one traced seed-1 pass of each gated workload, run
+as `bench/run.py --trace 1` runs one: the workload warmed up, then each
+query untraced and then traced by `bench/tracer.py`. What is kept is the
+tracer's integer counts (clause tries, vets, switches, audit events,
+`apply`, `unify` and `compose` calls, clauses parsed, downloads, store
+mutations and the rest), which depend on the seed alone. A change that
+moves the trail or the work on purpose rewrites the pins and says why.
+
+    PYTHONPATH=src python tests/golden.py --check   # exit 1 naming each query or count that moved
+    PYTHONPATH=src python tests/golden.py --write   # rewrite tests/golden/trail.json and counts.json
 
 Under each of the first three queries that moved, `--check` prints that
 query's new trail lines as they were digested.
@@ -40,9 +47,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from hostile_pages import (DOUBLING, HOSTILE_PAGES, READ_LINKS,  # noqa: E402
                            SLOW_PAGES)
 from logicweb import cli  # noqa: E402
+from tracer import Tracer  # noqa: E402
 from workloads import SecuredSyscalls, SiteCrawl  # noqa: E402
 
 PINS = Path(__file__).resolve().parent / "golden" / "trail.json"
+COUNT_PINS = PINS.with_name("counts.json")
 SEED = 1
 SHOWN = 3       # moved queries whose new lines --check prints
 
@@ -167,8 +176,32 @@ def digests() -> dict[str, str]:
     return {key: digest(lines) for key, lines in trails().items()}
 
 
+def traced_counts() -> dict[str, dict[str, int]]:
+    """The tracer's counts over one traced seed-1 pass of each gated
+    workload, by workload."""
+    out = {}
+    for cls in (SecuredSyscalls, SiteCrawl):
+        with tempfile.TemporaryDirectory() as tmp:
+            wl = cls(SEED, Path(tmp))
+            wl.warm_up()
+            tracer = Tracer()
+            for query in wl.queries:
+                wl.run(query)
+                tracer.install()
+                try:
+                    wl.run(query)
+                finally:
+                    tracer.remove()
+        out[cls.name] = dict(sorted(tracer.counts.items()))
+    return out
+
+
 def load() -> dict[str, str]:
     return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def load_counts() -> dict[str, dict[str, int]]:
+    return json.loads(COUNT_PINS.read_text(encoding="utf-8"))
 
 
 def moved(got: dict[str, str], pinned: dict[str, str]) -> list[str]:
@@ -177,19 +210,35 @@ def moved(got: dict[str, str], pinned: dict[str, str]) -> list[str]:
             if got.get(key) != pinned.get(key)]
 
 
+def moved_counts(got: dict[str, dict[str, int]],
+                 pinned: dict[str, dict[str, int]]) -> list[str]:
+    """`workload count pinned -> got` for each count that differs from its
+    pin; a count only one side has reads None on the other."""
+    out = []
+    for name in dict.fromkeys([*pinned, *got]):
+        old, new = pinned.get(name, {}), got.get(name, {})
+        out += [f"{name} {key} {old.get(key)} -> {new.get(key)}"
+                for key in dict.fromkeys([*old, *new])
+                if old.get(key) != new.get(key)]
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="rewrite the pins")
     mode.add_argument("--check", action="store_true",
-                      help="compare with the pins; exit 1 if any query moved")
+                      help="compare with the pins; exit 1 if any query or count moved")
     args = p.parse_args(argv)
     runs = trails()
     got = {key: digest(lines) for key, lines in runs.items()}
+    counts = traced_counts()
     if args.write:
         PINS.parent.mkdir(exist_ok=True)
         PINS.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
+        COUNT_PINS.write_text(json.dumps(counts, indent=1) + "\n", encoding="utf-8")
         print(f"queries={len(got)} written to {PINS}")
+        print(f"counts of {len(counts)} workloads written to {COUNT_PINS}")
         return 0
     bad = moved(got, load())
     for i, key in enumerate(bad):
@@ -198,7 +247,11 @@ def main(argv=None) -> int:
             for line in normalised(runs[key]).splitlines():
                 print(f"    {line}")
     print(f"queries={len(got)} moved={len(bad)}")
-    return 1 if bad else 0
+    bad_counts = moved_counts(counts, load_counts())
+    for line in bad_counts:
+        print(f"count moved: {line}")
+    print(f"counts={sum(map(len, counts.values()))} moved={len(bad_counts)}")
+    return 1 if bad or bad_counts else 0
 
 
 if __name__ == "__main__":
