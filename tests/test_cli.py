@@ -411,6 +411,15 @@ def test_malformed_url_in_a_page_switch_fails_cleanly(site, capsys):
     assert (code, out, err) == (1, "", "")
 
 
+def test_only_the_built_ins_qualifier_runs_a_built_in(site, capsys):
+    code, out, err = run_cli(capsys, "query", SITE + "index.html",
+                             "built_ins:display(x)", "--no-security", *base(site))
+    assert (code, out.splitlines()[0], err) == (0, "x", "")
+    code, out, err = run_cli(capsys, "query", SITE + "index.html",
+                             "foo:display(x)", "--no-security", *base(site))
+    assert (code, out, err) == (1, "", "")
+
+
 def test_undecodable_page_fails_cleanly(site, capsys):
     d, _ = site
     (d / "bad.html").write_bytes(b"<html>\xff</html>")

@@ -546,10 +546,12 @@ def test_an_impure_policy_is_proved_on_every_call(monkeypatch, form):
     assert of_kind(s.audit, "vet") == []
 
 
+@pytest.mark.parametrize("body", ["G", "(true, G)", "(fail ; G)", "(true -> G)"])
 def test_a_policy_calling_what_a_head_variable_stands_for_is_proved_every_time(
-        monkeypatch):
-    # `G` stands for the goal's own `contains/2` term: still a variable goal
-    s = memo_session("valid_systemCall(C) :- allowed(C).\nallowed(G) :- G.\n")
+        monkeypatch, body):
+    # `G` stands for the goal's own `contains/2` term: still a variable goal,
+    # as the whole body or inside a conjunction, disjunction or condition
+    s = memo_session(f"valid_systemCall(C) :- allowed(C).\nallowed(G) :- {body}.\n")
     proofs = counting_proofs(monkeypatch)
     for _ in range(2):
         assert count(s, 'contains("ab", "a")') == 1

@@ -129,14 +129,19 @@ def test_load_registry_file(tmp_path):
 
 
 def test_load_registry_rejects_bad_lines(tmp_path):
-    for body in ("garbage http://x/\n",
-                 "default\n",
-                 "signer onlyurl\n",
-                 "signer alice http://a/\n"):  # no default line
-        path = tmp_path / "registry"
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(RegistryError):
+    # each bad line beside a good default line, so that its own check, not
+    # the missing default, must refuse it
+    path = tmp_path / "registry"
+    for body, message in [("garbage http://x/\n", "bad registry line 2"),
+                          ("default\n", "bad registry line 2"),
+                          ("signer onlyurl\n", "bad signer line 2"),
+                          ("trusted http://p/\n", "bad trusted line 2")]:
+        path.write_text("default http://d/\n" + body, encoding="utf-8")
+        with pytest.raises(RegistryError, match=message):
             PolicyRegistry.load(path)
+    path.write_text("signer alice http://a/\n", encoding="utf-8")
+    with pytest.raises(RegistryError, match="no default policy"):
+        PolicyRegistry.load(path)
 
 
 def test_audit_log_collects_and_formats():
