@@ -1,11 +1,12 @@
 """The audited built-in predicate table.
 
 Everything a program can do to the world outside pure resolution lives
-here. An implementation takes the arguments, fully dereferenced, the
-session and the calling context, and yields fresh substitutions over the
-remaining variables, which the engine composes into the current answer.
-One that refuses its call raises `Refusal`; `call_builtin` then fails the
-goal quietly and leaves the reason as one notice in the audit log.
+here. An implementation takes the arguments, the caller's substitution
+`s`, the session and the calling context; it reads each argument through
+`s` and yields `s` extended, once for each answer. One that refuses its
+call raises `Refusal`; `call_builtin` then fails the goal quietly and
+leaves the reason as one notice in the audit log. `close/1` takes only the
+integer stream id `open/3` made.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import Callable, Iterator, Optional
 from . import syntax
 from .model import ProgramId, clause_from_term, clause_to_term
 from .terms import (Atom, Num, Str, Struct, Substitution, Term, Var,
-                    EMPTY_SUBST, functor_of, list_items, make_list,
-                    proper_list, rename_apart, unify)
+                    functor_of, list_items, make_list, proper_list,
+                    rename_apart, unify)
 
 UNTIMED_CEILING_S = 30  # the longest system/1 or sleep/1 runs with no guard deadline
 
-# (name, arity) -> implementation, called as impl(args, session, ctx)
+# (name, arity) -> implementation, called as impl(args, s, session, ctx)
 TABLE: dict[tuple[str, int], Callable] = {}
 # the built-ins that only read their arguments: a vet whose proof runs no
 # other may be kept (`engine.Session._prove_isolated`)
@@ -49,14 +50,14 @@ class Refusal(Exception):
     """A built-in refuses its call; the message says which and why."""
 
 
-def call_builtin(t: Term, session, ctx) -> Iterator[Substitution]:
-    """Type-checked execution of one built-in call made by `ctx`. A refused
-    call fails and leaves its reason as a notice."""
+def call_builtin(t: Term, s: Substitution, session, ctx) -> Iterator[Substitution]:
+    """Type-checked execution of one built-in call made by `ctx`, read
+    through `s`. A refused call fails and leaves its reason as a notice."""
     try:
         impl = lookup(t)
         if impl is None:
-            raise Refusal(f"unknown built-in: {syntax.to_text(t)}")
-        yield from impl(t.args if isinstance(t, Struct) else (), session, ctx)
+            raise Refusal(f"unknown built-in: {syntax.to_text(s.apply(t))}")
+        yield from impl(t.args if isinstance(t, Struct) else (), s, session, ctx)
     except Refusal as exc:
         session.notice(str(exc))
 
@@ -74,9 +75,9 @@ def _text(t: Term) -> Optional[str]:
 # ---------------------------------------------------------------- I/O
 
 @_register("open", 3)
-def _bi_open(args, session, ctx):
+def _bi_open(args, s, session, ctx):
     """open(File, read|write, Stream): opens a real file"""
-    fname, mode, stream = args
+    fname, mode, stream = [s.walk(a) for a in args]
     path = _text(fname)
     if path is None:
         raise Refusal("open/3: file name must be an atom or string")
@@ -89,30 +90,31 @@ def _bi_open(args, session, ctx):
     except (OSError, ValueError) as exc:    # ValueError: a NUL in the name
         raise Refusal(f"open/3 failed: {exc}")
     n = session.new_stream(handle)
-    yield EMPTY_SUBST.bind(stream, Struct("$stream", (Num(n),)))
+    yield s.bind(stream, Struct("$stream", (Num(n),)))
 
 
 @_register("close", 1)
-def _bi_close(args, session, ctx):
-    """close(Stream)"""
-    (stream,) = args
+def _bi_close(args, s, session, ctx):
+    """close(Stream): Stream is the `'$stream'(N)` open/3 made, N an integer"""
+    stream = s.apply(args[0])
     if (isinstance(stream, Struct) and stream.functor == "$stream"
-            and len(stream.args) == 1 and isinstance(stream.args[0], Num)):
+            and len(stream.args) == 1 and isinstance(stream.args[0], Num)
+            and type(stream.args[0].value) is int):
         handle = session.streams.pop(stream.args[0].value, None)
         if handle is not None:
             handle.close()
-            yield EMPTY_SUBST
+            yield s
             return
     raise Refusal("close/1: not an open stream")
 
 
 @_register("system", 1)
-def _bi_system(args, session, ctx):
+def _bi_system(args, s, session, ctx):
     """system(Command): run a shell command, succeed on exit 0. A guard
     stop kills the command; with no deadline it runs `UNTIMED_CEILING_S` at
     most. Jobs the shell leaves in the background are killed when it exits,
     except one that moved to a session of its own (`setsid`)."""
-    cmd = _text(args[0])
+    cmd = _text(s.walk(args[0]))
     if cmd is None:
         raise Refusal("system/1: command must be an atom or string")
     hooks = session.hooks
@@ -144,32 +146,33 @@ def _bi_system(args, session, ctx):
             pass
         proc.wait()
     if proc.returncode == 0:
-        yield EMPTY_SUBST
+        yield s
 
 
 @_register("display", 1)
-def _bi_display(args, session, ctx):
+def _bi_display(args, s, session, ctx):
     """display(Term): print in canonical syntax"""
-    print(syntax.to_text(args[0]))
-    yield EMPTY_SUBST
+    print(syntax.to_text(s.apply(args[0])))
+    yield s
 
 
 @_register("report_deletion", 1)
-def _bi_report_deletion(args, session, ctx):
+def _bi_report_deletion(args, s, session, ctx):
     """report_deletion(Cmd): flag a deletion to the user"""
-    text = syntax.to_text(args[0])
+    text = syntax.to_text(s.apply(args[0]))
     session.notice(f"deletion-report {text}")
     print(f"deletion reported: {text}")
-    yield EMPTY_SUBST
+    yield s
 
 
 @_register("sleep", 1)
-def _bi_sleep(args, session, ctx):
+def _bi_sleep(args, s, session, ctx):
     """sleep(Millis): cooperative pause, wakes early on guard stop; with no
     guard deadline it may last `UNTIMED_CEILING_S`"""
-    if not isinstance(args[0], Num):
+    millis = s.walk(args[0])
+    if not isinstance(millis, Num):
         raise Refusal("sleep/1: milliseconds must be a number")
-    hooks, millis = session.hooks, args[0].value
+    hooks, millis = session.hooks, millis.value
     if millis > UNTIMED_CEILING_S * 1000 and hooks.deadline is None:
         raise Refusal(f"sleep/1 failed: over {UNTIMED_CEILING_S} seconds with no time limit")
     # past the float range, only the deadline ends the pause
@@ -180,7 +183,7 @@ def _bi_sleep(args, session, ctx):
         time.sleep(step)
         remaining -= step
     hooks.check_now()
-    yield EMPTY_SUBST
+    yield s
 
 
 # ---------------------------------------------------------------- store state
@@ -194,22 +197,22 @@ def policy_program(session, ctx):
     return None
 
 @_register("assert", 1)
-def _bi_assert(args, session, ctx):
+def _bi_assert(args, s, session, ctx):
     """assert(Clause): extend the calling policy program"""
     prog = policy_program(session, ctx)
     if prog is None:
         raise Refusal("assert/1: only policy programs may change their clauses")
     try:
         # a copy, so the stored clause shares no variable with the caller
-        clause = clause_from_term(rename_apart(args[0]))
+        clause = clause_from_term(rename_apart(s.apply(args[0])))
     except Exception as exc:
         raise Refusal(f"assert/1: {exc}")
     prog.add(clause)
-    yield EMPTY_SUBST
+    yield s
 
 
 @_register("retract", 1)
-def _bi_retract(args, session, ctx):
+def _bi_retract(args, s, session, ctx):
     """retract(Clause): remove the first matching clause"""
     prog = policy_program(session, ctx)
     if prog is None:
@@ -217,7 +220,7 @@ def _bi_retract(args, session, ctx):
     # a fact's clause term is its head, so a bare pattern matches facts and
     # a ':-'/2 pattern matches rules; only a variable head can match clauses
     # of more than one predicate
-    pattern = args[0]
+    pattern = s.apply(args[0])
     head = (pattern.args[0] if isinstance(pattern, Struct)
             and pattern.functor == ":-" and len(pattern.args) == 2 else pattern)
     if isinstance(head, Var):
@@ -226,135 +229,121 @@ def _bi_retract(args, session, ctx):
         pred = functor_of(head)
         clauses = prog.clauses_of(pred) if pred else ()
     for clause in clauses:
-        s = unify(pattern, clause_to_term(clause))
-        if s is not None:
+        s1 = unify(pattern, clause_to_term(clause), s)
+        if s1 is not None:
             prog.remove(clause)
-            yield s
+            yield s1
             return
 
 
 @_register("program_exists", 1)
-def _bi_program_exists(args, session, ctx):
+def _bi_program_exists(args, s, session, ctx):
     """program_exists(lw(Method, URL))"""
     try:
-        pid = ProgramId.from_term(args[0])
+        pid = ProgramId.from_term(s.apply(args[0]))
     except Exception:
         raise Refusal("program_exists/1: not a program identifier")
     if pid in session.store:
-        yield EMPTY_SUBST
+        yield s
 
 
 # ---------------------------------------------------------------- text & lists
 
 @_register("contains", 2, pure=True)
-def _bi_contains(args, session, ctx):
+def _bi_contains(args, s, session, ctx):
     """contains(Text, Sub): substring test"""
-    text, sub = _text(args[0]), _text(args[1])
+    text, sub = _text(s.walk(args[0])), _text(s.walk(args[1]))
     if text is None or sub is None:
         raise Refusal("contains/2: both arguments must be text")
     if sub in text:
-        yield EMPTY_SUBST
+        yield s
 
 
 @_register("append", 3, pure=True)
-def _bi_append(args, session, ctx):
-    """append/3 over lists, or strings by concatenation"""
-    a, b, c = args
-    if isinstance(a, Str) or isinstance(b, Str) or isinstance(c, Str):
-        yield from _append_strings(a, b, c)
-        return
-    yield from _append_lists(a, b, c)
+def _bi_append(args, s, session, ctx):
+    """append/3 over lists, or strings by concatenation. Each answer of
+    the split is the (term, value) pairs it unifies, in order."""
+    a, b, c = [s.apply(x) for x in args]
+    split = _append_strings if Str in (type(a), type(b), type(c)) else _append_lists
+    for pairs in split(a, b, c):
+        s1 = s
+        for term, value in pairs:
+            if (s1 := unify(term, value, s1)) is None:
+                break
+        else:
+            yield s1
 
 
 def _append_strings(a, b, c):
     ta, tb, tc = _text(a), _text(b), _text(c)
     if ta is not None and tb is not None:
-        s = unify(c, Str(ta + tb))
-        if s is not None:
-            yield s
+        yield ((c, Str(ta + tb)),)
         return
     if tc is not None:
         if ta is not None:
             if tc.startswith(ta):
-                s = unify(b, Str(tc[len(ta):]))
-                if s is not None:
-                    yield s
+                yield ((b, Str(tc[len(ta):])),)
             return
         if tb is not None:
             if tc.endswith(tb):
-                s = unify(a, Str(tc[:len(tc) - len(tb)]))
-                if s is not None:
-                    yield s
+                yield ((a, Str(tc[:len(tc) - len(tb)])),)
             return
         for i in range(len(tc) + 1):
-            s = unify(a, Str(tc[:i]))
-            if s is None:
-                continue
-            s2 = unify(b, Str(tc[i:]), s)
-            if s2 is not None:
-                yield s2
+            yield (a, Str(tc[:i])), (b, Str(tc[i:]))
 
 
 def _append_lists(a, b, c):
     front = proper_list(a)
     if front is not None:
-        s = unify(c, make_list(front, b))
-        if s is not None:
-            yield s
+        yield ((c, make_list(front, b)),)
         return
     whole = proper_list(c)
     if whole is not None:
         for i in range(len(whole) + 1):
-            s = unify(a, make_list(whole[:i]))
-            if s is None:
-                continue
-            s2 = unify(b, make_list(whole[i:]), s)
-            if s2 is not None:
-                yield s2
-        return
+            yield (a, make_list(whole[:i])), (b, make_list(whole[i:]))
     # both open-ended: not needed by any policy we ship
 
 
 @_register("member", 2, pure=True)
-def _bi_member(args, session, ctx):
+def _bi_member(args, s, session, ctx):
     """member(X, List): enumerate elements"""
     x, lst = args
-    items, _tail = list_items(lst)
+    items, _tail = list_items(s.apply(lst))
     for item in items:
-        s = unify(x, item)
-        if s is not None:
-            yield s
+        s1 = unify(x, item, s)
+        if s1 is not None:
+            yield s1
 
 
 # ---------------------------------------------------------------- comparison
 
 @_register("=", 2, pure=True)
-def _bi_unify(args, session, ctx):
+def _bi_unify(args, s, session, ctx):
     """unification"""
-    s = unify(args[0], args[1])
-    if s is not None:
-        yield s
+    s1 = unify(args[0], args[1], s)
+    if s1 is not None:
+        yield s1
 
 
 @_register("\\=", 2, pure=True)
-def _bi_not_unify(args, session, ctx):
+def _bi_not_unify(args, s, session, ctx):
     """not unifiable"""
-    if unify(args[0], args[1]) is None:
-        yield EMPTY_SUBST
+    if unify(args[0], args[1], s) is None:
+        yield s
 
 
 @_register("==", 2, pure=True)
-def _bi_eq(args, session, ctx):
+def _bi_eq(args, s, session, ctx):
     """structural equality"""
-    if args[0] == args[1]:
-        yield EMPTY_SUBST
+    if s.apply(args[0]) == s.apply(args[1]):
+        yield s
 
 
 @_register("\\==", 2, pure=True)
-def _bi_neq(args, session, ctx):
+def _bi_neq(args, s, session, ctx):
     """structural inequality"""
-    if args[0] != args[1]:
-        yield EMPTY_SUBST
+    if s.apply(args[0]) != s.apply(args[1]):
+        yield s
 
 
 def _eval_arith(t: Term):
@@ -373,21 +362,22 @@ def _eval_arith(t: Term):
 
 
 @_register("is", 2, pure=True)
-def _bi_is(args, session, ctx):
+def _bi_is(args, s, session, ctx):
     """is(X, Expr): evaluate +, -, * over numbers"""
+    expr = s.apply(args[1])
     try:
-        value = _eval_arith(args[1])
+        value = _eval_arith(expr)
     except (Refusal, OverflowError) as exc:
         raise Refusal(f"is/2: {exc}")
     if isinstance(value, float) and not math.isfinite(value):
         # no text reads back as an infinity, so none may be stored
-        raise Refusal(f"is/2: non-finite result: {syntax.to_text(args[1])}")
+        raise Refusal(f"is/2: non-finite result: {syntax.to_text(expr)}")
     # nor an integer the printer refuses
     if isinstance(value, int) and not syntax.int_printable(value):
         raise Refusal("is/2: integer result too long to print")
-    s = unify(args[0], Num(value))
-    if s is not None:
-        yield s
+    s1 = unify(args[0], Num(value), s)
+    if s1 is not None:
+        yield s1
 
 
 def _compare(op: str):
@@ -395,14 +385,14 @@ def _compare(op: str):
              ">=": operator.ge, "=:=": operator.eq, "=\\=": operator.ne}
     fn = table[op]
 
-    def impl(args, session, ctx):
+    def impl(args, s, session, ctx):
         """Arithmetic comparison of two evaluated expressions."""
         try:
-            lhs, rhs = _eval_arith(args[0]), _eval_arith(args[1])
+            lhs, rhs = _eval_arith(s.apply(args[0])), _eval_arith(s.apply(args[1]))
         except (Refusal, OverflowError) as exc:
             raise Refusal(f"{op}: {exc}")
         if fn(lhs, rhs):
-            yield EMPTY_SUBST
+            yield s
     return impl
 
 
@@ -413,10 +403,10 @@ for _op in ("<", ">", "=<", ">=", "=:=", "=\\="):
 # ---------------------------------------------------------------- type tests
 
 def _type_test(kind: type):
-    def impl(args, session, ctx):
+    def impl(args, s, session, ctx):
         """Succeeds when the argument is an instance of the named type."""
-        if isinstance(args[0], kind):
-            yield EMPTY_SUBST
+        if isinstance(s.walk(args[0]), kind):
+            yield s
     return impl
 
 

@@ -210,7 +210,7 @@ class Session:
         elif sigma:
             yield from self._system_call(sigma, t, s, chain)
         else:
-            yield from self._run_builtin(ctx, s.apply(t), s, chain)
+            yield from self._run_builtin(ctx, t, s, chain)
 
     def _disjunction(self, sigma, ctx, t, s, chain, barrier):
         lhs, rhs = t.args
@@ -414,14 +414,13 @@ class Session:
         for s_inner in self.context_switch((), sigma[-1], run):
             yield s.compose(s_inner)
 
-    def _run_builtin(self, ctx, g: Term, s, chain):
-        """Run the built-in `g` directly, with no policy active, and merge
-        each of its answers into `s`."""
-        if self._reads is not None and functor_of(g) not in bi.PURE:
+    def _run_builtin(self, ctx, t: Term, s, chain):
+        """Run the built-in `t`, read through `s`, directly, with no policy
+        active; each of its answers extends `s`."""
+        if self._reads is not None and functor_of(t) not in bi.PURE:
             self._drop_reads()
-        self.audit.emit("syscall", g, chain, ())
-        for delta in bi.call_builtin(g, self, ctx):
-            yield s.compose(delta)
+        self.audit.emit("syscall", t, chain, (), subst=s)
+        yield from bi.call_builtin(t, s, self, ctx)
 
     def _builtin_qualified(self, sigma, ctx, inner_term: Term, s, chain):
         """`built_ins:G` runs the built-in directly. Only derivations with
@@ -430,12 +429,12 @@ class Session:
         policy set) and nothing downloaded."""
         if sigma:
             return
-        g = s.apply(inner_term)
+        g = s.walk(inner_term)
         target = g
         if isinstance(g, Struct) and g.functor == "call_builtin" and len(g.args) == 1:
-            target = g.args[0]
+            target = s.walk(g.args[0])
         elif isinstance(g, Struct) and g.functor == "builtin" and len(g.args) == 1:
-            if bi.lookup(g.args[0]) is not None:
+            if bi.lookup(s.walk(g.args[0])) is not None:
                 yield s
             return
         yield from self._run_builtin(ctx, target, s, chain)

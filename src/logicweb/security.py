@@ -21,7 +21,7 @@ from . import signatures
 from .model import ProgramExpression, ProgramId, expr_text
 from .signatures import KeyStore, UNKNOWN_SIGNER
 from .syntax import read_text, to_text
-from .terms import Term, decode, encode
+from .terms import EMPTY_SUBST, Substitution, Term, decode, encode
 
 
 class RegistryError(Exception):
@@ -184,9 +184,10 @@ class AuditLog:
 
     def emit(self, kind: str, subject: str | Term,
              chain: tuple[ProgramExpression, ...] = (),
-             sigma: tuple[ProgramId, ...] = (), prefix: str = "") -> AuditEvent:
+             sigma: tuple[ProgramId, ...] = (), prefix: str = "",
+             subst: Substitution = EMPTY_SUBST) -> AuditEvent:
         self.emitted += 1
-        record = subject if type(subject) is str else encode(subject)
+        record = subject if type(subject) is str else encode(subject, subst)
         ev = AuditEvent(time.time(), kind, record, chain, sigma, prefix)
         self.events.append(ev)
         return ev

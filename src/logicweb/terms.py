@@ -235,8 +235,8 @@ class Substitution:
         """s1.compose(s2): applying the result equals apply s1, then s2.
 
         Precondition: `other` binds only variables `self` leaves unbound, as
-        any delta computed on `self.apply(t)` does. Since bindings are
-        triangular, the union of the two maps is then the composition."""
+        any answer derived afresh from `self.apply(t)` does. Since bindings
+        are triangular, the union of the two maps is then the composition."""
         if not other._b:
             return self
         return Substitution({**other._b, **self._b})
@@ -373,15 +373,19 @@ def variant_key(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
     return tuple(out)
 
 
-def encode(t: Term) -> tuple:
-    """`t` as a flat tuple of plain values, which the garbage collector
-    stops tracking at its first pass, read in prefix order: a compound is
-    its functor then its arity, an atom its name then 0, a string its value
-    then -1, a variable None, its name and its id, a number its value."""
+def encode(t: Term, s: Substitution = EMPTY_SUBST) -> tuple:
+    """`s.apply(t)` as a flat tuple of plain values, which the garbage
+    collector stops tracking at its first pass, read through `s` without
+    building it, in prefix order: a compound is its functor then its arity,
+    an atom its name then 0, a string its value then -1, a variable None,
+    its name and its id, a number its value."""
+    bindings = s._b
     out = []
     stack = [t]
     while stack:
         u = stack.pop()
+        while type(u) is Var and (bound := bindings.get(u.id)) is not None:
+            u = bound
         kind = type(u)
         if kind is Struct:
             out += (u.functor, len(u.args))

@@ -4,15 +4,19 @@ import os
 import time
 from pathlib import Path
 
+import builtin_reference
 import pytest
 from conftest import (HOME_URL, PERMISSIVE_URL, make_session, of_kind,
                       policy_page)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from logicweb import builtins as bi
 from logicweb.engine import solutions
 from logicweb.fetching import PageEntry
 from logicweb.model import LWProgram, ProgramId, clause_text, parse_program
 from logicweb.syntax import to_text
-from logicweb.terms import Num, Str, Var
+from logicweb.terms import (EMPTY_SUBST, NIL, Atom, Num, Str, Struct,
+                            Substitution, Var, make_list, occurs_in)
 
 
 def run(open_session, goal, limit=None):
@@ -53,6 +57,17 @@ def test_open_type_errors(open_session, tmp_path):
     assert run(open_session, f'open("{tmp_path}/absent", read, S)') == []
     notes = [e.detail for e in of_kind(open_session.audit, "notice")]
     assert any("open" in n for n in notes)
+
+
+def test_close_takes_only_the_integer_stream_id(open_session, tmp_path):
+    # '$stream'(0.0) does not unify with the '$stream'(0) open/3 made, so it
+    # must not close that stream
+    (got,) = run(open_session, f'open("{tmp_path / "out.txt"}", write, S)')
+    stream = got["S"]
+    assert run(open_session, f"close('$stream'({stream.args[0].value}.0))") == []
+    notes = [e.detail for e in of_kind(open_session.audit, "notice")]
+    assert notes == ["close/1: not an open stream"]
+    assert run(open_session, f"close({to_text(stream)})") == [{}]
 
 
 def test_close_rejects_bare_number(open_session, tmp_path):
@@ -246,6 +261,102 @@ def test_the_pure_builtins_are_the_ones_the_readme_lists():
                    ("system", 1), ("display", 1), ("sleep", 1),
                    ("report_deletion", 1), ("program_exists", 1)]:
         assert impure in bi.TABLE and impure not in bi.PURE
+
+
+# ---------------------------------------------------------------- protocol
+
+_VARS = [Var(f"H{i}", -400 - i) for i in range(4)]
+_var = st.sampled_from(_VARS)
+_numbers = st.sampled_from([Num(0), Num(1), Num(2), Num(1.5)])
+_text = st.sampled_from([Str(""), Str("a"), Str("ab"), Atom("a")])
+
+
+def _arith(sub):
+    return (st.tuples(st.sampled_from("+-*"), st.lists(sub, min_size=1, max_size=2))
+            .map(lambda fa: Struct(fa[0], tuple(fa[1]))))
+
+
+def _lists(sub):
+    return (st.tuples(st.lists(sub, max_size=3), st.just(NIL) | _var)
+            .map(lambda items_tail: make_list(*items_tail)))
+
+
+def _nested(leaves, compounds):
+    """Small terms over `leaves` and variables."""
+    return st.recursive(leaves | _var, compounds, max_leaves=5)
+
+
+# the terms each built-in is called with, and its variables bound to
+_ARITH = _nested(_numbers | st.just(Atom("a")), _arith)
+_LISTS = _nested(_numbers | _text, _lists)
+_TERMS = {"contains": _text | _var, "append": _LISTS, "member": _LISTS,
+          **dict.fromkeys(["<", ">", "=<", ">=", "=:=", "=\\=", "is"], _ARITH)}
+_ANY = _nested(_numbers | _text, lambda sub: _arith(sub) | _lists(sub))
+
+
+@st.composite
+def _goals_in_context(draw, key):
+    """A call of the built-in `key` and a substitution, with no cycle, that
+    binds some of the call's variables to nested terms or to each other.
+    Half the arguments are variables, and most variables are bound."""
+    name, arity = key
+    terms = _TERMS.get(name, _ANY)
+    goal = Struct(name, tuple(draw(_var if draw(st.booleans()) else terms)
+                              for _ in range(arity)))
+    order = draw(st.permutations(_VARS))
+    s = EMPTY_SUBST
+    for v, after in zip(order, order[1:] + [None]):
+        # free, bound to the next variable, or, twice as often, to a term
+        t = draw(st.sampled_from([None, after, terms, terms]))
+        t = draw(t) if t is terms else t
+        if t is not None and not occurs_in(v.id, t, s):
+            s = s.bind(v, t)
+    return goal, s
+
+
+class _Notices:
+    def __init__(self):
+        self.notices = []
+
+    def notice(self, message):
+        self.notices.append(message)
+
+
+def _answers(call, goal, s):
+    session = _Notices()
+    got = [[s1.apply(v) for v in _VARS] for s1 in call(goal, s, session, None)]
+    return got, session.notices
+
+
+@pytest.mark.parametrize("key", sorted(bi.PURE), ids=lambda k: f"{k[0]}/{k[1]}")
+def test_a_pure_built_in_answers_as_the_delta_protocol_did(key):
+    @given(_goals_in_context(key))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def agrees(case):
+        goal, s = case
+        assert (_answers(bi.call_builtin, goal, s)
+                == _answers(builtin_reference.call_builtin, goal, s))
+    agrees()
+
+
+H0, H1, H2, H3 = _VARS
+
+
+@pytest.mark.parametrize("goal, bindings", [
+    (Struct("append", (H0, H1, H2)), {H2: Str("ab")}),
+    (Struct("append", (H0, H1, H2)), {H2: make_list([H3, Num(1)]), H3: Str("a")}),
+    (Struct("append", (H0, H1, H2)), {H2: make_list([H3, H3]), H3: make_list([Num(1)])}),
+    (Struct("append", (H0, H1, H2)), {H2: make_list([Num(1)], H3),
+                                       H3: make_list([Num(2)])}),
+    (Struct("member", (H0, H1)), {H1: make_list([H2, H3, H2]), H2: Num(1)}),
+    (Struct("member", (H0, H1)), {H1: make_list([H2], H3), H3: make_list([H2])}),
+])
+def test_an_enumerating_built_in_answers_in_the_order_the_delta_protocol_did(
+        goal, bindings):
+    s = Substitution({v.id: t for v, t in bindings.items()})
+    got = _answers(bi.call_builtin, goal, s)
+    assert len(got[0]) > 1
+    assert got == _answers(builtin_reference.call_builtin, goal, s)
 
 
 # ---------------------------------------------------------------- store

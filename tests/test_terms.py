@@ -302,6 +302,12 @@ def test_variant_key_reads_through_the_substitution(t, s):
     assert variant_key(t, s) == variant_key(s.apply(t))
 
 
+@given(_terms(), _substitutions())
+@settings(max_examples=150)
+def test_encode_reads_through_the_substitution(t, s):
+    assert encode(t, s) == encode(s.apply(t))
+
+
 @given(_terms())
 @settings(max_examples=150)
 def test_unify_with_self_never_fails(t):
